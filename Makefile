@@ -1,6 +1,6 @@
 # Convenience targets for the PEI reproduction.
 
-.PHONY: install test lint flow flow-mutants race race-mutants sanitize verify determinism telemetry bench bench-smoke perf-smoke sweep-smoke dashboard experiments quick clean
+.PHONY: install test lint flow flow-mutants race race-mutants sanitize verify determinism telemetry bench bench-smoke perf-smoke perfbench-smoke sweep-smoke dashboard experiments quick clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -94,6 +94,19 @@ perf-smoke:
 	PYTHONPATH=src python -m repro.bench run smoke --jobs 2
 	PYTHONPATH=src python -m repro.bench run smoke --jobs 2
 	PYTHONPATH=src python -m repro.bench history --compare
+
+# Benchmark hook guard: the traced sweep-grid pass of perfbench/ wraps
+# program functions by name (System._warm_caches, columnar._warm,
+# _build_plan, _replay_loop, ...) and clears module caches by name
+# (columnar._PLAN_CACHE, generators._SUITE_CACHE), so a rename in src/
+# breaks the benchmark.  Fails unless the run's last line reports
+# "correct": true (~25 s).
+perfbench-smoke:
+	mkdir -p .perfbench-out
+	python3 perfbench/run.py --workload sweep-grid --seed 1 --trace 1 \
+		| tee .perfbench-out/smoke.log
+	tail -n 1 .perfbench-out/smoke.log | python3 -c \
+		"import json, sys; sys.exit(0 if json.load(sys.stdin).get('correct') is True else 'perfbench-smoke: the run did not report correct: true')"
 
 # Adaptive-sweep smoke check: a cold sweep simulates and checkpoints, a
 # --fresh warm sweep must replay entirely from the disk cache (zero

@@ -176,7 +176,8 @@ class CompiledTrace:
     the allocated regions (for warm-start), barrier groups, the page size
     the regions were laid out with, and the exact ops cap the capture ran
     under.  ``fingerprint`` identifies the capture inputs (workload class,
-    params, seed, thread count, ops cap) for the trace cache.
+    params, seed, thread count, ops cap) for the trace cache, or the
+    captured content when the capture was given no key.
     """
 
     __slots__ = ("workload_name", "n_threads", "max_ops_per_thread",
@@ -264,6 +265,20 @@ def trace_fingerprint(key: Dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _content_digest(footprint: int, regions: List[Tuple[str, int, int]],
+                    barrier_groups: List[int], op_mnemonics: List[str],
+                    columns: Tuple[List[array], ...]) -> str:
+    """Digest of a capture's content: layout, barrier groups, PIM op
+    mnemonics and every per-thread column's bytes."""
+    digest = hashlib.sha256(json.dumps(
+        [footprint, regions, barrier_groups, op_mnemonics]).encode("utf-8"))
+    for column in columns:
+        for values in column:
+            digest.update(len(values).to_bytes(8, "little"))
+            digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
 def capture_trace(workload, n_threads: int,
                   max_ops_per_thread: Optional[int] = None,
                   page_size: int = 4096,
@@ -283,7 +298,8 @@ def capture_trace(workload, n_threads: int,
     ``page_size`` must match the config the trace will replay under: the
     workload lays out its regions in a fresh address space with this page
     size.  ``key`` (optional) identifies the capture inputs (workload
-    class, params, seed) for the trace cache fingerprint.
+    class, params, seed) for the trace cache fingerprint; without it the
+    fingerprint is derived from the captured content itself.
     """
     # Deferred import: workloads.base imports nothing from here, but the
     # AddressSpace lives next to the page table the addresses feed.
@@ -399,14 +415,22 @@ def capture_trace(workload, n_threads: int,
         raise TraceError(
             "barrier deadlock: threads still parked when the capture drained")
 
-    base_key = dict(key) if key is not None else {"workload": workload.name}
+    regions = [(region.name, region.base, region.size)
+               for region in space.regions.values()]
+    if key is not None:
+        base_key = dict(key)
+    else:
+        # No identifying inputs: key on what was captured, so two inputs
+        # of one workload never share a fingerprint (or a ColumnPlan).
+        base_key = {"workload": workload.name,
+                    "content": _content_digest(
+                        space.footprint, regions, groups, op_mnemonics,
+                        (kinds, a0, a1, a2, a3))}
     base_key.update({
         "n_threads": n_threads,
         "max_ops_per_thread": max_ops_per_thread,
         "page_size": page_size,
     })
-    regions = [(region.name, region.base, region.size)
-               for region in space.regions.values()]
     return CompiledTrace(
         workload_name=workload.name,
         n_threads=n_threads,

@@ -31,10 +31,6 @@ What the plan precomputes, and why each piece is deterministic:
 * **Locality-monitor partial tags** — the XOR-fold is a pure function of
   the block number; the plan folds every block of the trace in one
   vectorized pass and installs the results into the monitor's tag memo.
-* **Warm-start template** — on a fresh machine the warm sweep's final
-  L3/monitor/page-table state is a pure function of the regions and the
-  geometry; it is captured once and applied by copy on later fresh runs
-  (LRU replacement only — other policies re-run the sweep).
 
 What stays per-op scalar: every touch of cross-thread shared state.  Loads
 and stores still call ``hierarchy.access`` (coherence, bank contention,
@@ -76,8 +72,8 @@ __all__ = ["ColumnPlan", "plan_cache_counters", "plan_cache_info",
            "replay", "set_plan_cache_limit"]
 
 #: Bounded plan memo keyed by (trace fingerprint, config fingerprint,
-#: monitor use).  Plans are immutable after build except for the lazily
-#: captured warm template; each process owns its own cache.
+#: monitor use).  Plans are immutable after build; each process owns its
+#: own cache.
 _PLAN_CACHE: "OrderedDict[Tuple, Optional[ColumnPlan]]" = OrderedDict()
 _PLAN_CACHE_LIMIT = 8
 
@@ -97,13 +93,11 @@ class ColumnPlan:
     __slots__ = (
         "lengths", "span_kinds", "span_ends",
         "p0", "p1", "p2", "p3", "p4",
-        "final_tlb", "tlb_hits", "tlb_misses",
-        "expected_mapping", "tag_items", "warm_template",
+        "final_tlb", "tlb_hits", "tlb_misses", "tag_items",
     )
 
     def __init__(self, lengths, span_kinds, span_ends, p0, p1, p2, p3, p4,
-                 final_tlb, tlb_hits, tlb_misses, expected_mapping,
-                 tag_items):
+                 final_tlb, tlb_hits, tlb_misses, tag_items):
         self.lengths = lengths
         #: Per thread: the kind of each uniform-kind span / its end index.
         self.span_kinds = span_kinds
@@ -123,14 +117,9 @@ class ColumnPlan:
         self.final_tlb = final_tlb
         self.tlb_hits = tlb_hits
         self.tlb_misses = tlb_misses
-        #: The deterministic vpage -> frame mapping warm start produces.
-        self.expected_mapping = expected_mapping
         #: (block, partial_tag) pairs for the monitor's tag memo (None
         #: when the policy never consults the monitor).
         self.tag_items = tag_items
-        #: Captured lazily after the first warm sweep on a fresh machine:
-        #: (l3 set copies, l3 eviction count, monitor set copies or None).
-        self.warm_template = None
 
 
 def plan_cache_info() -> Dict[str, int]:
@@ -321,7 +310,7 @@ def _build_plan(trace, config, op_table, machine,
 
     return ColumnPlan(lengths, span_kinds_all, span_ends_all,
                       p0_all, p1_all, p2_all, p3_all, p4_all,
-                      final_tlb, tlb_hits, tlb_misses, mapping, tag_items)
+                      final_tlb, tlb_hits, tlb_misses, tag_items)
 
 
 def _plan_for(system, trace, op_table) -> Optional[ColumnPlan]:
@@ -342,50 +331,14 @@ def _plan_for(system, trace, op_table) -> Optional[ColumnPlan]:
 
 
 # ----------------------------------------------------------------------
-# Warm start: template capture and apply
+# Warm start
 # ----------------------------------------------------------------------
 
 
-def _warm(system, trace, plan) -> None:
-    """Warm caches via the captured template when provable, else sweep.
-
-    The template replays the warm sweep's *final* state (L3 sets, L3
-    eviction count, monitor sets, page-table mapping/fault counters) by
-    copy.  It is only captured and applied on an untouched machine under
-    pure-LRU replacement, where the sweep's effects are a deterministic
-    function of (regions, geometry) — anything else runs the normal sweep.
-    """
-    machine = system.machine
-    spans = [(base, base + size) for _name, base, size in trace.regions]
-    l3 = machine.hierarchy.l3
-    mon = machine.monitor
-    uses_monitor = system.policy.uses_monitor
-    fresh = (machine.hierarchy._lru
-             and not l3.evictions
-             and not any(l3.sets)
-             and not (uses_monitor and any(mon._sets)))
-    template = plan.warm_template
-    if fresh and template is not None:
-        l3_sets, l3_evictions, mon_sets = template
-        for dst, src in zip(l3.sets, l3_sets):
-            dst.update(src)
-        l3.evictions += l3_evictions
-        if mon_sets is not None:
-            for dst, src in zip(mon._sets, mon_sets):
-                dst.update(src)
-        page_table = machine.page_table
-        page_table._mapping.update(plan.expected_mapping)
-        page_table._next_sequence += len(plan.expected_mapping)
-        page_table.page_faults += len(plan.expected_mapping)
-        return
-    system._warm_caches(spans)
-    if fresh and template is None:
-        plan.warm_template = (
-            [line_set.copy() for line_set in l3.sets],
-            l3.evictions,
-            ([line_set.copy() for line_set in mon._sets]
-             if uses_monitor else None),
-        )
+def _warm(system, trace) -> None:
+    """Warm caches over the trace's regions (``System._warm_caches``)."""
+    system._warm_caches([(base, base + size)
+                         for _name, base, size in trace.regions])
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +370,7 @@ def replay(system, trace, op_table, n_threads: int, batch_window: float,
     if plan is None:
         return None
 
-    _warm(system, trace, plan)
+    _warm(system, trace)
     if plan.tag_items is not None:
         machine.monitor._tags.update(plan.tag_items)
 

@@ -39,7 +39,6 @@ from repro.energy.model import EnergyModel
 from repro.energy.params import EnergyParams
 from repro.obs.sampler import live_gauges
 from repro.obs.telemetry import Telemetry
-from repro.sim.stat_keys import SLOT_LOCALITY_MONITOR_EVICTIONS
 from repro.system.builder import build_machine
 from repro.system.config import SystemConfig, scaled_config
 from repro.system.result import RunResult
@@ -456,93 +455,108 @@ class System:
     # ------------------------------------------------------------------
 
     def _warm_caches(self, spans: List[tuple]) -> None:
-        """Touch every block of the given ``(base, end)`` spans in order.
+        """Replay the skipped initialization sweep into the L3 and monitor.
 
-        Inserts each block (clean) into the L3 and, when the policy uses the
-        locality monitor, mirrors the access there — the state a real run
-        would have right after its (skipped) initialization phase.  No
-        statistics or timing are charged: the shared Stats object is
-        suspended for the duration, so e.g. monitor evictions during warming
-        (which a large footprint produces by the hundred thousand) never
-        pollute the measured run.
+        The sweep touches every block of the ``(base, end)`` spans in order,
+        inserting it (clean) into the L3 and, when the policy uses the
+        locality monitor, mirroring the access there — the state a real run
+        has right after its (skipped) initialization phase.  No statistics
+        or timing are charged: the shared Stats object is suspended
+        throughout, so e.g. monitor evictions during warming never pollute
+        the measured run.
 
-        Spans are region extents and therefore page-aligned at the base
-        (AddressSpace allocations are page-aligned), which lets the sweep
-        translate once per page: within a page, physical blocks are
-        contiguous, so the per-block virtual addresses never need to be
-        formed at all.  The insert/observe sequence is exactly the naive
-        per-block loop's.
+        Spans are region extents, page-aligned at the base (AddressSpace
+        allocations are page-aligned), so each page is faulted once in
+        touch order and its physical blocks are contiguous.  Under LRU only
+        the last L3-capacity of the sweep survives: on empty sets with every
+        block touched once, :meth:`_fill_lru` computes that state directly.
+        Any other machine replays the sweep block by block through the
+        generic insert/observe paths.
         """
         machine = self.machine
-        hierarchy = machine.hierarchy
+        l3 = machine.hierarchy.l3
+        monitor = machine.monitor if self.policy.uses_monitor else None
         translate = machine.page_table.translate
-        l3 = hierarchy.l3
-        l3_insert = l3.insert
         block_size = self.config.block_size
-        block_bits = hierarchy.block_bits
+        block_bits = machine.hierarchy.block_bits
         page_size = self.config.page_size
-        use_monitor = self.policy.uses_monitor
-        observe = machine.monitor.observe_llc_access if use_monitor else None
-        # The per-block loops below inline SetAssocArray.insert (LRU only)
-        # and LocalityMonitor.observe_llc_access: the sweep touches every
-        # block of the footprint, and at five-digit block counts the two
-        # calls per block dominate the warm time.  ``slots`` identity is
-        # stable under suspension, so the monitor-eviction slot can be
-        # bound outside the ``with``.
-        flat = hierarchy._lru
-        if flat:
-            l3_sets, l3_mask, l3_ways = l3.sets, l3._set_mask, l3.n_ways
-            if use_monitor:
-                mon = machine.monitor
-                m_sets = mon._sets
-                m_mask = mon.n_sets - 1
-                m_ways = mon.n_ways
-                m_set_bits = mon._set_bits
-                m_tag_bits = mon.partial_tag_bits
-                m_tag_mask = mon._tag_mask
-                m_slots = mon._slots
+        pages = []  # (first physical block, block count) in touch order
         with machine.stats.suspended():
             for base, end in spans:
                 for page_vaddr in range(base, end, page_size):
-                    page_end = page_vaddr + page_size
-                    if page_end > end:
-                        page_end = end
-                    count = (page_end - page_vaddr + block_size - 1) // block_size
-                    first = translate(page_vaddr) >> block_bits
-                    if not flat:
-                        if observe is None:
-                            for block in range(first, first + count):
-                                l3_insert(block, dirty=False)
-                        else:
-                            for block in range(first, first + count):
-                                l3_insert(block, dirty=False)
-                                observe(block)
-                        continue
-                    for block in range(first, first + count):
-                        line_set = l3_sets[block & l3_mask]
-                        if block in line_set:
-                            line_set.move_to_end(block)
-                        else:
-                            if len(line_set) >= l3_ways:
-                                line_set.popitem(last=False)
-                                l3.evictions += 1
-                            line_set[block] = False
-                        if not use_monitor:
-                            continue
-                        m_set = m_sets[block & m_mask]
-                        value = block >> m_set_bits
+                    page_end = min(page_vaddr + page_size, end)
+                    pages.append((translate(page_vaddr) >> block_bits,
+                                  (page_end - page_vaddr + block_size - 1)
+                                  // block_size))
+            if (l3.policy == "lru"
+                    and not any(base % page_size for base, _ in spans)
+                    and len({first for first, _ in pages}) == len(pages)
+                    and not any(l3.sets)
+                    and not (monitor is not None and any(monitor._sets))):
+                self._fill_lru(pages, monitor)
+                return
+            insert = l3.insert
+            observe = (monitor.observe_llc_access if monitor is not None
+                       else None)
+            for first, count in pages:
+                for block in range(first, first + count):
+                    insert(block, dirty=False)
+                    if observe is not None:
+                        observe(block)
+
+    def _fill_lru(self, pages: List[tuple], monitor) -> None:
+        """Install the LRU sweep's final state, walking the touches backwards.
+
+        Each set keeps its ``ways`` most recently touched distinct keys
+        (LRU's stack property); the walk stops once every set is full, and
+        the skipped insertions count as L3 evictions.  Requires every block
+        of ``pages`` distinct and the L3 and monitor sets empty.
+        """
+        l3 = self.machine.hierarchy.l3
+        l3_mask, l3_ways = l3._set_mask, l3.n_ways
+        l3_keep: List[list] = [[] for _ in l3.sets]  # most recent first
+        l3_open = len(l3_keep)
+        m_open = 0
+        if monitor is not None:
+            m_mask, m_ways = monitor.n_sets - 1, monitor.n_ways
+            m_keep: List[dict] = [{} for _ in monitor._sets]
+            m_open = len(m_keep)
+            set_bits, tag_bits = monitor._set_bits, monitor.partial_tag_bits
+            tag_mask = monitor._tag_mask
+        for first, count in reversed(pages):
+            for block in range(first + count - 1, first - 1, -1):
+                keep = l3_keep[block & l3_mask]
+                if len(keep) < l3_ways:
+                    keep.append(block)
+                    if len(keep) == l3_ways:
+                        l3_open -= 1
+                if m_open:
+                    seen = m_keep[block & m_mask]
+                    if len(seen) < m_ways:
+                        # LocalityMonitor.partial_tag, inlined.
+                        value = block >> set_bits
                         tag = 0
                         while value:
-                            tag ^= value & m_tag_mask
-                            value >>= m_tag_bits
-                        if tag in m_set:
-                            m_set[tag] = False
-                            m_set.move_to_end(tag)
-                        else:
-                            if len(m_set) >= m_ways:
-                                m_set.popitem(last=False)
-                                m_slots[SLOT_LOCALITY_MONITOR_EVICTIONS] += 1.0
-                            m_set[tag] = False
+                            tag ^= value & tag_mask
+                            value >>= tag_bits
+                        # Partial tags alias: a tag already kept was
+                        # touched later, so this older touch is moot.
+                        if tag not in seen:
+                            seen[tag] = False
+                            if len(seen) == m_ways:
+                                m_open -= 1
+            if not l3_open and not m_open:
+                break
+        kept = 0
+        for line_set, keep in zip(l3.sets, l3_keep):
+            for block in reversed(keep):
+                line_set[block] = False
+            kept += len(keep)
+        l3.evictions += sum(count for _, count in pages) - kept
+        if monitor is not None:
+            for line_set, seen in zip(monitor._sets, m_keep):
+                for tag in reversed(seen):
+                    line_set[tag] = False
 
     # ------------------------------------------------------------------
 

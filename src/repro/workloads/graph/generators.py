@@ -84,6 +84,26 @@ def zipf_targets(rng: np.random.Generator, n_vertices: int, count: int,
     return perm[ids]
 
 
+def trim_out_degrees(out_degrees: np.ndarray, excess: int,
+                     rng: np.random.Generator) -> None:
+    """Remove ``excess`` edges in place, one per draw, from vertices of
+    out-degree > 1 chosen uniformly (stopping early if none is left).
+
+    The candidate list is built once and kept sorted, so each draw indexes
+    exactly what a fresh ``np.flatnonzero(out_degrees > 1)`` would return;
+    a vertex leaves it when its degree reaches 1.
+    """
+    candidates = np.flatnonzero(out_degrees > 1).tolist()
+    for _ in range(excess):
+        if not candidates:
+            break
+        pos = int(rng.integers(0, len(candidates)))
+        vertex = candidates[pos]
+        out_degrees[vertex] -= 1
+        if out_degrees[vertex] == 1:
+            del candidates[pos]
+
+
 def generate_power_law_graph(
     n_vertices: int,
     avg_degree: float,
@@ -108,11 +128,7 @@ def generate_power_law_graph(
         bump = rng.integers(0, n_vertices, size=diff)
         np.add.at(out_degrees, bump, 1)
     elif diff < 0:
-        for _ in range(-diff):
-            candidates = np.flatnonzero(out_degrees > 1)
-            if len(candidates) == 0:
-                break
-            out_degrees[candidates[rng.integers(0, len(candidates))]] -= 1
+        trim_out_degrees(out_degrees, -diff, rng)
     sources = np.repeat(np.arange(n_vertices, dtype=np.int64), out_degrees)
     targets = zipf_targets(rng, n_vertices, len(sources), skew)
     weights = rng.integers(1, 16, size=len(sources), dtype=np.int64)

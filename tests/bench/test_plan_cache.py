@@ -30,9 +30,8 @@ def restore_plan_cache():
 
 
 def captured_trace(n_values=2000, max_ops=300, seed=7):
-    # The explicit key matters: the trace fingerprint keys the plan cache,
-    # and without it capture_trace falls back to workload-name identity —
-    # every capture here would share one plan-cache entry.
+    # Keyed the way the bench trace store captures; the trace fingerprint
+    # keys the plan cache (TestKeylessFingerprint covers key=None).
     config = tiny_config()
     workload = make_workload("HG", "small", seed=seed, n_values=n_values)
     return capture_trace(workload, n_threads=config.n_cores,
@@ -158,3 +157,31 @@ class TestBitIdentityAcrossEngines:
         via_generator = simulate(request)
         via_replay = simulate(request, trace=trace)
         assert via_generator.to_dict() == via_replay.to_dict()
+
+
+class TestKeylessFingerprint:
+    """Without a key, the fingerprint is derived from the captured content."""
+
+    @staticmethod
+    def keyless(n_values):
+        config = tiny_config()
+        workload = make_workload("HG", "small", seed=7, n_values=n_values)
+        return capture_trace(workload, n_threads=config.n_cores,
+                             page_size=config.page_size,
+                             max_ops_per_thread=300)
+
+    def test_same_capture_same_fingerprint(self):
+        assert self.keyless(2000).fingerprint == self.keyless(2000).fingerprint
+
+    def test_two_inputs_do_not_share_a_plan(self):
+        """Regression: keyed by workload name alone, HG at 40000 values
+        replayed the 2000-value input's cached plan (1512 cycles where
+        scalar replay gives 13672)."""
+        columnar._PLAN_CACHE.clear()
+        small, large = self.keyless(2000), self.keyless(40000)
+        assert small.fingerprint != large.fingerprint
+        policy = DispatchPolicy.LOCALITY_AWARE
+        System(tiny_config(), policy).run(small, engine="columnar")
+        replayed = System(tiny_config(), policy).run(large, engine="columnar")
+        scalar = System(tiny_config(), policy).run(large, engine="scalar")
+        assert replayed.to_dict() == scalar.to_dict()

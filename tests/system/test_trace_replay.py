@@ -123,7 +123,7 @@ def test_columnar_restores_machine_state(captured):
 
 
 def test_columnar_non_lru_replacement_identical(captured):
-    """Non-LRU replacement skips the warm template but stays identical."""
+    """Non-LRU replacement warms block by block and stays identical."""
     name, trace = captured
     config = dataclasses.replace(tiny_config(),
                                  cache_replacement_policy="random")

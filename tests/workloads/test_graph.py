@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workloads.graph import generators
 from repro.workloads.graph.generators import (
     GRAPH_SUITE,
     generate_power_law_graph,
     make_suite_graph,
+    trim_out_degrees,
     zipf_targets,
 )
 from repro.workloads.graph.graph import CsrGraph
@@ -107,6 +109,50 @@ class TestGenerators:
             generate_power_law_graph(1, 4.0)
         with pytest.raises(ValueError):
             generate_power_law_graph(100, 0.0)
+
+
+def rescan_trim(out_degrees, excess, rng):
+    """Reference: the original trim, rescanning the candidates per draw."""
+    for _ in range(excess):
+        candidates = np.flatnonzero(out_degrees > 1)
+        if len(candidates) == 0:
+            break
+        out_degrees[candidates[rng.integers(0, len(candidates))]] -= 1
+
+
+class TestTrimOutDegrees:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=40),
+           st.integers(0, 120), st.integers(0, 2**32 - 1))
+    def test_matches_rescan(self, degrees, excess, seed):
+        fast = np.array(degrees, dtype=np.int64)
+        slow = fast.copy()
+        fast_rng = np.random.default_rng(seed)
+        slow_rng = np.random.default_rng(seed)
+        trim_out_degrees(fast, excess, fast_rng)
+        rescan_trim(slow, excess, slow_rng)
+        assert np.array_equal(fast, slow)
+        # Same draws with the same bounds: the streams agree from here on.
+        assert fast_rng.integers(0, 2**62) == slow_rng.integers(0, 2**62)
+
+    def test_suite_graph_unchanged(self, monkeypatch):
+        """End to end on a suite graph whose rounding overshoots the edge
+        count, so the trim runs: the CSR arrays match the rescan's."""
+        spec = GRAPH_SUITE["p2p-Gnutella31"]
+        args = (spec.n_vertices, spec.avg_degree, 1, spec.skew)
+        trims = []
+
+        def spy(out_degrees, excess, rng):
+            trims.append(excess)
+            trim_out_degrees(out_degrees, excess, rng)
+
+        monkeypatch.setattr(generators, "trim_out_degrees", spy)
+        fast = generate_power_law_graph(*args)
+        monkeypatch.setattr(generators, "trim_out_degrees", rescan_trim)
+        slow = generate_power_law_graph(*args)
+        assert trims and trims[0] > 100
+        for name in ("indptr", "indices", "weights"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name))
 
 
 class TestSuite:
