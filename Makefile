@@ -1,6 +1,6 @@
 # Convenience targets for the PEI reproduction.
 
-.PHONY: install test lint flow flow-mutants race race-mutants sanitize verify determinism telemetry bench bench-smoke perf-smoke perfbench-smoke sweep-smoke dashboard experiments quick clean
+.PHONY: install test lint flow flow-mutants race race-mutants sanitize verify determinism telemetry bench bench-smoke perf-smoke perfbench-smoke sweep-smoke dashboard experiments examples quick clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -125,6 +125,15 @@ sweep-smoke:
 # Same, via the CLI (no pytest-benchmark timing around it).
 experiments:
 	python -m repro.bench run all --out benchmarks/results
+
+# Adoption-path smoke: run every examples/*.py script (each drives
+# System.run on live workloads; several end in a functional verify()) and
+# fail on the first non-zero exit (~50 s).
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		PYTHONPATH=src python $$script || exit 1; \
+	done
 
 # Fast sanity pass: unit tests plus one cheap experiment.
 quick:

@@ -9,7 +9,7 @@ their wall time IS the measurement.
 
 import pytest
 
-from repro.bench.microbench import EngineMicroload, capture_engine_trace
+from repro.bench.microbench import capture_engine_trace
 from repro.core.dispatch import DispatchPolicy
 from repro.core.locality_monitor import LocalityMonitor
 from repro.core.pim_directory import PimDirectory
@@ -34,17 +34,6 @@ def test_engine_throughput(benchmark, engine_trace):
     def run():
         system = System(tiny_config(), DispatchPolicy.LOCALITY_AWARE)
         return system.run(engine_trace)
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.instructions > 0
-
-
-def test_engine_throughput_generator(benchmark):
-    """Generator-driven engine throughput (capture path included)."""
-
-    def run():
-        system = System(tiny_config(), DispatchPolicy.LOCALITY_AWARE)
-        return system.run(EngineMicroload())
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.instructions > 0

@@ -215,8 +215,9 @@ def simulate(request: RunRequest,
     With a ``trace`` (a :class:`~repro.cpu.trace.CompiledTrace` captured
     from this request's workload under the same thread count, page size and
     ops cap), the engine replays it instead of re-running the functional
-    algorithm — bit-identical to the generator path, asserted by
-    ``tests/bench/test_traces.py``.
+    algorithm; without one, ``System.run`` captures the live workload
+    first.  Both replay the same stream, so the results are bit-identical
+    (asserted by ``tests/bench/test_traces.py``).
     """
     if not request.resolved:
         raise ValueError(f"cannot simulate unresolved request {request!r}")
@@ -253,7 +254,7 @@ def _apply_plan_cache_limit(limit: Optional[int]) -> None:
 def _plan_cache_delta(result: RunResult) -> Dict[str, int]:
     """The plan-cache hit/miss/eviction delta a replay recorded.
 
-    Zeroes for generator runs and scalar replays — the transient
+    Zeroes for scalar replays — the transient
     ``_plan_cache`` metadata entry only exists when the columnar engine
     ran (it is excluded from ``to_dict()``, so it must be read off the
     live result before serialization).

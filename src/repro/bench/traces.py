@@ -1,9 +1,9 @@
 """Capture-once trace store: the workload side of the benchmark cache.
 
 The paper's figures sweep the *machine* — every figure runs the same
-workload input under 4+ dispatch policies or config points — but a
-workload's operation stream never depends on the execution mode (the
-engine guarantee the op-cap methodology rests on).  So the functional
+workload input under 4+ dispatch policies or config points.  Every run
+replays a captured stream (:func:`~repro.cpu.trace.capture_trace` fixes the
+functional interleaving, whatever the machine), so the functional
 algorithm only needs to run once per (workload, input, seed): this module
 captures it into a :class:`~repro.cpu.trace.CompiledTrace` and serves the
 replayable trace to every config of the sweep.
@@ -59,15 +59,12 @@ class TraceStore:
     def __init__(self, root=None, salt: Optional[str] = None):
         self.root = Path(root) if root is not None else None
         self.salt = salt if salt is not None else code_version_salt()
-        # Fingerprint -> trace; None marks a workload whose stream cannot
-        # be compiled (so the failed capture is not retried per config).
-        self._memo: Dict[str, Optional[CompiledTrace]] = {}
+        self._memo: Dict[str, CompiledTrace] = {}  # fingerprint -> trace
         self.captures = 0
         self.memo_hits = 0
         self.disk_hits = 0
-        self.failures = 0
-        #: Run-ledger sink (swapped in by the runner): every capture, hit,
-        #: and uncompilable workload emits its lifecycle event.
+        #: Run-ledger sink (swapped in by the runner): every capture and
+        #: hit emits its lifecycle event.
         self.ledger = NULL_LEDGER
 
     # ------------------------------------------------------------------
@@ -84,16 +81,16 @@ class TraceStore:
 
     # ------------------------------------------------------------------
 
-    def get_or_capture(self, request) -> Optional[CompiledTrace]:
+    def get_or_capture(self, request) -> CompiledTrace:
         """The trace for ``request`` — memo, then disk, then capture.
 
-        Returns None (memoized) when the workload's stream cannot be
-        compiled; the caller falls back to generator execution.
+        A stream that cannot be compiled raises :class:`TraceError`, as
+        ``System.run`` would on the live workload.
         """
         key = self.key(request)
         if key in self._memo:
             self.memo_hits += 1
-            if self.ledger.enabled and self._memo[key] is not None:
+            if self.ledger.enabled:
                 self.ledger.emit("trace_hit", source="memo",
                                  fingerprint=request.event_fingerprint())
             return self._memo[key]
@@ -110,21 +107,13 @@ class TraceStore:
         # build helper lives next to the request type it interprets.
         from repro.bench.frontier import build_workload
 
-        try:
-            trace = capture_trace(
-                build_workload(request),
-                n_threads=request.config.n_cores,
-                max_ops_per_thread=request.max_ops_per_thread,
-                page_size=request.config.page_size,
-                key=trace_request_key(request),
-            )
-        except TraceError:
-            self.failures += 1
-            self._memo[key] = None
-            if self.ledger.enabled:
-                self.ledger.emit("trace_uncompilable",
-                                 fingerprint=request.event_fingerprint())
-            return None
+        trace = capture_trace(
+            build_workload(request),
+            n_threads=request.config.n_cores,
+            max_ops_per_thread=request.max_ops_per_thread,
+            page_size=request.config.page_size,
+            key=trace_request_key(request),
+        )
         self.captures += 1
         self._memo[key] = trace
         if self.root is not None:
@@ -152,4 +141,4 @@ class TraceStore:
 
     def counters(self) -> Dict[str, int]:
         return {"captures": self.captures, "memo_hits": self.memo_hits,
-                "disk_hits": self.disk_hits, "failures": self.failures}
+                "disk_hits": self.disk_hits}

@@ -8,14 +8,12 @@ pure timing records, which keeps the engine small and fast.
 
 All addresses are virtual; the core translates them through its TLB.
 
-Because operation streams never depend on the execution mode (the engine
-guarantee the op-cap methodology relies on), a workload's streams can be
-**captured once** into a :class:`CompiledTrace` — compact parallel arrays,
-one slot per op — and replayed under any number of configurations without
-re-running the functional algorithm.  :func:`capture_trace` performs the
-capture with engine-equivalent scheduling semantics (barrier phases, per-
-thread op caps), and ``System.run`` accepts a CompiledTrace anywhere a
-workload is accepted.
+:func:`capture_trace` drains a workload's streams once into a
+:class:`CompiledTrace` — compact parallel arrays, one slot per op — and
+its scheduler alone fixes the functional interleaving.  Every
+``System.run`` replays a capture (a live workload is captured first), so
+one capture serves any number of configurations, each simulating the
+identical stream.
 """
 
 import hashlib
@@ -86,9 +84,10 @@ class Pei:
     pure read-modify-write operations, which retire asynchronously.
 
     ``chain`` models the paper's software unrolling for HJ (Section 5.2):
-    output-producing PEIs tagged with the same chain id form a dependence
-    chain (each waits for the previous one's output), but *different* chains
-    overlap in the out-of-order window instead of blocking the core.
+    output-producing PEIs tagged with the same chain id (a small
+    non-negative int) form a dependence chain (each waits for the previous
+    one's output), but *different* chains overlap in the out-of-order
+    window instead of blocking the core.
     """
 
     __slots__ = ("kind", "op", "addr", "wait_output", "chain")
@@ -171,8 +170,8 @@ class CompiledTrace:
     BARRIER   group                   — / — / —
     ========  ======================  =====================================
 
-    The trace also records everything ``System.run`` needs to reproduce a
-    generator-driven run bit-identically: the workload name and footprint,
+    The trace also records everything ``System.run`` needs to replay the
+    run bit-identically on any machine: the workload name and footprint,
     the allocated regions (for warm-start), barrier groups, the page size
     the regions were laid out with, and the exact ops cap the capture ran
     under.  ``fingerprint`` identifies the capture inputs (workload class,
@@ -285,15 +284,16 @@ def capture_trace(workload, n_threads: int,
                   key: Optional[Dict] = None) -> CompiledTrace:
     """Run ``workload``'s functional algorithm once; compile its streams.
 
-    The capture consumes the per-thread generators with the same scheduling
-    *semantics* as the engine: the per-thread op cap is checked before every
-    ``next()``, and threads park at barriers until every active thread of
-    the group arrives.  That matters for workloads whose later phases depend
-    functionally on earlier phases of *other* threads (level-synchronous
-    BFS, PageRank's convergence deltas) — within a phase the engine
-    guarantee (streams never depend on execution mode) makes consumption
-    order irrelevant, and across phases the barrier bookkeeping here is
-    exactly the engine's.
+    The capture consumes the per-thread generators round-robin with the
+    engine's barrier semantics: the per-thread op cap is checked before
+    every ``next()``, and threads park at barriers until every active
+    thread of the group arrives.  This order is the functional
+    interleaving of every run: later phases that depend on earlier phases
+    of *other* threads (level-synchronous BFS, PageRank's convergence
+    deltas) see exactly the barrier-ordered state, and a workload whose
+    threads read each other's writes *within* a phase (SP, WCC) sees the
+    writes this order makes.  Every replay of the trace, on any machine,
+    simulates that stream.
 
     ``page_size`` must match the config the trace will replay under: the
     workload lays out its regions in a fresh address space with this page

@@ -64,7 +64,6 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # Trace-store lifecycle (parent process).
     "trace_capture": ("fingerprint",),
     "trace_hit": ("fingerprint", "source"),
-    "trace_uncompilable": ("fingerprint",),
     # Execution lifecycle (worker processes, absorbed by the parent).
     "worker_dispatch": ("fingerprint", "worker"),
     "simulate_start": ("fingerprint", "worker"),

@@ -37,8 +37,9 @@ and stores still call ``hierarchy.access`` (coherence, bank contention,
 monitor mirroring); PEIs still run the full Fig. 4/5 sequence through
 :meth:`PeiExecutor._execute_pei` — only their translation is precomputed.
 
-Bit-identity with the scalar and generator paths is the bar
-(``tests/system/test_trace_replay.py``); anything the plan cannot prove
+Bit-identity with scalar replay is the bar (``tests/system/
+test_trace_replay.py``, ``test_engine_properties.py``); anything the plan
+cannot prove
 deterministic (cold machine reuse, addresses outside the captured regions,
 ``warm_start=False``, missing numpy) makes :func:`replay` return None and
 the caller falls back to scalar replay.

@@ -111,7 +111,7 @@ class RunResult:
         are harness-transient annotations (e.g. the plan-cache delta a
         replay observed) that depend on scheduling history, not on the
         simulated run — they are excluded so serialized results stay
-        bit-identical across serial/parallel and generator/replay paths.
+        bit-identical across serial/parallel runs and replay engines.
         """
         metadata = {}
         for key, value in self.metadata.items():

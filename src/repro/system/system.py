@@ -1,22 +1,20 @@
 """The top-level simulated system and its run engine.
 
-The engine interleaves the workload's per-thread operation streams in
-approximate global-time order: a heap keyed by core time always advances the
-laggard thread, and each popped thread processes a small batch of operations
+The engine interleaves the threads' operation streams in approximate
+global-time order: a heap keyed by core time always advances the laggard
+thread, and each popped thread processes a small batch of operations
 before re-entering the heap.  Shared-resource contention (links, DRAM banks,
 L3 banks, PCU logic) is handled by the resources themselves, so the engine
 only has to keep threads roughly synchronized.
 
-Two stream sources drive the same engine semantics:
-
-* **generators** — the workload's functional algorithm runs as the stream
-  is consumed (the original mode); and
-* a **CompiledTrace** — the streams were captured once by
-  :func:`repro.cpu.trace.capture_trace` and replay here through an
-  index-based inner loop over compact arrays: no generator resumption, no
-  per-op object construction, locals-bound dispatch.  Replayed runs are
-  bit-identical to generator-driven runs because operation streams never
-  depend on the execution mode.
+Every run replays a :class:`CompiledTrace`.  A live workload is first
+captured by :func:`repro.cpu.trace.capture_trace`, whose round-robin
+scheduler alone fixes the functional interleaving (the order in which the
+threads' algorithms read each other's writes); the timing engine then
+replays that stream through an index-based inner loop over compact arrays
+— no generator resumption, no per-op object construction, locals-bound
+dispatch — or through the columnar engine (:mod:`repro.system.columnar`),
+which is bit-identical to it.
 """
 
 import heapq
@@ -34,6 +32,7 @@ from repro.cpu.trace import (
     KIND_STORE,
     CompiledTrace,
     TraceError,
+    capture_trace,
 )
 from repro.energy.model import EnergyModel
 from repro.energy.params import EnergyParams
@@ -42,7 +41,6 @@ from repro.obs.telemetry import Telemetry
 from repro.system.builder import build_machine
 from repro.system.config import SystemConfig, scaled_config
 from repro.system.result import RunResult
-from repro.vm.address_space import AddressSpace
 from repro.workloads.base import Workload
 
 
@@ -108,158 +106,49 @@ class System:
     ) -> RunResult:
         """Simulate ``workload``; returns the collected metrics.
 
-        ``workload`` may be a live :class:`Workload` (its generators drive
-        the engine and the functional algorithm executes as a side effect)
-        or a :class:`CompiledTrace` captured earlier, which replays through
-        the array-based fast path with identical results.
+        ``workload`` may be a live :class:`Workload`, which is first
+        captured by :func:`~repro.cpu.trace.capture_trace` (its functional
+        algorithm executes then, as a side effect), or a
+        :class:`CompiledTrace` captured earlier.  Either way the run replays
+        the captured stream, so a direct run and a figure's replay of the
+        same capture are bit-identical.  The capture materializes the whole
+        stream (~33 B/op before replay unboxes it; uncapped large inputs
+        reach 9.5-54.3 M ops, BFS to WCC), so pass a cap unless the input is
+        small, as the figures and examples do.
 
         ``max_ops_per_thread`` caps each thread's operation count — the
         analogue of the paper's fixed two-billion-instruction simulation
-        windows.  The cap cuts identical work in every configuration because
-        operation streams never depend on the execution mode.
+        windows.  The cap cuts the stream at capture, so every
+        configuration replaying one capture simulates identical work.
 
         ``warm_start`` emulates the paper's methodology of simulating after
         the initialization phase: the initialization sweep that wrote the
         data leaves the last-level cache and the locality monitor populated
         with the most recently initialized blocks.
 
-        ``engine`` selects the trace-replay engine: ``"auto"`` tries the
-        columnar plan-compiled engine (:mod:`repro.system.columnar`) and
-        falls back to the scalar loop whenever the plan cannot prove
-        bit-identity; ``"scalar"`` forces the scalar loop; ``"columnar"``
-        forces the columnar engine and raises :class:`TraceError` when it
-        is unavailable.  Generator-driven runs always use the generator
-        engine; ``engine`` only shapes how a :class:`CompiledTrace`
-        replays, never the results.
+        ``engine`` selects the replay engine: ``"auto"`` tries the columnar
+        plan-compiled engine (:mod:`repro.system.columnar`) and falls back
+        to the scalar loop whenever the plan cannot prove bit-identity;
+        ``"scalar"`` forces the scalar loop; ``"columnar"`` forces the
+        columnar engine and raises :class:`TraceError` when it is
+        unavailable.  ``engine`` only shapes how the stream replays, never
+        the results.
         """
         if engine not in ("auto", "scalar", "columnar"):
             raise ValueError(
                 f"unknown replay engine {engine!r}; "
                 f"choose 'auto', 'scalar' or 'columnar'")
-        if isinstance(workload, CompiledTrace):
-            return self._run_trace(workload, max_ops_per_thread, n_threads,
-                                   batch_window, warm_start, engine)
-        machine = self.machine
-        space = AddressSpace(page_size=self.config.page_size)
-        workload.prepare(space)
-        if warm_start:
-            spans = [(region.base, region.end)
-                     for region in space.regions.values()]
-            self._warm_caches(spans)
-        if n_threads is None:
-            n_threads = self.config.n_cores
-        if n_threads > self.config.n_cores:
-            raise ValueError(
-                f"{n_threads} threads exceed {self.config.n_cores} cores"
-            )
-        generators = workload.make_threads(n_threads)
-        if len(generators) != n_threads:
-            raise RuntimeError(
-                f"workload produced {len(generators)} threads, expected {n_threads}"
-            )
-        groups = workload.barrier_groups(n_threads)
-
-        cores = machine.cores
-        executor = machine.executor
-        ops_done = [0] * n_threads
-        group_active: Dict[int, int] = defaultdict(int)
-        for group in groups:
-            group_active[group] += 1
-        barrier_arrived: Dict[int, List[int]] = defaultdict(list)
-        parked_count = 0
-
-        heap = [(cores[tid].time, tid) for tid in range(n_threads)]
-        heapq.heapify(heap)
-        telemetry = self.telemetry
-
-        def release_group(group: int) -> None:
-            nonlocal parked_count
-            waiting = barrier_arrived[group]
-            resume = max(cores[tid].time for tid in waiting)
-            for tid in waiting:
-                cores[tid].time = resume
-                heapq.heappush(heap, (resume, tid))
-            parked_count -= len(waiting)
-            waiting.clear()
-
-        def finish_thread(tid: int) -> None:
-            group = groups[tid]
-            group_active[group] -= 1
-            waiting = barrier_arrived[group]
-            if waiting and len(waiting) == group_active[group]:
-                release_group(group)
-
-        heappop, heappush = heapq.heappop, heapq.heappush
-        # With no telemetry attached, the executor's obs-guard wrapper is a
-        # dead frame on every PEI — bind past it.
-        execute = (executor._execute if not executor.obs.enabled
-                   else executor.execute)
-        fence = executor.fence
-        cap = max_ops_per_thread
-        while heap:
-            _, tid = heappop(heap)
-            gen = generators[tid]
-            gen_next = gen.__next__
-            core = cores[tid]
-            do_load, do_store = core.do_load, core.do_store
-            do_compute = core.do_compute
-            done = ops_done[tid]
-            horizon = heap[0][0] + batch_window if heap else float("inf")
-            parked = False
-            finished = False
-            while True:
-                if cap is not None and done >= cap:
-                    finished = True
-                    break
-                try:
-                    op = gen_next()
-                except StopIteration:
-                    finished = True
-                    break
-                done += 1
-                kind = op.kind
-                if kind == KIND_LOAD:
-                    do_load(op.addr, op.dep)
-                elif kind == KIND_PEI:
-                    execute(core, op.op, op.addr, op.wait_output, op.chain)
-                elif kind == KIND_COMPUTE:
-                    do_compute(op.insts)
-                elif kind == KIND_STORE:
-                    do_store(op.addr)
-                elif kind == KIND_FENCE:
-                    fence(core)
-                elif kind == KIND_BARRIER:
-                    group = op.group
-                    barrier_arrived[group].append(tid)
-                    parked_count += 1
-                    parked = True
-                    if len(barrier_arrived[group]) == group_active[group]:
-                        release_group(group)
-                    break
-                else:
-                    raise ValueError(f"unknown operation kind {kind}")
-                if core.time > horizon:
-                    break
-            ops_done[tid] = done
-            if finished:
-                finish_thread(tid)
-            elif not parked:
-                heappush(heap, (core.time, tid))
-            if telemetry is not None and heap:
-                # The heap front is the laggard thread: once it passes an
-                # interval boundary, every thread has simulated past it and
-                # the cumulative counters are a faithful snapshot there.
-                telemetry.on_progress(machine, heap[0][0])
-
-        if parked_count:
-            raise RuntimeError(
-                "barrier deadlock: threads still parked when the run drained"
-            )
-
-        for core in cores:
-            core.drain()
-        return self._collect(workload.name, workload.footprint,
-                             n_threads, max_ops_per_thread)
+        if not isinstance(workload, CompiledTrace):
+            if n_threads is None:
+                n_threads = self.config.n_cores
+            if n_threads > self.config.n_cores:
+                raise ValueError(
+                    f"{n_threads} threads exceed {self.config.n_cores} cores"
+                )
+            workload = capture_trace(workload, n_threads, max_ops_per_thread,
+                                     self.config.page_size)
+        return self._run_trace(workload, max_ops_per_thread, n_threads,
+                               batch_window, warm_start, engine)
 
     # ------------------------------------------------------------------
 
@@ -276,8 +165,7 @@ class System:
 
         The trace pins the stream-shaping inputs (thread count, ops cap,
         page size); mismatching replay arguments are rejected rather than
-        silently producing a run that a generator-driven System would never
-        have produced.
+        silently replaying a stream the capture never produced under them.
         """
         machine = self.machine
         config = self.config
@@ -308,9 +196,7 @@ class System:
                 f"trace references unknown PIM op {exc.args[0]!r}") from exc
         # The cap that actually shaped the stream: the trace was cut at
         # capture time, so a None argument inherits the captured cap.  Both
-        # engines and the generator path record this effective value in the
-        # RunResult metadata (a generator run producing the same stream must
-        # have been called with exactly this cap).
+        # engines record this effective value in the RunResult metadata.
         effective_cap = (max_ops_per_thread if max_ops_per_thread is not None
                          else trace.max_ops_per_thread)
         if engine != "scalar":
@@ -399,11 +285,11 @@ class System:
             parked = False
             finished = False
             while True:
-                # The end-of-array check sits at the loop top, mirroring the
-                # generator loop's cap check / StopIteration: a thread whose
-                # batch broke on the horizon right at its last op re-enters
-                # the heap and finishes on its *next* pop, so barrier-group
-                # bookkeeping happens in the same order in both modes.
+                # The end-of-array check sits at the loop top, as in the
+                # columnar loop: a thread whose batch broke on the horizon
+                # right at its last op re-enters the heap and finishes on
+                # its *next* pop, so both engines do barrier-group
+                # bookkeeping in the same order.
                 if i >= end:
                     finished = True
                     break

@@ -12,8 +12,9 @@ class Workload(abc.ABC):
     Lifecycle: construct with parameters -> :meth:`prepare` allocates the
     data structures in an :class:`AddressSpace` and synthesizes input data ->
     :meth:`make_threads` returns one operation generator per software thread
-    -> the engine drives the generators -> :meth:`verify` (optional) checks
-    the functional result.
+    -> :func:`~repro.cpu.trace.capture_trace` drains the generators into a
+    trace the engine replays -> :meth:`verify` (optional) checks the
+    functional result.
 
     ``use_pei`` selects between the PEI implementation and the pure
     host-instruction implementation of the kernel; the paper's configurations

@@ -81,7 +81,7 @@ class TestRunCommand:
         # Trace counters ride along even with --no-cache: re-simulation
         # never needs to re-run the functional workloads.
         assert set(payload["cache"]["traces"]) == {
-            "captures", "memo_hits", "disk_hits", "failures"}
+            "captures", "memo_hits", "disk_hits"}
         assert [e["name"] for e in payload["experiments"]] == ["smoke"]
         assert "sim_ops_per_second" in payload["totals"]
         assert "trace_captures" in payload["totals"]

@@ -3,7 +3,7 @@
 The flow/race CI jobs run the analysis tooling in a numpy-less
 environment and rely on ``repro.analysis``/``repro.verify`` being pure
 stdlib; ``repro.system.columnar`` (which imports numpy eagerly when
-available) must only load when trace replay actually dispatches to it.
+available) must only load on the first replay.
 A subprocess gives each check a clean interpreter: this test would pass
 vacuously in-process once any earlier test imported numpy.
 """
@@ -41,24 +41,6 @@ def test_numpy_free_consumers_stay_numpy_free():
     """)
     assert proc.returncode == 0, proc.stderr
     assert "import hygiene OK" in proc.stdout
-
-
-def test_columnar_loads_only_on_trace_replay():
-    """Generator-driven runs never import the columnar engine."""
-    proc = run_python("""
-        import sys
-        from repro.system.config import tiny_config
-        from repro.system.system import System
-        from repro.workloads.registry import make_workload
-
-        System(tiny_config()).run(make_workload("HG", "small", seed=7,
-                                                n_values=2000),
-                                  max_ops_per_thread=200)
-        assert "repro.system.columnar" not in sys.modules
-        print("columnar off generator path OK")
-    """)
-    assert proc.returncode == 0, proc.stderr
-    assert "columnar off generator path OK" in proc.stdout
 
 
 def test_columnar_degrades_gracefully_without_numpy():

@@ -86,8 +86,8 @@ def test_replay_metadata_records_effective_cap(captured):
     """Default-args replay records the cap that actually shaped the stream.
 
     The trace was cut at capture time under OPS_CAP, so ``run(trace)`` with
-    no cap argument must record OPS_CAP — exactly what the generator run
-    producing the same stream records — not None (the old drift).
+    no cap argument must record OPS_CAP — exactly what a direct run of the
+    workload under OPS_CAP records — not None (the old drift).
     """
     name, trace = captured
     policy = DispatchPolicy.LOCALITY_AWARE
