@@ -59,12 +59,16 @@ verify:
 determinism:
 	PYTHONPATH=src python -m repro.analysis determinism
 
-# Telemetry smoke: run a small benchmark with full observability and
-# schema-check the bundles it wrote (see docs/observability.md).
+# Telemetry smoke: run a small benchmark with full observability,
+# schema-check the bundles it wrote and render each one with the report
+# CLI (see docs/observability.md).
 telemetry:
 	REPRO_BENCH_OPS=1500 PYTHONPATH=src \
 		python -m repro.bench run fig10 --telemetry telemetry-out
 	PYTHONPATH=src python -m repro.analysis telemetry telemetry-out
+	@for bundle in telemetry-out/*.run.json; do \
+		PYTHONPATH=src python -m repro.obs report "$$bundle" || exit 1; \
+	done
 
 # Regenerate every table and figure (writes benchmarks/results/).
 bench:

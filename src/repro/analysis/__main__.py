@@ -5,8 +5,8 @@
     installed ``repro`` source tree); exits non-zero on violations.
 
 ``python -m repro.analysis sanitize [options]``
-    Run registry workloads with a :class:`~repro.core.tracer.PeiTracer`
-    attached and check the collected event stream with
+    Run registry workloads with a :class:`~repro.obs.telemetry.Telemetry`
+    sink attached and check its collected PEI event stream with
     :mod:`~repro.analysis.simsan`; exits non-zero on protocol violations.
     The default run set mirrors the Figure 10 experiment (SC, SVM, PR, HJ
     on large inputs under the locality-aware and balanced policies).
@@ -330,7 +330,8 @@ def _cmd_race_mutants(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     # Imported lazily: the lint half must not require numpy.
     from repro.core.dispatch import DispatchPolicy
-    from repro.core.tracer import PeiTracer
+    from repro.obs.hooks import attach
+    from repro.obs.telemetry import Telemetry
     from repro.system.config import scaled_config, tiny_config
     from repro.system.system import System
     from repro.workloads.registry import make_workload
@@ -350,12 +351,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 print(f"error: {message}", file=sys.stderr)
                 return 2
             system = System(config_fn(), policy)
-            tracer = PeiTracer()
-            system.executor.tracer = tracer
+            sink = Telemetry(trace_capacity=None)
+            attach(system.machine, sink)
             system.run(workload, max_ops_per_thread=args.ops)
             directory = system.machine.directory
             report = sanitize_tracer(
-                tracer,
+                sink.tracer,
                 operand_buffer_entries=system.config.pcu_operand_buffer_entries,
                 directory_entries=None if directory.ideal else directory.entries,
             )
@@ -395,7 +396,8 @@ def _fingerprint(result, tracer) -> Dict[str, object]:
 def _cmd_determinism(args: argparse.Namespace) -> int:
     # Imported lazily: the lint half must not require numpy.
     from repro.core.dispatch import DispatchPolicy
-    from repro.core.tracer import PeiTracer
+    from repro.obs.hooks import attach
+    from repro.obs.telemetry import Telemetry
     from repro.system.config import scaled_config, tiny_config
     from repro.system.system import System
     from repro.workloads.registry import make_workload
@@ -416,10 +418,10 @@ def _cmd_determinism(args: argparse.Namespace) -> int:
                     print(f"error: {message}", file=sys.stderr)
                     return 2
                 system = System(config_fn(), policy)
-                tracer = PeiTracer()
-                system.executor.tracer = tracer
+                sink = Telemetry(trace_capacity=None)
+                attach(system.machine, sink)
                 result = system.run(workload, max_ops_per_thread=args.ops)
-                fingerprints.append(_fingerprint(result, tracer))
+                fingerprints.append(_fingerprint(result, sink.tracer))
             first, second = fingerprints
             diverged = sorted(k for k in first if first[k] != second[k])
             n_events = len(first["events"])

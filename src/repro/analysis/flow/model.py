@@ -161,7 +161,7 @@ class ProjectModel:
                     types = self._local_types(method)
                     for node in ast.walk(method.node):
                         if isinstance(node, ast.AnnAssign):
-                            # ``self.tracer: Optional[PeiTracer] = None``
+                            # ``self.obs: NullObs = NULL_OBS``
                             target = node.target
                             hint = self._annotation_class(node.annotation)
                             if (hint is not None
@@ -293,7 +293,7 @@ class ProjectModel:
         """Local name -> bound-callable targets (qualnames or bare names).
 
         Tracks the engine's locals-bound dispatch idiom
-        (``execute = executor._execute``, possibly through a conditional
+        (``execute = executor.execute``, possibly through a conditional
         expression) and references to nested ``def``s.  When the receiver's
         class is known the method resolves to an exact qualname; otherwise
         the bare attribute name is kept for the by-name fallback.

@@ -28,8 +28,8 @@ On every function of the hot set:
 
 The ``obs/`` observability layer is carved out by design: its hot-path
 entry points are interval-gated (they return after one comparison except
-at sample boundaries), so its allocations are per-interval, not per-op —
-the same shape as SIM001's profiler carve-out.
+at sample boundaries) or run only behind an ``obs.enabled`` guard, so the
+disabled path never reaches its allocations.
 """
 
 import ast

@@ -149,14 +149,6 @@ class WallClockRule(Rule):
         "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
     }
 
-    #: The one sanctioned home of wall-clock reads: the scope profiler
-    #: measures the simulator's *own* host cost; its readings never feed
-    #: back into simulated timestamps (mirrors SIM002's util/rng.py carve-out).
-    ALLOWED_MODULES = ("obs/profiler.py",)
-
-    def applies(self, module: Module) -> bool:
-        return not module.rel.endswith(self.ALLOWED_MODULES)
-
     def visit(self, module: Module, node: ast.AST) -> Iterator[LintViolation]:
         dotted = _dotted_name(node.func)
         if dotted is None:

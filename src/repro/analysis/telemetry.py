@@ -17,10 +17,11 @@ import math
 from pathlib import Path
 from typing import Dict, List, Optional
 
-# The schema table lives with the event producers so the checker can never
-# drift from them; repro.obs.events is stdlib-only, keeping this module's
-# no-simulator guarantee intact.
+# The schema tables live with their producers so the checker can never
+# drift from them; repro.obs.events and repro.obs.sampler are stdlib-only,
+# keeping this module's no-simulator guarantee intact.
 from repro.obs.events import ENVELOPE_FIELDS, EVENT_FIELDS, EVENT_SCHEMA
+from repro.obs.sampler import DELTA_COUNTERS
 
 __all__ = [
     "check_interval_jsonl",
@@ -29,17 +30,6 @@ __all__ = [
     "check_events_jsonl",
     "check_bundle_dir",
 ]
-
-#: Counters that must never decrease across interval records.
-_MONOTONIC = (
-    "pei.issued",
-    "pei.host_executed",
-    "pei.mem_executed",
-    "dram.reads",
-    "dram.writes",
-    "offchip.request_bytes",
-    "offchip.response_bytes",
-)
 
 _VALID_PHASES = {"B", "E", "X", "I", "i", "M", "C", "b", "e", "n",
                  "s", "t", "f", "P", "N", "O", "D"}
@@ -101,7 +91,8 @@ def check_interval_jsonl(path) -> List[str]:
     if len(finals) != 1 or not records[-1].get("final"):
         problems.append(f"{path}: expected exactly one final record, at the "
                         f"end (found {len(finals)})")
-    for name in _MONOTONIC:
+    # Every counter the sampler tracks deltas of must never decrease.
+    for name in DELTA_COUNTERS:
         values = [r["stats"].get(name, 0.0) for r in records
                   if isinstance(r.get("stats"), dict)]
         if any(b < a for a, b in zip(values, values[1:])):

@@ -277,7 +277,7 @@ def _execute_payload(payload) -> Dict:
          "worker":    {"pid": ..., "dur_s": ...,
                        "plan_cache": {hits, misses, evictions},
                        "trace_decode": {decodes, memo_hits}},
-         "telemetry": {"metrics": ..., "profile": ...} | None}
+         "telemetry": {"metrics": ...} | None}
 
     The events and the telemetry snapshot (when telemetry is enabled) ship
     back with the result, so the parent can merge the run ledger
@@ -316,8 +316,7 @@ def _execute_payload(payload) -> Dict:
         telemetry.write(Path(telemetry_dir),
                         _bundle_stem(request, result.workload, unique_stem),
                         result=result)
-        snapshot = {"metrics": telemetry.obs.metrics.to_dict(),
-                    "profile": telemetry.obs.profiler.to_dict()}
+        snapshot = {"metrics": telemetry.metrics.to_dict()}
     return {
         "result": result.to_dict(),
         "events": events,

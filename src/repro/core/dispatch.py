@@ -64,10 +64,10 @@ def balanced_choice(op: PimOp, channel: OffChipChannel, time: float,
         # Section 7.4 dynamics the interval time-series makes visible.
         obs.observe("dispatch.ema_request_flits", c_req)
         obs.observe("dispatch.ema_response_flits", c_res)
+        obs.count("dispatch.response_direction_busier" if c_res > c_req
+                  else "dispatch.request_direction_busier")
     if c_res > c_req:
         # Response direction is the busier one: minimize response bytes.
-        obs.count("dispatch.response_direction_busier")
         return host_res < mem_res
     # Request direction is the busier (or tied) one: minimize request bytes.
-    obs.count("dispatch.request_direction_busier")
     return host_req < mem_req

@@ -22,10 +22,10 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.core.isa import PimOp
 from repro.core.pcu import Pcu
 from repro.core.pmu import Pmu
-from repro.core.tracer import FenceTrace, PeiTrace, PeiTracer
+from repro.core.tracer import FenceTrace, PeiTrace
 from repro.cpu.core import CoreModel
 from repro.mem.hmc import HmcSystem
-from repro.obs.hooks import NULL_OBS
+from repro.obs.hooks import NULL_OBS, NullObs
 from repro.sim.stat_keys import (
     SLOT_PEI_HOST_EXECUTED,
     SLOT_PEI_ISSUED,
@@ -59,10 +59,9 @@ class PeiExecutor:
         self.stats = stats
         self._slots = stats.slots  # batched counter fast path
         self.mmio_cost = mmio_cost
-        # Optional tracer for per-PEI debugging and protocol sanitizing.
-        self.tracer: Optional[PeiTracer] = None
-        # Telemetry sink (null object unless a Telemetry is attached).
-        self.obs = NULL_OBS
+        # Telemetry sink (null object unless a Telemetry is attached); it
+        # also receives the per-PEI and per-pfence trace events.
+        self.obs: NullObs = NULL_OBS
 
     # ------------------------------------------------------------------
 
@@ -78,41 +77,21 @@ class PeiExecutor:
         output) without blocking the core, modelling unrolled dependent
         probe sequences overlapped by the out-of-order window.
         """
-        if not self.obs.enabled:
-            # Hot path: skip the null-object context manager entirely.
-            return self._execute(core, op, vaddr, wait_output, chain)
-        with self.obs.span("executor.pei"):
-            return self._execute(core, op, vaddr, wait_output, chain)
-
-    def _execute(
-        self, core: CoreModel, op: PimOp, vaddr: int, wait_output: bool, chain=None
-    ) -> float:
         # core.translate inlined (runs once per PEI).
         paddr, tlb_latency = core.tlb.translate(vaddr)
-        return self._execute_pei(core, op, paddr, tlb_latency, wait_output, chain)
+        return self.execute_pei(core, op, paddr, tlb_latency, wait_output, chain)
 
     def execute_pei(
         self, core: CoreModel, op: PimOp, paddr: int, tlb_latency: float,
         wait_output: bool, chain=None
     ) -> float:
-        """Obs-wrapped entry point for a PEI whose translation is precomputed.
+        """:meth:`execute` for a PEI whose translation is precomputed.
 
         The columnar replay engine resolves TLB outcomes at plan-compile
         time (per-thread address streams are deterministic); it hands the
         physical address and the page-walk latency in directly instead of
         consulting the core's TLB.
         """
-        if not self.obs.enabled:
-            return self._execute_pei(core, op, paddr, tlb_latency,
-                                     wait_output, chain)
-        with self.obs.span("executor.pei"):
-            return self._execute_pei(core, op, paddr, tlb_latency,
-                                     wait_output, chain)
-
-    def _execute_pei(
-        self, core: CoreModel, op: PimOp, paddr: int, tlb_latency: float,
-        wait_output: bool, chain=None
-    ) -> float:
         self._slots[SLOT_PEI_ISSUED] += 1.0
         core.time += tlb_latency
         block = paddr >> self.hierarchy.block_bits
@@ -138,11 +117,8 @@ class PeiExecutor:
             core.time = issue_time
 
         # Step 2: PMU — reader/writer lock and execution-location decision.
-        # The begin_pei obs wrapper is bypassed when telemetry is off.
         pmu = self.pmu
-        grant = (pmu._begin_pei(core.core_id, block, op, issue_time)
-                 if not pmu.obs.enabled
-                 else pmu.begin_pei(core.core_id, block, op, issue_time))
+        grant = pmu.begin_pei(core.core_id, block, op, issue_time)
         # One tuple unpack instead of repeated NamedTuple attribute reads.
         entry, decision_time, grant_time, on_host = grant
 
@@ -173,16 +149,9 @@ class PeiExecutor:
 
         obs = self.obs
         if obs.enabled:
-            side = "host" if on_host else "mem"
-            obs.observe("pei.latency", completion - issue_time)
-            obs.observe(f"pei.latency.{side}", completion - issue_time)
-            obs.observe("pei.lock_wait", grant_time - issue_time)
-            obs.observe("pei.decision_to_completion",
-                        completion - decision_time)
             obs.observe("queue.host_operand_buffer",
                         pcu.operand_buffer.in_flight)
-        if self.tracer is not None:
-            self.tracer.record(PeiTrace(
+            obs.pei(PeiTrace(
                 core=core.core_id, op=op.mnemonic, block=block,
                 on_host=on_host, issue_time=issue_time,
                 grant_time=grant_time, completion=completion,
@@ -312,7 +281,7 @@ class PeiExecutor:
         if t > core.time:
             core.time = t
         core.instructions += 1
-        if self.tracer is not None:
-            self.tracer.record_fence(FenceTrace(
+        if self.obs.enabled:
+            self.obs.fence(FenceTrace(
                 core=core.core_id, issue_time=issue_time, release_time=t,
             ))

@@ -67,7 +67,7 @@ class Pmu:
         self.channel = channel
         self.crossbar = crossbar
         # Crossbar geometry flattened for the inlined control-packet
-        # traversal in _begin_pei (once per non-ideal PEI).
+        # traversal in begin_pei (once per non-ideal PEI).
         self._xbar_ports = crossbar.ports
         self._n_xbar_ports = len(crossbar.ports)
         self._xbar_latency = crossbar.latency
@@ -108,13 +108,6 @@ class Pmu:
         an infinitely large, zero-cycle PIM directory and no monitor), so the
         control-packet hop is skipped as well.
         """
-        if not self.obs.enabled:
-            # Hot path: skip the null-object context manager entirely.
-            return self._begin_pei(core_port, block, op, time)
-        with self.obs.span("pmu.directory"):
-            return self._begin_pei(core_port, block, op, time)
-
-    def _begin_pei(self, core_port: int, block: int, op: PimOp, time: float) -> PmuGrant:
         if self._ideal_host:
             entry, grant = self.directory.acquire(block, op.writes, time)
             return PmuGrant(entry=entry, decision_time=time, grant_time=grant,

@@ -1,12 +1,13 @@
-"""Optional per-PEI tracing: where did each PEI go and why, and where did
-its latency come from.
+"""Per-PEI tracing: where did each PEI go and why, and where did its
+latency come from.
 
-A :class:`PeiTracer` can be attached to a :class:`~repro.core.executor.
-PeiExecutor`; the executor then records one :class:`PeiTrace` per executed
-PEI and one :class:`FenceTrace` per pfence.  This is a debugging/analysis
-aid for users of the library — the simulator equivalent of a processor's
-performance-monitoring trace — and is off by default (tracing every PEI of
-a long run costs memory).
+The executor hands one :class:`PeiTrace` per executed PEI and one
+:class:`FenceTrace` per pfence to its observability sink; the live sink,
+:class:`~repro.obs.telemetry.Telemetry`, collects them in a
+:class:`PeiTracer`.  This is a debugging/analysis aid for users of the
+library — the simulator equivalent of a processor's performance-monitoring
+trace — and is off by default (tracing every PEI of a long run costs
+memory).
 
 The combined :attr:`PeiTracer.events` stream (PEIs and fences interleaved
 in record order, which equals PIM-directory acquire order because the
@@ -15,7 +16,7 @@ check the Section 4.3 atomicity/coherence protocol post-hoc.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,17 @@ TraceEvent = Union[PeiTrace, FenceTrace]
 
 
 class PeiTracer:
-    """Collects PeiTrace/FenceTrace records, with an optional live callback.
+    """Collects PeiTrace/FenceTrace records.
 
     ``capacity`` bounds the total number of retained events; excess events
     are counted in :attr:`dropped` (a truncated trace is flagged by the
     sanitizer, because protocol checks on it would be unsound).
     """
 
-    def __init__(self, callback: Optional[Callable[[PeiTrace], None]] = None,
-                 capacity: Optional[int] = None):
+    def __init__(self, capacity: Optional[int] = None):
         self.records: List[PeiTrace] = []
         self.fences: List[FenceTrace] = []
         self.events: List[TraceEvent] = []
-        self.callback = callback
         self.capacity = capacity
         self.dropped = 0
 
@@ -91,8 +90,6 @@ class PeiTracer:
             self.events.append(trace)
         else:
             self.dropped += 1
-        if self.callback is not None:
-            self.callback(trace)
 
     def record_fence(self, fence: FenceTrace) -> None:
         if self._has_room():

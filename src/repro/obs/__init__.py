@@ -1,34 +1,35 @@
 """``repro.obs``: the telemetry subsystem.
 
-Gives every simulated run a full observability stack:
+Every instrumented layer of the machine (executor, PMU, HMC, vaults, links)
+reports through one sink: the shared :data:`~repro.obs.hooks.NULL_OBS` null
+object, or a live :class:`~repro.obs.telemetry.Telemetry` that owns the
+rest of the per-run stack:
 
 * :class:`~repro.obs.metrics.MetricRegistry` — typed instruments (monotonic
   counters, gauges, log-scaled histograms with p50/p95/p99);
 * :class:`~repro.obs.sampler.IntervalSampler` — a JSONL time series of the
   machine's cumulative state every N simulated cycles;
-* :class:`~repro.obs.trace_export.ChromeTraceExporter` — the PeiTracer event
-  stream as Chrome Trace Event Format JSON (Perfetto/``chrome://tracing``),
-  with per-core and per-vault tracks;
-* :mod:`~repro.obs.profiler` — scoped wall-clock spans profiling the
-  simulator's own hot paths;
-* :class:`~repro.obs.telemetry.Telemetry` — the facade wiring all of the
-  above into a :class:`~repro.system.system.System`.
+* :class:`~repro.core.tracer.PeiTracer` — the per-PEI/per-pfence event
+  stream the protocol sanitizer checks, exported by
+  :class:`~repro.obs.trace_export.ChromeTraceExporter` as Chrome Trace
+  Event Format JSON (Perfetto/``chrome://tracing``), with per-core and
+  per-vault tracks.
 
 Above the per-run stack sits the frontier layer:
 
 * :class:`~repro.obs.events.RunLedger` — a schema-versioned JSONL run
   ledger, one event per lifecycle edge of every benchmark request;
 * :class:`~repro.obs.aggregate.FrontierAggregator` — cross-worker metric
-  and span aggregation into a frontier summary (cache hit rates, simulate
-  latency percentiles, per-worker utilization);
+  aggregation into a frontier summary (cache hit rates, simulate latency
+  percentiles, per-worker utilization);
 * :func:`~repro.obs.trace_export.merge_chrome_traces` /
   :func:`~repro.obs.trace_export.ledger_to_trace` — stitched multi-worker
   Perfetto traces;
 * :mod:`~repro.obs.dashboard` — a self-contained HTML sweep dashboard.
 
-All hooks default to the :data:`~repro.obs.hooks.NULL_OBS` null object (and
-the ledger to :data:`~repro.obs.events.NULL_LEDGER`), so a run without
-telemetry pays no observable overhead and produces identical results.  See
+Every emission site is guarded by one ``obs.enabled`` check (and the
+ledger defaults to :data:`~repro.obs.events.NULL_LEDGER`), so a run without
+telemetry builds no event objects and produces identical results.  See
 ``docs/observability.md`` and ``python -m repro.obs report``.
 """
 
@@ -42,9 +43,8 @@ from repro.obs.events import (
     read_events,
     worker_event,
 )
-from repro.obs.hooks import NULL_OBS, NullObs, Obs
+from repro.obs.hooks import NULL_OBS, NullObs, attach
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
-from repro.obs.profiler import ScopeProfiler
 from repro.obs.sampler import IntervalSampler
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace_export import (
@@ -56,12 +56,11 @@ from repro.obs.trace_export import (
 __all__ = [
     "NULL_OBS",
     "NullObs",
-    "Obs",
+    "attach",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "ScopeProfiler",
     "IntervalSampler",
     "Telemetry",
     "ChromeTraceExporter",

@@ -10,8 +10,8 @@ Usage::
 ``report`` reads a ``<stem>.run.json`` bundle written by
 :meth:`repro.obs.telemetry.Telemetry.write` (or a bare ``RunResult`` JSON
 file) and prints the run's headline metrics, the latency/queue histograms
-with p50/p95/p99, the simulator's own span profile, and pointers to the
-interval time series and Chrome trace files.  Missing, torn, or non-JSON
+with p50/p95/p99, the counters, and pointers to the interval time series
+and Chrome trace files.  Missing, torn, or non-JSON
 bundles exit with status 2 and a one-line diagnosis.
 
 ``dashboard`` renders a directory of ``BENCH_*.json`` records,
@@ -81,15 +81,6 @@ def _histogram_rows(metrics: Dict) -> List[List[str]]:
     return rows
 
 
-def _profile_rows(profile: Dict) -> List[List[str]]:
-    items = sorted(profile.items(), key=lambda kv: -kv[1].get("total_s", 0.0))
-    return [[name, f"{entry.get('calls', 0):,}",
-             f"{entry.get('total_s', 0.0):.4f}",
-             f"{1e6 * entry.get('total_s', 0.0) / entry['calls']:.2f}"
-             if entry.get("calls") else "-"]
-            for name, entry in items]
-
-
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
@@ -146,11 +137,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if counters:
             sections.append("counters:\n" + _table(["counter", "value"],
                                                    counters))
-        profile = telemetry.get("profile", {})
-        if profile:
-            sections.append("simulator span profile (wall time):\n"
-                            + _table(["span", "calls", "total s", "us/call"],
-                                     _profile_rows(profile)))
         intervals = telemetry.get("intervals", {})
         trace = telemetry.get("trace", {})
         files = bundle.get("files", {})

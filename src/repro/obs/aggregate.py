@@ -1,17 +1,15 @@
 """Cross-worker telemetry aggregation for the plan/execute frontier.
 
 Parallel benchmark workers each observe their own slice of a sweep: a
-:class:`~repro.obs.metrics.MetricRegistry` of simulated-latency histograms,
-a :class:`~repro.obs.profiler.ScopeProfiler` span profile, and the
-wall-clock cost of the simulations they ran.  Those observations come back
-to the parent as plain dicts inside batch payloads (live instrument objects
-never cross the process boundary); this module re-hydrates and merges them:
+:class:`~repro.obs.metrics.MetricRegistry` of simulated-latency histograms
+and the wall-clock cost of the simulations they ran.  Those observations
+come back to the parent as plain dicts inside batch payloads (live
+instrument objects never cross the process boundary); this module
+re-hydrates and merges them:
 
 * :func:`registry_from_dict` rebuilds a ``MetricRegistry`` from its
   ``to_dict`` form — histogram buckets included, so merged quantiles are
   exact bucket-wise merges, not averages of averages;
-* :func:`merge_profiles` folds span profiles (calls and total seconds add,
-  peaks take the max);
 * :class:`FrontierAggregator` accumulates everything across batches into a
   frontier-level summary — cache and trace hit rates, per-worker
   utilization, p50/p95 simulate latency, simulated ops/s — which the
@@ -29,12 +27,11 @@ from repro.obs.metrics import DEFAULT_GROWTH, Histogram, MetricRegistry
 __all__ = [
     "FRONTIER_SCHEMA",
     "FrontierAggregator",
-    "merge_profiles",
     "registry_from_dict",
 ]
 
 #: Version tag on the frontier summary embedded in trajectory records.
-FRONTIER_SCHEMA = "repro.obs.frontier/1"
+FRONTIER_SCHEMA = "repro.obs.frontier/2"
 
 
 def registry_from_dict(payload: Dict) -> MetricRegistry:
@@ -71,17 +68,6 @@ def _restore_histogram(histogram: Histogram, entry: Dict) -> None:
         histogram.buckets[int(index)] = int(n)
 
 
-def merge_profiles(into: Dict[str, Dict], other: Dict[str, Dict]) -> Dict:
-    """Fold one span-profile dict into another (calls/total add, peak max)."""
-    for name, span in other.items():
-        target = into.setdefault(
-            name, {"calls": 0, "total_s": 0.0, "peak_s": 0.0})
-        target["calls"] += span.get("calls", 0)
-        target["total_s"] += span.get("total_s", 0.0)
-        target["peak_s"] = max(target["peak_s"], span.get("peak_s", 0.0))
-    return into
-
-
 class FrontierAggregator:
     """Accumulates per-payload worker observations into one summary.
 
@@ -93,7 +79,6 @@ class FrontierAggregator:
 
     def __init__(self):
         self.metrics = MetricRegistry()
-        self.profile: Dict[str, Dict] = {}
         self.simulate_seconds = Histogram("frontier.simulate_seconds")
         self.workers: Dict[int, Dict[str, float]] = {}
         self.batches = 0
@@ -116,7 +101,6 @@ class FrontierAggregator:
             self.telemetry_payloads += 1
             self.metrics.merge(registry_from_dict(
                 telemetry.get("metrics", {})))
-            merge_profiles(self.profile, telemetry.get("profile", {}))
 
     def add_batch(self, wall_s: float) -> None:
         self.batches += 1
@@ -155,9 +139,6 @@ class FrontierAggregator:
             out["sim_ops_per_second"] = insts / wall if wall > 0 else 0.0
         if len(self.metrics):
             out["metrics"] = self.metrics.to_dict()
-        if self.profile:
-            out["profile"] = {name: dict(span)
-                              for name, span in sorted(self.profile.items())}
         return out
 
     def _worker_summary(self) -> Dict[str, Dict[str, float]]:

@@ -2,22 +2,26 @@
 
 Hardware models (executor, PMU, HMC, vaults, links) hold an ``obs``
 attribute initialized to :data:`NULL_OBS`.  With telemetry disabled every
-hook is a no-op method on a shared singleton — no allocation, no branching
-beyond one attribute read — which is what keeps the zero-overhead-when-
-disabled property: hot paths may guard multi-metric blocks with
-``if self.obs.enabled:`` and pay a single attribute check.
+hook is a no-op method on a shared singleton, and every emission site sits
+behind one ``if obs.enabled:`` guard, so the disabled path pays a single
+attribute check and builds no event object.  The one live sink is
+:class:`~repro.obs.telemetry.Telemetry`; :func:`attach` wires a sink into a
+machine.
 
-Hooks only *observe*; they never return values into the timing model, so a
-run produces bit-identical :class:`~repro.system.result.RunResult` output
-with telemetry on or off (pinned by ``tests/obs/test_zero_overhead.py``).
+The hooks are ``count``/``observe`` for metrics, plus ``pei`` and ``fence``,
+which receive the per-PEI :class:`~repro.core.tracer.PeiTrace` and per-pfence
+:class:`~repro.core.tracer.FenceTrace` events.  Hooks only *observe*; they
+never return values into the timing model, so a run produces bit-identical
+:class:`~repro.system.result.RunResult` output with telemetry on or off
+(pinned by ``tests/obs/test_zero_overhead.py``).
 """
 
-from typing import Optional
+from typing import TYPE_CHECKING
 
-from repro.obs.metrics import MetricRegistry
-from repro.obs.profiler import NULL_SPAN, ScopeProfiler
+if TYPE_CHECKING:  # repro.core imports this module; no runtime cycle
+    from repro.core.tracer import FenceTrace, PeiTrace
 
-__all__ = ["NULL_OBS", "NullObs", "Obs"]
+__all__ = ["NULL_OBS", "NullObs", "attach"]
 
 
 class NullObs:
@@ -27,16 +31,16 @@ class NullObs:
 
     enabled = False
 
-    def span(self, name: str):
-        return NULL_SPAN
-
     def count(self, name: str, amount: float = 1.0) -> None:
         return None
 
-    def gauge(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float) -> None:
         return None
 
-    def observe(self, name: str, value: float) -> None:
+    def pei(self, trace: "PeiTrace") -> None:
+        return None
+
+    def fence(self, trace: "FenceTrace") -> None:
         return None
 
 
@@ -44,26 +48,14 @@ class NullObs:
 NULL_OBS = NullObs()
 
 
-class Obs(NullObs):
-    """Live observability: a metric registry plus a scope profiler."""
+def attach(machine, sink: NullObs) -> None:
+    """Point every instrumented layer of ``machine`` at ``sink``.
 
-    __slots__ = ("metrics", "profiler")
-
-    enabled = True
-
-    def __init__(self, metrics: Optional[MetricRegistry] = None,
-                 profiler: Optional[ScopeProfiler] = None):
-        self.metrics = metrics if metrics is not None else MetricRegistry()
-        self.profiler = profiler if profiler is not None else ScopeProfiler()
-
-    def span(self, name: str):
-        return self.profiler.span(name)
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self.metrics.count(name, amount)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.set_gauge(name, value)
-
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
+    Attaching :data:`NULL_OBS` detaches whatever sink was there.
+    """
+    machine.executor.obs = sink
+    machine.pmu.obs = sink
+    machine.hmc.obs = sink
+    machine.hmc.channel.obs = sink
+    for vault in machine.hmc.vaults:
+        vault.obs = sink

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.util.fsio import atomic_write_text
 
-__all__ = ["IntervalSampler", "live_gauges"]
+__all__ = ["DELTA_COUNTERS", "IntervalSampler", "live_gauges"]
 
 #: Counters whose per-interval deltas are precomputed into each record —
 #: the time-varying signals the paper's dynamic claims are about.

@@ -1,10 +1,13 @@
-"""The telemetry facade: one object wiring the whole observability stack.
+"""The telemetry sink: the one live observability channel of a run.
 
-A :class:`Telemetry` instance owns the live :class:`~repro.obs.hooks.Obs`
-sink (metric registry + scope profiler), an :class:`~repro.obs.sampler.
-IntervalSampler`, and a :class:`~repro.core.tracer.PeiTracer` feeding the
-Chrome-trace export.  Pass one to :class:`~repro.system.system.System` and
-every layer of the machine reports into it::
+A :class:`Telemetry` instance is the live counterpart of
+:data:`~repro.obs.hooks.NULL_OBS`: every instrumented layer of the machine
+reports into it through the same hooks.  It owns the
+:class:`~repro.obs.metrics.MetricRegistry` the ``count``/``observe`` hooks
+write, the :class:`~repro.core.tracer.PeiTracer` that records each
+``PeiTrace``/``FenceTrace`` (from which it derives the ``pei.*`` latency
+histograms) and an :class:`~repro.obs.sampler.IntervalSampler`.  Pass one
+to :class:`~repro.system.system.System` and every layer reports into it::
 
     telemetry = Telemetry(interval=5_000.0)
     system = System(tiny_config(), policy, telemetry=telemetry)
@@ -15,15 +18,18 @@ every layer of the machine reports into it::
 ``<stem>.trace.json`` (Chrome Trace Event Format), and ``<stem>.run.json``
 (the RunResult plus a telemetry summary) — the bundle
 ``python -m repro.obs report`` and the ``repro.analysis`` schema checks
-consume.
+consume.  The protocol sanitizer attaches one with
+``trace_capacity=None`` through :func:`~repro.obs.hooks.attach` and reads
+its :attr:`tracer`.
 """
 
 import re
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.core.tracer import PeiTracer
-from repro.obs.hooks import Obs
+from repro.core.tracer import FenceTrace, PeiTrace, PeiTracer
+from repro.obs import hooks
+from repro.obs.metrics import MetricRegistry
 from repro.obs.sampler import IntervalSampler
 from repro.obs.trace_export import ChromeTraceExporter
 from repro.util.fsio import atomic_write_json
@@ -49,33 +55,47 @@ def bundle_stem(*parts: str) -> str:
 DEFAULT_TRACE_CAPACITY = 200_000
 
 
-class Telemetry:
+class Telemetry(hooks.NullObs):
     """Full observability for one simulated run."""
+
+    enabled = True
 
     def __init__(self, interval: float = 10_000.0,
                  trace_capacity: Optional[int] = DEFAULT_TRACE_CAPACITY):
-        self.obs = Obs()
+        self.metrics = MetricRegistry()
         self.sampler = IntervalSampler(interval)
         self.tracer = PeiTracer(capacity=trace_capacity)
         self._machine = None
 
+    # Hooks (called by the instrumented layers) -------------------------
+
+    def count(self, name: str, amount: float = 1.0) -> None:
+        self.metrics.count(name, amount)
+
+    def observe(self, name: str, value: float) -> None:
+        self.metrics.observe(name, value)
+
+    def pei(self, trace: PeiTrace) -> None:
+        """Record one PEI and derive its latency histograms."""
+        observe = self.metrics.observe
+        latency = trace.completion - trace.issue_time
+        observe("pei.latency", latency)
+        observe("pei.latency.host" if trace.on_host else "pei.latency.mem",
+                latency)
+        observe("pei.lock_wait", trace.grant_time - trace.issue_time)
+        observe("pei.decision_to_completion",
+                trace.completion - trace.decision_time)
+        self.tracer.record(trace)
+
+    def fence(self, trace: FenceTrace) -> None:
+        self.tracer.record_fence(trace)
+
     # Lifecycle (driven by System) --------------------------------------
 
     def attach(self, machine) -> None:
-        """Wire the sink into every instrumented layer of ``machine``."""
+        """Wire this sink into every instrumented layer of ``machine``."""
         self._machine = machine
-        machine.executor.obs = self.obs
-        machine.pmu.obs = self.obs
-        machine.hmc.obs = self.obs
-        machine.hmc.channel.obs = self.obs
-        for vault in machine.hmc.vaults:
-            vault.obs = self.obs
-        if machine.executor.tracer is None:
-            machine.executor.tracer = self.tracer
-        else:
-            # A tracer is already attached (e.g. the simsan test fixture):
-            # share it rather than silently replacing the existing consumer.
-            self.tracer = machine.executor.tracer
+        hooks.attach(machine, self)
 
     def on_progress(self, machine, now: float) -> None:
         """Engine-loop hook: sample any interval boundaries passed."""
@@ -88,10 +108,9 @@ class Telemetry:
     # Export -------------------------------------------------------------
 
     def summary(self) -> Dict:
-        """JSON-safe digest: instruments, span profile, stream sizes."""
+        """JSON-safe digest: instruments and stream sizes."""
         return {
-            "metrics": self.obs.metrics.to_dict(),
-            "profile": self.obs.profiler.to_dict(),
+            "metrics": self.metrics.to_dict(),
             "intervals": {
                 "count": len(self.sampler),
                 "interval_cycles": self.sampler.interval,

@@ -35,7 +35,7 @@ What the plan precomputes, and why each piece is deterministic:
 What stays per-op scalar: every touch of cross-thread shared state.  Loads
 and stores still call ``hierarchy.access`` (coherence, bank contention,
 monitor mirroring); PEIs still run the full Fig. 4/5 sequence through
-:meth:`PeiExecutor._execute_pei` — only their translation is precomputed.
+:meth:`PeiExecutor.execute_pei` — only their translation is precomputed.
 
 Bit-identity with scalar replay is the bar (``tests/system/
 test_trace_replay.py``, ``test_engine_properties.py``); anything the plan
@@ -436,8 +436,7 @@ def _replay_loop(system, trace, plan, n_threads: int,
             release_group(group)
 
     heappop, heappush = heapq.heappop, heapq.heappush
-    execute_pei = (executor._execute_pei if not executor.obs.enabled
-                   else executor.execute_pei)
+    execute_pei = executor.execute_pei
     fence = executor.fence
     access = machine.hierarchy.access
     slots = machine.stats.slots

@@ -268,8 +268,7 @@ class System:
                 release_group(group)
 
         heappop, heappush = heapq.heappop, heapq.heappush
-        execute = (executor._execute if not executor.obs.enabled
-                   else executor.execute)
+        execute = executor.execute
         fence = executor.fence
         while heap:
             _, tid = heappop(heap)

@@ -82,7 +82,7 @@ class TestRealTree:
 
     def test_hot_set_contains_the_engine_callees(self, model):
         hot = hot_set(model)
-        assert "core/executor.py:PeiExecutor._execute" in hot
+        assert "core/executor.py:PeiExecutor.execute" in hot
         assert "cpu/core.py:CoreModel.do_load" in hot
         assert "cache/hierarchy.py:CacheHierarchy.flush_block" in hot
 
@@ -97,7 +97,7 @@ class TestRealTree:
     def test_type_inference_resolves_the_engine_dispatch(self, model):
         assert model.return_types.get("build_machine") == "Machine"
         assert model.attr_types.get(("Machine", "executor")) == "PeiExecutor"
-        assert model.attr_types.get(("PeiExecutor", "tracer")) == "PeiTracer"
+        assert model.attr_types.get(("Workload", "space")) == "AddressSpace"
 
 
 # ----------------------------------------------------------------------

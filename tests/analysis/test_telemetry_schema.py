@@ -12,6 +12,7 @@ from repro.analysis.telemetry import (
     check_run_bundle,
     format_problems,
 )
+from repro.obs.sampler import DELTA_COUNTERS
 
 
 def interval_record(seq, t, final=False, **stats):
@@ -89,6 +90,16 @@ class TestCheckIntervalJsonl:
             interval_record(1, 2.0, final=True, **{"dram.reads": 5.0}),
         ])
         assert any("dram.reads" in p for p in check_interval_jsonl(path))
+
+    @pytest.mark.parametrize("name", DELTA_COUNTERS)
+    def test_every_sampled_counter_must_not_decrease(self, tmp_path, name):
+        # Includes dram.pim_reads/pim_writes, which a hand-kept copy of the
+        # sampler's counter list once missed.
+        path = write_jsonl(tmp_path / "a.intervals.jsonl", [
+            interval_record(0, 1.0, **{name: 10.0}),
+            interval_record(1, 2.0, final=True, **{name: 5.0}),
+        ])
+        assert any(repr(name) in p for p in check_interval_jsonl(path))
 
     def test_non_numeric_stat_flagged(self, tmp_path):
         record = interval_record(0, 1.0, final=True)

@@ -110,7 +110,7 @@ class TestRunCommand:
                      "--history-dir", str(history)]) == 0
         [record] = history.glob("BENCH_*.json")
         obs = json.loads(record.read_text())["observability"]
-        assert obs["schema"] == "repro.obs.frontier/1"
+        assert obs["schema"] == "repro.obs.frontier/2"
         assert "simulate_latency_s" in obs
         assert "cache" in obs
         # No --events flag: the ledger stayed off and counts are absent.

@@ -124,7 +124,7 @@ class TestTrajectoryObservability:
         trajectory.observability = runner.frontier_summary()
         payload = trajectory.payload()
         obs = payload["observability"]
-        assert obs["schema"] == "repro.obs.frontier/1"
+        assert obs["schema"] == "repro.obs.frontier/2"
         assert obs["cache"]["simulations"] == len(POLICIES)
         assert obs["simulate_latency_s"]["count"] == len(POLICIES)
 

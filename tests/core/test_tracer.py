@@ -4,18 +4,20 @@ import pytest
 
 from repro.core.dispatch import DispatchPolicy
 from repro.core.isa import FP_ADD
-from repro.core.tracer import PeiTrace, PeiTracer
+from repro.core.tracer import PeiTrace
+from repro.obs.hooks import attach
+from repro.obs.telemetry import Telemetry
 from repro.system.builder import build_machine
 from repro.system.config import tiny_config
 
 VADDR = 0x90000
 
 
-def traced_machine(policy=DispatchPolicy.LOCALITY_AWARE, **tracer_kwargs):
+def traced_machine(policy=DispatchPolicy.LOCALITY_AWARE, capacity=None):
     machine = build_machine(tiny_config(), policy)
-    tracer = PeiTracer(**tracer_kwargs)
-    machine.executor.tracer = tracer
-    return machine, tracer
+    sink = Telemetry(trace_capacity=capacity)
+    attach(machine, sink)
+    return machine, sink.tracer
 
 
 class TestPeiTrace:
@@ -52,12 +54,6 @@ class TestPeiTracer:
                                      VADDR + 64 * i, False)
         assert len(tracer) == 2
         assert tracer.dropped == 3
-
-    def test_callback_invoked(self):
-        seen = []
-        machine, tracer = traced_machine(callback=seen.append)
-        machine.executor.execute(machine.cores[0], FP_ADD, VADDR, False)
-        assert len(seen) == 1
 
     def test_hottest_blocks(self):
         machine, tracer = traced_machine()

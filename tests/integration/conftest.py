@@ -13,7 +13,8 @@ bisecting an unrelated failure).
 import pytest
 
 from repro.analysis.simsan import sanitize_tracer
-from repro.core.tracer import PeiTracer
+from repro.obs.hooks import attach
+from repro.obs.telemetry import Telemetry
 from repro.system.system import System
 
 
@@ -27,17 +28,17 @@ def simsan_guard(request, monkeypatch):
     original_run = System.run
 
     def run_with_sanitizer(self, *args, **kwargs):
-        executor = self.machine.executor
-        prior = executor.tracer
-        tracer = PeiTracer()
-        executor.tracer = tracer
+        machine = self.machine
+        prior = machine.executor.obs
+        sink = Telemetry(trace_capacity=None)
+        attach(machine, sink)
         try:
             result = original_run(self, *args, **kwargs)
         finally:
-            executor.tracer = prior
-        directory = self.machine.directory
+            attach(machine, prior)
+        directory = machine.directory
         report = sanitize_tracer(
-            tracer,
+            sink.tracer,
             operand_buffer_entries=self.config.pcu_operand_buffer_entries,
             directory_entries=None if directory.ideal else directory.entries,
         )

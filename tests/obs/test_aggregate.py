@@ -5,7 +5,6 @@ import pytest
 from repro.obs.aggregate import (
     FRONTIER_SCHEMA,
     FrontierAggregator,
-    merge_profiles,
     registry_from_dict,
 )
 from repro.obs.metrics import MetricRegistry
@@ -39,18 +38,6 @@ class TestRegistryRoundTrip:
         rebuilt = registry_from_dict(a.to_dict())
         rebuilt.merge(registry_from_dict(b.to_dict()))
         assert rebuilt.to_dict() == live.to_dict()
-
-
-class TestMergeProfiles:
-    def test_calls_and_total_add_peak_maxes(self):
-        into = {"executor.pei": {"calls": 2, "total_s": 1.0, "peak_s": 0.6}}
-        merge_profiles(into, {"executor.pei": {"calls": 3, "total_s": 0.5,
-                                               "peak_s": 0.4},
-                              "pmu.directory": {"calls": 1, "total_s": 0.1,
-                                                "peak_s": 0.1}})
-        assert into["executor.pei"] == {"calls": 5, "total_s": 1.5,
-                                        "peak_s": 0.6}
-        assert into["pmu.directory"]["calls"] == 1
 
 
 def envelope(pid, dur, telemetry=None):
@@ -89,18 +76,11 @@ class TestFrontierAggregator:
         agg.add_batch(1.0)
         a = make_registry([1.0, 2.0])
         b = make_registry([4.0, 8.0])
-        agg.add_payload(envelope(1, 0.1, telemetry={
-            "metrics": a.to_dict(),
-            "profile": {"executor.pei": {"calls": 1, "total_s": 0.2,
-                                         "peak_s": 0.2}}}))
-        agg.add_payload(envelope(2, 0.1, telemetry={
-            "metrics": b.to_dict(),
-            "profile": {"executor.pei": {"calls": 2, "total_s": 0.3,
-                                         "peak_s": 0.25}}}))
+        agg.add_payload(envelope(1, 0.1, telemetry={"metrics": a.to_dict()}))
+        agg.add_payload(envelope(2, 0.1, telemetry={"metrics": b.to_dict()}))
         summary = agg.summary()
         assert summary["metrics"]["pei.issued"]["value"] == 20
         assert summary["metrics"]["pei.latency"]["count"] == 4
-        assert summary["profile"]["executor.pei"]["calls"] == 3
         assert agg.telemetry_payloads == 2
 
     def test_accounting_derives_cache_trace_and_throughput(self):

@@ -19,7 +19,7 @@ def write_record(directory, runid, sims=4, memo=2, disk=2, ops=1e6,
         "settings": {},
         "engine": {},
         "observability": {
-            "schema": "repro.obs.frontier/1",
+            "schema": "repro.obs.frontier/2",
             "cache": {"memo_hits": memo, "disk_hits": disk,
                       "simulations": sims,
                       "hit_rate": (memo + disk) / (memo + disk + sims)},

@@ -11,7 +11,6 @@ from repro.analysis.telemetry import (
     check_run_bundle,
 )
 from repro.core.dispatch import DispatchPolicy
-from repro.core.tracer import PeiTracer
 from repro.obs.__main__ import main as obs_main
 from repro.obs.telemetry import Telemetry
 from repro.system.config import tiny_config
@@ -52,7 +51,7 @@ class TestTelemetryRun:
 
     def test_hooks_populated_histograms(self, run):
         telemetry, _ = run
-        metrics = telemetry.obs.metrics
+        metrics = telemetry.metrics
         assert metrics.histogram("pei.latency").count > 0
         assert metrics.histogram("pei.lock_wait").count > 0
         assert metrics.histogram("pei.decision_to_completion").count > 0
@@ -62,7 +61,7 @@ class TestTelemetryRun:
         # Host-side runs of a cache-resident workload never miss to DRAM;
         # a PIM_ONLY run exercises the vault/off-chip instrumentation.
         telemetry, _ = telemetry_run(policy=DispatchPolicy.PIM_ONLY)
-        metrics = telemetry.obs.metrics
+        metrics = telemetry.metrics
         assert metrics.histogram("dram.pim_read_latency").count > 0
         assert metrics.histogram("queue.vault_operand_buffer").count > 0
         assert metrics.histogram("queue.vault_tsv_backlog").count > 0
@@ -70,29 +69,14 @@ class TestTelemetryRun:
         assert metrics.histogram("pmu.clean_latency").count > 0
         assert metrics.histogram("pei.latency.mem").count > 0
 
-    def test_profiler_saw_hot_spans(self, run):
-        telemetry, _ = run
-        spans = telemetry.obs.profiler.spans
-        assert spans["executor.pei"].calls > 0
-        assert spans["pmu.directory"].calls > 0
-
     def test_tracer_recorded_peis(self, run):
         telemetry, _ = run
         assert len(telemetry.tracer) > 0
 
-    def test_attach_shares_preexisting_tracer(self):
-        telemetry = Telemetry()
-        system = System(tiny_config(), DispatchPolicy.LOCALITY_AWARE)
-        existing = PeiTracer()
-        system.executor.tracer = existing
-        telemetry.attach(system.machine)
-        assert telemetry.tracer is existing
-        assert system.executor.tracer is existing
-
     def test_summary_schema(self, run):
         telemetry, _ = run
         summary = telemetry.summary()
-        assert set(summary) == {"metrics", "profile", "intervals", "trace"}
+        assert set(summary) == {"metrics", "intervals", "trace"}
         assert summary["intervals"]["count"] == len(telemetry.sampler)
         assert summary["trace"]["events"] == len(telemetry.tracer.events)
         json.dumps(summary)  # must be JSON-safe
@@ -126,12 +110,11 @@ class TestReportCli:
         telemetry, result = run
         return telemetry.write(tmp_path, "hg_aware", result=result)["run"]
 
-    def test_report_renders_histograms_and_profile(self, bundle_path, capsys):
+    def test_report_renders_histograms(self, bundle_path, capsys):
         assert obs_main(["report", str(bundle_path)]) == 0
         out = capsys.readouterr().out
         assert "pei.latency" in out
         assert "p95" in out
-        assert "executor.pei" in out
         assert "hg_aware.trace.json" in out
 
     def test_report_json_mode(self, bundle_path, capsys):

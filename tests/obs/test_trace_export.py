@@ -8,6 +8,8 @@ from repro.analysis.telemetry import check_chrome_trace
 from repro.core.dispatch import DispatchPolicy
 from repro.core.isa import FP_ADD
 from repro.core.tracer import FenceTrace, PeiTracer, PeiTrace
+from repro.obs.hooks import attach
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace_export import HOST_PID, VAULT_PID, ChromeTraceExporter
 from repro.system.builder import build_machine
 from repro.system.config import tiny_config
@@ -144,8 +146,9 @@ class TestHandBuiltTraces:
 class TestForMachine:
     def test_real_run_produces_vault_tracks(self, tmp_path):
         machine = build_machine(tiny_config(), DispatchPolicy.PIM_ONLY)
-        tracer = PeiTracer()
-        machine.executor.tracer = tracer
+        sink = Telemetry()
+        attach(machine, sink)
+        tracer = sink.tracer
         for i in range(12):
             machine.executor.execute(machine.cores[0], FP_ADD,
                                      VADDR + 64 * i, False)

@@ -3,15 +3,17 @@
 Hooks only observe — they never return values into the timing model — so a
 run with full telemetry attached must produce an identical RunResult to a
 bare run of the same workload, and a bare run must carry only the shared
-NULL_OBS singleton (no per-run observability allocation).
+NULL_OBS singleton (no per-run observability allocation) and never reach a
+hook or build a trace event.
 """
 
 from repro.core.dispatch import DispatchPolicy
-from repro.obs.hooks import NULL_OBS
+from repro.obs.hooks import NULL_OBS, NullObs
 from repro.obs.telemetry import Telemetry
 from repro.system.config import tiny_config
 from repro.system.system import System
 from repro.workloads.analytics.histogram import Histogram
+from repro.workloads.graph.pagerank import PageRank
 
 
 def run_once(telemetry=None, policy=DispatchPolicy.LOCALITY_AWARE):
@@ -46,17 +48,41 @@ class TestZeroOverhead:
         assert machine.hmc.obs is NULL_OBS
         assert machine.hmc.channel.obs is NULL_OBS
         assert all(vault.obs is NULL_OBS for vault in machine.hmc.vaults)
-        assert machine.executor.tracer is None
 
     def test_telemetry_attaches_live_obs_everywhere(self):
         telemetry = Telemetry()
         system = System(tiny_config(), DispatchPolicy.LOCALITY_AWARE,
                         telemetry=telemetry)
         machine = system.machine
-        assert machine.executor.obs is telemetry.obs
-        assert machine.pmu.obs is telemetry.obs
-        assert machine.hmc.obs is telemetry.obs
-        assert machine.hmc.channel.obs is telemetry.obs
-        assert all(vault.obs is telemetry.obs
-                   for vault in machine.hmc.vaults)
-        assert machine.executor.tracer is telemetry.tracer
+        assert machine.executor.obs is telemetry
+        assert machine.pmu.obs is telemetry
+        assert machine.hmc.obs is telemetry
+        assert machine.hmc.channel.obs is telemetry
+        assert all(vault.obs is telemetry for vault in machine.hmc.vaults)
+
+    def test_bare_run_builds_no_events_and_calls_no_hook(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the disabled path reached observability")
+
+        monkeypatch.setattr("repro.core.executor.PeiTrace", boom)
+        monkeypatch.setattr("repro.core.executor.FenceTrace", boom)
+        for hook in ("count", "observe", "pei", "fence"):
+            monkeypatch.setattr(NullObs, hook, boom)
+        stats = {}
+        for policy in DispatchPolicy:
+            for workload in (PageRank(n_vertices=200, avg_degree=4.0,
+                                      seed=11, iterations=1),
+                             Histogram(n_values=20_000)):
+                result = System(tiny_config(), policy).run(
+                    workload, max_ops_per_thread=1000)
+                for key, value in result.stats.items():
+                    stats[policy, key] = stats.get((policy, key), 0.0) + value
+        # The runs reached every emission site: pfences, both execution
+        # sides, and both outcomes of balanced dispatch.
+        balanced = DispatchPolicy.LOCALITY_BALANCED
+        assert all(stats.get((policy, "pei.pfences"), 0.0) > 0
+                   for policy in DispatchPolicy)
+        assert stats[DispatchPolicy.HOST_ONLY, "pei.host_executed"] > 0
+        assert stats[DispatchPolicy.PIM_ONLY, "pei.mem_executed"] > 0
+        assert stats[balanced, "pei.balanced_host_overrides"] > 0
+        assert stats[balanced, "pei.mem_dispatched"] > 0
