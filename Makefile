@@ -1,6 +1,6 @@
 # Convenience targets for the PEI reproduction.
 
-.PHONY: install test lint flow flow-mutants race race-mutants sanitize verify determinism telemetry bench bench-smoke perf-smoke perfbench-smoke sweep-smoke dashboard experiments examples quick clean
+.PHONY: install test lint flow flow-mutants sanitize verify determinism telemetry bench bench-smoke perf-smoke perfbench-smoke sweep-smoke dashboard experiments examples quick clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -8,41 +8,28 @@ install:
 test:
 	pytest tests/
 
-# Static analysis: the in-tree simulator linter, the whole-program
-# dataflow analyzer and the concurrency analyzer always run; ruff/mypy
-# run only where installed (the offline test container does not ship
-# them).
+# Static analysis: the in-tree simulator linter and the whole-program
+# analyzer (FLW + RCE rules, one parse) always run; ruff/mypy run only
+# where installed (the offline test container does not ship them).
 lint:
 	PYTHONPATH=src python -m repro.analysis lint src/repro
 	PYTHONPATH=src python -m repro.analysis flow src/repro
-	PYTHONPATH=src python -m repro.analysis race src/repro
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests; \
 	else echo "ruff not installed; skipping"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy src/repro; \
 	else echo "mypy not installed; skipping"; fi
 
-# Whole-program dataflow analysis alone: cache-key (fingerprint) soundness,
-# unit/dimension taint, hot-path purity (see docs/analysis.md).  Reads
-# ./flow-baseline.json when present; --update-baseline regenerates it.
+# Whole-program analysis alone: cache-key (fingerprint) soundness,
+# unit/dimension taint, hot-path purity, and the frontier's process-safety
+# rules (see docs/analysis.md).  Reads ./flow-baseline.json when present;
+# --update-baseline regenerates it.
 flow:
 	PYTHONPATH=src python -m repro.analysis flow src/repro
 
-# Seeded-defect self-validation: each flow pass must catch every mutant
-# planted for its codes, or the target fails (~30 s).
+# Seeded-defect self-validation: each FLW and RCE pass must catch every
+# mutant planted for its codes, or the target fails (~50 s).
 flow-mutants:
 	PYTHONPATH=src python -m repro.analysis flow-mutants src/repro
-
-# Static concurrency & process-safety analysis alone: payload
-# picklability, durable-write discipline, fork/worker hygiene, ordering
-# soundness on the parallel frontier (see docs/analysis.md).  Reads
-# ./race-baseline.json when present; --update-baseline regenerates it.
-race:
-	PYTHONPATH=src python -m repro.analysis race src/repro
-
-# Seeded concurrency-defect self-validation: each race pass must catch
-# every mutant planted for its codes, or the target fails (~30 s).
-race-mutants:
-	PYTHONPATH=src python -m repro.analysis race-mutants src/repro
 
 # Run the PEI protocol sanitizer over a fig10-sized sweep (~1 min).
 sanitize:

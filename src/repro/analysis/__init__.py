@@ -1,14 +1,16 @@
 """Machine-checked guardrails for the PEI reproduction.
 
-Three halves:
+Three checkers:
 
 * :mod:`repro.analysis.simlint` — an AST-based, per-module static-analysis
-  pass enforcing simulator discipline (determinism, timestamp hygiene,
-  unit discipline, ISA registry completeness) across ``src/repro``;
-* :mod:`repro.analysis.flow` — *simflow*, the whole-program dataflow
-  analyzer: per-function CFGs, a project-wide call graph and three
-  interprocedural pass families (cache-fingerprint soundness FLW001–003,
-  unit/dimension taint FLW004–006, hot-path purity FLW007–009), with
+  pass enforcing simulator discipline (wall-clock hygiene, timestamp
+  hygiene, unit discipline, ISA and stats-key registry completeness)
+  across ``src/repro``;
+* :mod:`repro.analysis.flow` — *simflow*, the whole-program analyzer:
+  per-function CFGs, a project-wide call graph and seven interprocedural
+  pass families over one parse (cache-fingerprint soundness FLW001–003,
+  unit/dimension taint FLW004–006, hot-path purity FLW007–009, and the
+  :mod:`repro.analysis.race` process-safety families RCE001–009), with
   waivers, a checked-in baseline, SARIF output and a seeded-defect
   mutant gauntlet;
 * :mod:`repro.analysis.simsan` — a runtime sanitizer that replays a

@@ -17,8 +17,8 @@
     counts, the full statistics dictionary, and the complete
     :class:`~repro.core.tracer.PeiTracer` event stream (compared through
     ``repr`` so any bit-level float drift fails).  This pins the
-    replayability guarantee that the SIM001/SIM002 lint rules protect
-    statically; exits non-zero on any divergence.
+    replayability guarantee that SIM001 (wall clock) and RCE007 (global
+    RNG) protect statically; exits non-zero on any divergence.
 
 ``python -m repro.analysis telemetry <dirs-or-files...>``
     Validate telemetry artifacts (interval JSONL, Chrome trace, run
@@ -28,29 +28,19 @@
     schema problems (or if no artifacts are found).
 
 ``python -m repro.analysis flow [options] [paths...]``
-    Run the :mod:`~repro.analysis.flow` whole-program dataflow passes
-    (fingerprint soundness, unit taint, hot-path purity) with JSON/SARIF
+    Run the :mod:`~repro.analysis.flow` whole-program passes (fingerprint
+    soundness, unit taint, hot-path purity, and the
+    :mod:`~repro.analysis.race` process-safety families) with JSON/SARIF
     output and a checked-in baseline; exits non-zero on findings.
 
 ``python -m repro.analysis flow-mutants [paths...]``
-    Seeded-defect self-validation: patch each known defect into an
-    in-memory copy of the tree and require the matching flow pass to
+    Seeded-defect self-validation: patch each known FLW and RCE defect
+    into an in-memory copy of the tree and require the matching pass to
     catch it; exits non-zero if any mutant survives.
-
-``python -m repro.analysis race [options] [paths...]``
-    Run the :mod:`~repro.analysis.race` static concurrency passes
-    (payload picklability, durable-write discipline, fork/worker
-    hygiene, ordering soundness) with JSON/SARIF output and a checked-in
-    baseline; exits non-zero on findings.
-
-``python -m repro.analysis race-mutants [paths...]``
-    Seeded concurrency-defect self-validation for the race passes;
-    exits non-zero if any mutant survives.
 """
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -65,18 +55,6 @@ from repro.analysis.flow.report import (
     format_report,
     write_json,
     write_sarif,
-)
-from repro.analysis.race import (
-    RACE_CODES,
-    load_baseline as load_race_baseline,
-    run_race,
-    run_race_mutants,
-    write_baseline as write_race_baseline,
-)
-from repro.analysis.race.report import (
-    format_report as format_race_report,
-    write_json as write_race_json,
-    write_sarif as write_race_sarif,
 )
 from repro.analysis.simlint import RULES, format_violations, lint_paths
 from repro.analysis.simsan import CHECKS, sanitize_tracer
@@ -105,12 +83,6 @@ def _default_lint_root() -> Path:
 def _default_baseline() -> Optional[Path]:
     """``flow-baseline.json`` next to the working directory, if present."""
     candidate = Path("flow-baseline.json")
-    return candidate if candidate.exists() else None
-
-
-def _default_race_baseline() -> Optional[Path]:
-    """``race-baseline.json`` next to the working directory, if present."""
-    candidate = Path("race-baseline.json")
     return candidate if candidate.exists() else None
 
 
@@ -152,17 +124,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         select = _parse_select(args.select, RULES)
     except _BadArgs:
         return 2
-    if args.bench:
-        # The shared-walk refactor's visible payoff: one parse and one
-        # dispatch walk per module, timed end to end over the real tree.
-        start = time.perf_counter()  # simlint: ignore[SIM001] -- measures the analyzer's own host runtime, never simulated time
-        violations = lint_paths(paths, select=select)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0  # simlint: ignore[SIM001] -- measures the analyzer's own host runtime, never simulated time
-        n_rules = len(select) if select else len(RULES)
-        print(f"lint-bench: {n_rules} rules over {len(paths)} root(s) in "
-              f"{elapsed_ms:.1f} ms (single shared AST walk per module)")
-    else:
-        violations = lint_paths(paths, select=select)
+    violations = lint_paths(paths, select=select)
     print(format_violations(violations))
     return 1 if violations else 0
 
@@ -247,86 +209,6 @@ def _cmd_flow_mutants(args: argparse.Namespace) -> int:
     return 1 if survived else 0
 
 
-def _cmd_race(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        for code in sorted(RACE_CODES):
-            title, rationale = RACE_CODES[code]
-            print(f"{code}  {title}")
-            print(f"       {rationale}")
-        return 0
-    paths = [Path(p) for p in args.paths] or [_default_lint_root()]
-    if not _check_paths(paths):
-        return 2
-    try:
-        select = _parse_select(args.select, RACE_CODES)
-    except _BadArgs:
-        return 2
-    baseline: Optional[Path]
-    if args.no_baseline:
-        baseline = None
-    elif args.baseline is not None:
-        baseline = Path(args.baseline)
-        if not baseline.exists() and not args.update_baseline:
-            print(f"error: baseline file not found: {baseline}",
-                  file=sys.stderr)
-            return 2
-        try:
-            if baseline.exists():
-                load_race_baseline(baseline)
-        except (ValueError, KeyError, OSError) as exc:
-            print(f"error: malformed baseline {baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        baseline = _default_race_baseline()
-    if args.update_baseline:
-        if baseline is None:
-            print("error: --update-baseline needs --baseline PATH",
-                  file=sys.stderr)
-            return 2
-        report = run_race(paths, select=select, baseline=None)
-        write_race_baseline(baseline, report.findings)
-        print(f"simrace: wrote {len(report.findings)} finding(s) to "
-              f"{baseline}")
-        return 0
-    report = run_race(paths, select=select, baseline=baseline)
-    if args.json is not None:
-        write_race_json(report, Path(args.json))
-    if args.sarif is not None:
-        write_race_sarif(report, Path(args.sarif))
-    print(format_race_report(report))
-    return 1 if report.findings else 0
-
-
-def _cmd_race_mutants(args: argparse.Namespace) -> int:
-    paths = [Path(p) for p in args.paths] or [_default_lint_root()]
-    if not _check_paths(paths):
-        return 2
-    baseline = None if args.no_baseline else _default_race_baseline()
-    try:
-        results, pristine = run_race_mutants(paths, baseline=baseline)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    survived = 0
-    for result in results:
-        status = "killed" if result.killed else "SURVIVED"
-        print(f"race-mutant {result.mutant.name:<28} "
-              f"[{result.mutant.code}] {status}")
-        if result.killed and args.verbose:
-            for line in result.new_findings:
-                print(f"    {line}")
-        if not result.killed:
-            survived += 1
-            print(f"    expected a new {result.mutant.code}: "
-                  f"{result.mutant.description}")
-    verdict = ("all killed" if survived == 0
-               else f"{survived} SURVIVED")
-    print(f"race-mutants: {len(results)} seeded defect(s), {verdict} "
-          f"(pristine tree: {len(pristine.findings)} finding(s))")
-    return 1 if survived else 0
-
-
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     # Imported lazily: the lint half must not require numpy.
     from repro.core.dispatch import DispatchPolicy
@@ -380,7 +262,8 @@ def _fingerprint(result, tracer) -> Dict[str, object]:
 
     Floats are captured through ``repr`` (shortest round-trip form), so two
     fingerprints match iff every metric and every traced event is identical
-    to the last bit — the replayability bar SIM001/SIM002 exist to protect.
+    to the last bit — the replayability bar SIM001 and RCE007 exist to
+    protect.
     """
     return {
         "cycles": repr(result.cycles),
@@ -498,16 +381,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint.add_argument("--select", help="comma-separated rule codes to run")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    lint.add_argument("--bench", action="store_true",
-                      help="print a lint-runtime microbench line")
     lint.set_defaults(func=_cmd_lint)
 
     flow = sub.add_parser(
-        "flow", help="whole-program dataflow checks (fingerprints, units, "
-        "hot-path purity)")
+        "flow", help="whole-program checks (fingerprints, units, hot-path "
+        "purity, payload safety, durable writes, worker hygiene, ordering)")
     flow.add_argument("paths", nargs="*", help="files/directories to "
                       "analyze (default: the installed repro source tree)")
-    flow.add_argument("--select", help="comma-separated FLW codes to run")
+    flow.add_argument("--select", help="comma-separated FLW/RCE codes to run")
     flow.add_argument("--list-rules", action="store_true",
                       help="print the flow rule catalogue and exit")
     flow.add_argument("--baseline", help="accepted-findings file (default: "
@@ -522,8 +403,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     flow.set_defaults(func=_cmd_flow)
 
     flow_mutants = sub.add_parser(
-        "flow-mutants", help="seeded-defect self-validation of the flow "
-        "passes")
+        "flow-mutants", help="seeded-defect self-validation of the FLW and "
+        "RCE passes")
     flow_mutants.add_argument("paths", nargs="*",
                               help="tree to mutate in memory (default: the "
                               "installed repro source tree)")
@@ -533,38 +414,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="print the findings that killed each "
                               "mutant")
     flow_mutants.set_defaults(func=_cmd_flow_mutants)
-
-    race = sub.add_parser(
-        "race", help="static concurrency checks (payload picklability, "
-        "durable writes, worker hygiene, ordering)")
-    race.add_argument("paths", nargs="*", help="files/directories to "
-                      "analyze (default: the installed repro source tree)")
-    race.add_argument("--select", help="comma-separated RCE codes to run")
-    race.add_argument("--list-rules", action="store_true",
-                      help="print the race rule catalogue and exit")
-    race.add_argument("--baseline", help="accepted-findings file (default: "
-                      "./race-baseline.json when present)")
-    race.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file")
-    race.add_argument("--update-baseline", action="store_true",
-                      help="write current findings to the baseline and exit")
-    race.add_argument("--json", help="write a machine-readable report here")
-    race.add_argument("--sarif", help="write a SARIF 2.1.0 report here "
-                      "(code-scanning upload)")
-    race.set_defaults(func=_cmd_race)
-
-    race_mutants = sub.add_parser(
-        "race-mutants", help="seeded concurrency-defect self-validation of "
-        "the race passes")
-    race_mutants.add_argument("paths", nargs="*",
-                              help="tree to mutate in memory (default: the "
-                              "installed repro source tree)")
-    race_mutants.add_argument("--no-baseline", action="store_true",
-                              help="ignore any baseline file")
-    race_mutants.add_argument("--verbose", "-v", action="store_true",
-                              help="print the findings that killed each "
-                              "mutant")
-    race_mutants.set_defaults(func=_cmd_race_mutants)
 
     sanitize = sub.add_parser(
         "sanitize", help="run workloads under the PEI protocol sanitizer")

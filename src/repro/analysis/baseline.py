@@ -1,16 +1,12 @@
-"""Shared baseline machinery for the whole-program analyzers.
+"""Baseline machinery for the whole-program analyzer.
 
-simflow and simrace both suppress accepted pre-existing findings through a
-checked-in JSON baseline matched by ``(code, rel-path, message)`` — line
-numbers excluded so unrelated edits never churn the file — and both report
-entries that no longer match anything as hygiene findings, so a baseline
-can only shrink.  This module owns that machinery once: the
-:class:`Finding` record (the analyzers' common output type, carrying both
+simflow suppresses accepted pre-existing findings — FLW and RCE alike —
+through one checked-in JSON baseline (``flow-baseline.json``) matched by
+``(code, rel-path, message)``, line numbers excluded so unrelated edits
+never churn the file, and reports entries that no longer match anything
+as hygiene findings, so the baseline can only shrink.  This module owns
+the :class:`Finding` record (the analyzer's output type, carrying both
 absolute and rel paths), loading/validation, writing, and application.
-
-The tools differ only in their hygiene code (``FLW000`` vs ``RCE000``) and
-the regenerate command named in the file's comment, which is why
-:func:`apply_baseline` and :func:`write_baseline` take them as parameters.
 """
 
 import json
@@ -58,15 +54,14 @@ def load_baseline(path: Path) -> List[Dict[str, str]]:
     return entries
 
 
-def write_baseline(path: Path, findings: Sequence[Finding], tool: str,
-                   regenerate: str) -> None:
+def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
     """Persist ``findings`` as the accepted baseline (sorted, de-duplicated)."""
     entries = sorted({f.key() for f in findings})
     payload = {
-        "comment": (f"Accepted pre-existing {tool} findings.  Matched by "
+        "comment": ("Accepted pre-existing simflow findings.  Matched by "
                     "(code, rel, message) — line-independent — and stale "
                     "entries are themselves reported; regenerate with "
-                    f"`{regenerate}`."),
+                    "`python -m repro.analysis flow --update-baseline`."),
         "entries": [{"code": c, "rel": r, "message": m}
                     for c, r, m in entries],
     }

@@ -1,10 +1,10 @@
-"""``simflow``: whole-program dataflow analysis over the simulator tree.
+"""``simflow``: whole-program analysis over the simulator tree.
 
 Where :mod:`repro.analysis.simlint` checks each module in isolation,
 ``simflow`` builds a project model — per-function CFGs
 (:mod:`~repro.analysis.flow.cfg`), a project-wide call graph with
-reachability (:mod:`~repro.analysis.flow.model`) — and runs three
-interprocedural pass families on top:
+reachability (:mod:`~repro.analysis.flow.model`) — and runs seven
+interprocedural pass families on top of one parse and one model:
 
 * **FLW001–FLW003** fingerprint soundness (:mod:`~repro.analysis.flow.
   fingerprint`): every config/settings field the simulation reads must be
@@ -15,8 +15,13 @@ interprocedural pass families on top:
   each function's CFG; cross-dimension arithmetic, comparisons, and
   mis-suffixed assignments are reported.
 * **FLW007–FLW009** hot-path purity (:mod:`~repro.analysis.flow.purity`):
-  call-graph reachability from the replay inner loop; nondeterminism
-  sources, per-op allocation sinks and ``stats.add`` calls on that set.
+  call-graph reachability from the replay loops; nondeterminism sources,
+  per-op allocation sinks and ``stats.add`` calls on that set and inside
+  the loops themselves.
+* **RCE001–RCE009** process safety on the parallel frontier
+  (:mod:`repro.analysis.race`): payload picklability, durable-write
+  discipline, fork/worker hygiene on the worker slice, and ordering
+  soundness.
 
 Entry points: :func:`~repro.analysis.flow.engine.run_flow` (programmatic),
 ``python -m repro.analysis flow`` (CLI, JSON + SARIF + baseline), and

@@ -3,10 +3,11 @@
 The run pipeline mirrors simlint's but adds two layers the interprocedural
 passes need:
 
-* **waivers** — ``# simflow: ignore[FLW00x] -- justification`` pragmas,
-  same tokenize-based parser and statement-span matching as simlint but an
-  independent namespace (a simlint waiver never silences a flow finding or
-  vice versa).  Unjustified and stale pragmas report as ``FLW000``.
+* **waivers** — ``# simflow: ignore[FLW00x, RCE00x] -- justification``
+  pragmas, same tokenize-based parser and statement-span matching as
+  simlint but an independent namespace (a simlint waiver never silences a
+  flow finding or vice versa).  Unjustified and stale pragmas report as
+  ``FLW000``.
 * **baseline** — a checked-in JSON file of accepted pre-existing findings,
   matched by ``(code, rel-path, message)`` (line numbers excluded so
   unrelated edits do not churn the file).  Findings in the baseline are
@@ -16,6 +17,11 @@ passes need:
 Waivers are for findings that are *correct but intended* (a settings field
 that shapes the request set); the baseline is for *debt* — real findings
 accepted at adoption time and burned down over later PRs.
+
+Every pass family reads the one parsed project and :class:`ProjectModel`;
+derived structures (the hot set, the RCE families' worker-slice context)
+are built on first use through :meth:`ProjectModel.derived`, so a
+``select`` that skips a family never pays for what only it needs.
 """
 
 from dataclasses import dataclass, field
@@ -23,12 +29,16 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import (Finding, apply_baseline, load_baseline,
-                                     write_baseline as _write_baseline)
+                                     write_baseline)
 from repro.analysis.source import Violation, apply_waivers, parse_project
 from repro.analysis.flow.fingerprint import run_fingerprint_pass
 from repro.analysis.flow.model import ProjectModel
 from repro.analysis.flow.purity import hot_set, run_purity_pass
 from repro.analysis.flow.units import run_units_pass
+from repro.analysis.race.durable import run_durable_pass
+from repro.analysis.race.ordering import run_ordering_pass
+from repro.analysis.race.payload import run_payload_pass
+from repro.analysis.race.worker import build_context, run_worker_pass
 
 __all__ = ["FLOW_CODES", "HYGIENE_CODE", "SYNTAX_CODE", "Finding",
            "FlowReport", "load_baseline", "run_flow", "write_baseline"]
@@ -52,13 +62,44 @@ FLOW_CODES: Dict[str, Tuple[str, str]] = {
                "assigns a value of one dimension to a name suffixed as "
                "another"),
     "FLW007": ("hot-path nondeterminism",
-               "set iteration, id()-keyed lookups or env reads reachable "
-               "from the replay inner loop"),
+               "set iteration, id()-keyed lookups or env reads in or "
+               "reachable from the replay loops"),
     "FLW008": ("hot-path allocation",
-               "per-op list/dict/set allocation reachable from the replay "
-               "inner loop"),
+               "per-op list/dict/set allocation in or reachable from the "
+               "replay loops"),
     "FLW009": ("hot-path stats.add",
-               "per-event stats.add() reachable from the replay inner loop"),
+               "per-event stats.add() in or reachable from the replay "
+               "loops"),
+    "RCE001": ("unpicklable payload capture",
+               "a pool.submit payload captures a closure, bound method, "
+               "callback, open handle or lock — it cannot cross the "
+               "process boundary intact"),
+    "RCE002": ("process-unsafe payload object",
+               "a pool.submit payload ships an instance of a class that "
+               "holds callbacks, locks or open handles"),
+    "RCE003": ("non-atomic durable write",
+               "a bench/obs artifact is written with open('w')/"
+               ".write_text instead of an atomic temp-file+replace "
+               "publish"),
+    "RCE004": ("torn-unsafe append",
+               "a shared JSONL stream is appended with buffered open('a') "
+               "— concurrent appenders can interleave partial lines"),
+    "RCE005": ("worker-slice global mutation",
+               "worker-side code mutates module-global state that fork "
+               "privatizes and spawn resets"),
+    "RCE006": ("unpinned worker env read",
+               "worker-side code reads an env var the BenchSettings "
+               "snapshot does not pin, so the resolved request no longer "
+               "describes the run"),
+    "RCE007": ("global RNG off the seeded path",
+               "random.*/np.random.* global-state calls outside "
+               "util/rng.py diverge across workers and break bit-replay"),
+    "RCE008": ("completion-order dependent output",
+               "results accumulated in future-completion order instead of "
+               "submission-index order"),
+    "RCE009": ("set-order dependent output",
+               "set iteration feeds an order-sensitive durable output "
+               "without sorted(...)"),
 }
 
 #: Hygiene findings (unjustified/stale waivers, stale baseline entries).
@@ -71,6 +112,10 @@ _PASSES = (
     (run_fingerprint_pass, ("FLW001", "FLW002", "FLW003")),
     (run_units_pass, ("FLW004", "FLW005", "FLW006")),
     (run_purity_pass, ("FLW007", "FLW008", "FLW009")),
+    (run_payload_pass, ("RCE001", "RCE002")),
+    (run_durable_pass, ("RCE003", "RCE004")),
+    (run_worker_pass, ("RCE005", "RCE006", "RCE007")),
+    (run_ordering_pass, ("RCE008", "RCE009")),
 )
 
 
@@ -83,28 +128,13 @@ class FlowReport:
     modules: int = 0
     functions: int = 0
     hot_functions: int = 0
+    #: Size of the RCE families' worker slice (None when no RCE code ran).
+    worker_functions: Optional[int] = None
     select: Optional[Tuple[str, ...]] = None
 
     @property
     def clean(self) -> bool:
         return not self.findings
-
-
-# ----------------------------------------------------------------------
-# Baseline file (shared machinery lives in repro.analysis.baseline)
-# ----------------------------------------------------------------------
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Persist ``findings`` as the accepted simflow baseline."""
-    _write_baseline(
-        path, findings, tool="simflow",
-        regenerate="python -m repro.analysis flow --update-baseline")
-
-
-# ----------------------------------------------------------------------
-# The run pipeline
-# ----------------------------------------------------------------------
 
 
 def run_flow(
@@ -115,11 +145,11 @@ def run_flow(
 ) -> FlowReport:
     """Run the flow passes over every Python file under ``paths``.
 
-    ``select`` restricts to the given FLW codes (a pass whose codes are all
-    deselected is skipped entirely).  ``baseline`` names an accepted-findings
-    file; matches are suppressed, stale entries reported.  ``overrides``
-    substitutes in-memory source text by rel-path suffix — the seeded-defect
-    mutants run through this without touching the tree.
+    ``select`` restricts to the given FLW/RCE codes (a pass whose codes are
+    all deselected is skipped entirely).  ``baseline`` names an
+    accepted-findings file; matches are suppressed, stale entries reported.
+    ``overrides`` substitutes in-memory source text by rel-path suffix —
+    the seeded-defect mutants run through this without touching the tree.
     """
     project, syntax_errors = parse_project(
         [Path(p) for p in paths], tool="simflow",
@@ -152,11 +182,14 @@ def run_flow(
                                              hygiene_code=HYGIENE_CODE)
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    rce_selected = any(code.startswith("RCE") for code in selected)
     return FlowReport(
         findings=findings,
         baselined=baselined,
         modules=len(project.modules),
         functions=len(model.functions),
-        hot_functions=len(hot_set(model)),
+        hot_functions=len(model.derived(hot_set)),
+        worker_functions=(len(model.derived(build_context).worker_slice)
+                          if rce_selected else None),
         select=tuple(sorted(selected)) if select is not None else None,
     )

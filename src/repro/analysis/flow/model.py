@@ -16,11 +16,14 @@ Module` objects; no simulator code is imported or executed.
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple, TypeVar)
 
 from repro.analysis.source import Module, Project, dotted_name, terminal_identifier
 
 __all__ = ["ClassInfo", "FunctionInfo", "ProjectModel"]
+
+T = TypeVar("T")
 
 
 #: Attribute names whose calls are overwhelmingly container/stdlib protocol
@@ -81,6 +84,8 @@ class ProjectModel:
         self.return_types: Dict[str, str] = {}
         #: caller qualname -> callee qualnames
         self.edges: Dict[str, Set[str]] = {}
+        #: factory -> its result over this model (see :meth:`derived`)
+        self._derived: Dict[Callable, object] = {}
         self._index()
         self._infer_return_types()
         self._infer_attr_types()
@@ -190,6 +195,12 @@ class ProjectModel:
         """
         if node is None:
             return None
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # Forward reference (``system: "System"``): parse the string.
+            try:
+                node = ast.parse(node.value, mode="eval").body
+            except SyntaxError:
+                return None
         if isinstance(node, ast.Subscript):
             if terminal_identifier(node.value) == "Optional":
                 return self._annotation_class(node.slice)
@@ -444,10 +455,17 @@ class ProjectModel:
     # Queries
     # ------------------------------------------------------------------
 
+    def derived(self, factory: Callable[["ProjectModel"], T]) -> T:
+        """``factory(self)``, computed on first use and shared by every pass
+        that asks (the hot set, the RCE families' worker-slice context)."""
+        if factory not in self._derived:
+            self._derived[factory] = factory(self)
+        return self._derived[factory]  # type: ignore[return-value]
+
     def local_types(self, info: FunctionInfo) -> Dict[str, str]:
         """Public view of the per-function local-type map (name -> class).
 
-        Downstream passes (simrace's payload analysis) resolve what class a
+        Downstream passes (the RCE payload analysis) resolve what class a
         payload element is before deciding whether it may cross a process
         boundary; they share the flow model's inference rather than
         re-deriving it.
@@ -479,29 +497,33 @@ class ProjectModel:
             queue.extend(self.edges.get(current, ()))
         return seen
 
-    def calls_in_while_loops(self, info: FunctionInfo) -> List[ast.Call]:
-        """Call nodes lexically inside any ``while`` loop of ``info``.
+    def while_loop_nodes(self, info: FunctionInfo) -> List[ast.AST]:
+        """Nodes lexically inside any ``while`` loop of ``info``, each once.
 
-        This is the hot-root extractor: the engine's inner loops are
+        This is the hot-path extractor: the engines' inner loops are
         ``while heap:`` / ``while True:``, and once-per-run work
         (``for core in cores: core.drain()``, ``_collect``) sits outside
         every ``while`` and is deliberately not included.
         """
-        calls: List[ast.Call] = []
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.While):
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Call):
-                        calls.append(sub)
-        return calls
+        seen: Set[int] = set()
+        nodes: List[ast.AST] = []
+        for loop in ast.walk(info.node):
+            if isinstance(loop, ast.While):
+                for node in ast.walk(loop):
+                    if id(node) not in seen:
+                        seen.add(id(node))
+                        nodes.append(node)
+        return nodes
 
     def loop_call_targets(self, info: FunctionInfo) -> Set[str]:
         """Resolved targets of the calls inside ``info``'s while loops."""
         types = self._local_types(info)
         aliases = self._local_aliases(info, types)
         targets: Set[str] = set()
-        for call in self.calls_in_while_loops(info):
-            targets.update(self._targets_of(info, call.func, aliases, types))
+        for node in self.while_loop_nodes(info):
+            if isinstance(node, ast.Call):
+                targets.update(
+                    self._targets_of(info, node.func, aliases, types))
         return targets
 
 

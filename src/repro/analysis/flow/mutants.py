@@ -5,9 +5,10 @@ Each mutant below patches one realistic defect into an *in-memory* copy of
 the tree (the files on disk are never touched — ``parse_project``'s
 ``overrides`` hook substitutes the source text) and the corresponding pass
 must produce a finding that the pristine tree does not have.  ``make
-flow-mutants`` runs the full gauntlet and fails if any mutant survives —
-so a refactor of the analyzer that silently blinds a pass fails CI even
-though the clean tree still reports clean.
+flow-mutants`` runs the full gauntlet — these FLW mutants plus the RCE
+ones in :mod:`repro.analysis.race.mutants` — and fails if any mutant
+survives, so a refactor of the analyzer that silently blinds a pass fails
+CI even though the clean tree still reports clean.
 
 The defects are the actual failure modes the passes exist for: a config
 field dropped from the fingerprint (stale-cache corruption), an ns/cycles
@@ -21,11 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.mutation import Mutant, MutantResult, run_seeded_mutants
 from repro.analysis.flow.engine import FlowReport, run_flow
+from repro.analysis.race.mutants import RACE_MUTANTS
 
 __all__ = ["MUTANTS", "Mutant", "MutantResult", "run_mutants"]
 
 
-MUTANTS: Tuple[Mutant, ...] = (
+_FLW_MUTANTS: Tuple[Mutant, ...] = (
     # ---- FLW001: fingerprint soundness --------------------------------
     Mutant(
         name="fingerprint-enumerates-subset",
@@ -188,6 +190,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
 )
 
+#: The whole gauntlet: at least one mutant per FLW and RCE code.
+MUTANTS: Tuple[Mutant, ...] = _FLW_MUTANTS + RACE_MUTANTS
+
 
 def run_mutants(
     paths: Sequence,
@@ -197,6 +202,6 @@ def run_mutants(
     """Seed each defect in memory and require its pass to catch it.
 
     See :func:`repro.analysis.mutation.run_seeded_mutants` for the kill
-    criterion and anchor-drift behavior.
+    criterion, the per-mutant ``select`` and anchor-drift behavior.
     """
     return run_seeded_mutants(run_flow, paths, mutants, baseline=baseline)

@@ -1,16 +1,18 @@
 """FLW007–FLW009: hot-path purity via call-graph reachability.
 
 Replay throughput and bit-identity both depend on what the engine's inner
-loop can reach.  SIM009 approximates "the hot path" with a hand-maintained
-module list; this pass derives it instead: the roots are the call targets
-inside the ``while`` loops of ``System._run_trace`` (the replay engine —
-per-batch work like ``telemetry.on_progress`` and the barrier closures
-included, once-per-run work like ``_collect`` and the drain loop
-excluded), and the hot set is the call-graph closure over those roots.
-When a refactor reroutes the loop through a new helper, the helper joins
-the hot set automatically — no list to forget to update.
+loop can reach.  This pass derives "the hot path" instead of declaring it:
+the engine functions are the two replay loops — ``System._run_trace``
+(scalar replay) and ``columnar._replay_loop`` (the default engine) — and
+the hot set is the call-graph closure over the call targets inside their
+``while`` loops (per-batch work like ``telemetry.on_progress`` and the
+barrier closures included, once-per-run work like ``_collect`` and the
+drain loop excluded).  When a refactor reroutes a loop through a new
+helper, the helper joins the hot set automatically — no list to forget to
+update.
 
-On every function of the hot set:
+The rules run on every function of the hot set and on the statements
+inside the engine functions' own ``while`` loops:
 
 * **FLW007** — nondeterminism sources: iteration over a ``set`` (order is
   hash-seed-dependent), ``id()``-keyed lookups (identity depends on
@@ -23,8 +25,10 @@ On every function of the hot set:
   fresh ``[]`` per simulated event is the regression the trace-replay
   speedup was built on removing.  Allocations whose only consumer is a
   ``raise`` are exempt (error paths execute once, then the run is dead).
-* **FLW009** — per-event ``stats.add()`` (SIM009's check, on the derived
-  hot set instead of the module list).
+* **FLW009** — per-event ``stats.add()``: a dict lookup plus a method call
+  per simulated event, where the hot path counts through preallocated
+  Stats slots (``self._slots[SLOT_*] += x``).  One-shot ``stats.set``
+  summary writes are fine.
 
 The ``obs/`` observability layer is carved out by design: its hot-path
 entry points are interval-gated (they return after one comparison except
@@ -33,7 +37,7 @@ disabled path never reaches its allocations.
 """
 
 import ast
-from typing import Iterator, List, Set
+from typing import Iterable, Iterator, List, Set
 
 from repro.analysis.source import (Violation, dotted_name, is_set_expr,
                                    set_typed_locals, terminal_identifier)
@@ -41,8 +45,10 @@ from repro.analysis.flow.model import FunctionInfo, ProjectModel
 
 __all__ = ["run_purity_pass", "hot_set"]
 
-#: The replay inner loop whose while-loop call targets root the hot set.
-ENGINE_FUNCTION = "system/system.py:System._run_trace"
+#: The replay loops: their while-loop statements are checked, and their
+#: while-loop call targets root the hot set.
+ENGINE_FUNCTIONS = ("system/system.py:System._run_trace",
+                    "system/columnar.py:_replay_loop")
 
 #: Module prefixes exempt from purity findings (interval-gated
 #: observability; see the module docstring).
@@ -54,20 +60,24 @@ def _is_obs(rel: str) -> bool:
         f"/{prefix}" in f"/{rel}" for prefix in OBS_EXEMPT)
 
 
+def _engines(model: ProjectModel) -> List[FunctionInfo]:
+    found = (model.find_function(name) for name in ENGINE_FUNCTIONS)
+    return [info for info in found if info is not None]
+
+
 def hot_set(model: ProjectModel) -> Set[str]:
-    """Qualnames reachable from the replay loop's call targets.
+    """Qualnames reachable from the replay loops' call targets.
 
     Reachability does not propagate *through* ``obs/``: its hot-path entry
     points are interval-gated, so whatever they call runs per-interval,
     not per-op (the carve-out would be meaningless if the closure walked
     straight through it into the sinks it guards).
     """
-    engine = model.find_function(ENGINE_FUNCTION)
-    if engine is None:
-        return set()
+    roots: Set[str] = set()
+    for engine in _engines(model):
+        roots.update(model.loop_call_targets(engine))
     seen: Set[str] = set()
-    queue = [r for r in sorted(model.loop_call_targets(engine))
-             if r in model.functions]
+    queue = sorted(r for r in roots if r in model.functions)
     while queue:
         current = queue.pop()
         if current in seen:
@@ -81,18 +91,22 @@ def hot_set(model: ProjectModel) -> Set[str]:
 
 def run_purity_pass(model: ProjectModel) -> List[Violation]:
     findings: List[Violation] = []
-    for qualname in sorted(hot_set(model)):
+    for engine in _engines(model):
+        findings.extend(_check_function(engine,
+                                        model.while_loop_nodes(engine)))
+    for qualname in sorted(model.derived(hot_set)):
         info = model.functions[qualname]
         if _is_obs(info.module.rel):
             continue
-        findings.extend(_check_function(info))
+        findings.extend(_check_function(info, _own_nodes(info.node)))
     return findings
 
 
-def _check_function(info: FunctionInfo) -> Iterator[Violation]:
+def _check_function(info: FunctionInfo,
+                    nodes: Iterable[ast.AST]) -> Iterator[Violation]:
     set_locals = set_typed_locals(info.node)
     raise_nodes = _nodes_under_raises(info.node)
-    for node in _own_nodes(info.node):
+    for node in nodes:
         yield from _check_nondeterminism(info, node, set_locals)
         if id(node) not in raise_nodes:
             yield from _check_allocation(info, node)
@@ -186,7 +200,7 @@ def _check_allocation(info: FunctionInfo, node: ast.AST) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# FLW009: per-event stats.add (reachability-derived SIM009)
+# FLW009: per-event stats.add
 # ----------------------------------------------------------------------
 
 
@@ -199,7 +213,7 @@ def _check_stats_add(info: FunctionInfo, node: ast.AST) -> Iterator[Violation]:
     if terminal_identifier(func.value) != "stats":
         return
     yield _violation(info, node, "FLW009",
-                     "per-event `stats.add()` is reachable from the replay "
+                     "per-event `stats.add()` in or reachable from the replay "
                      "inner loop — bind a Stats slot once and increment it "
                      "in place")
 

@@ -1,9 +1,11 @@
 """simflow output: terminal text, machine JSON, and SARIF 2.1.0.
 
 The SARIF document is the minimal valid subset GitHub code scanning
-ingests: one run, one driver with the FLW rule catalogue, one result per
-finding with a physical location.  ``rel`` paths (relative to the analyzed
-root) are used as artifact URIs so the document is machine-independent.
+ingests: one run, one driver with the FLW and RCE rule catalogue, one
+result per finding with a physical location.  ``rel`` paths (relative to
+the analyzed root) are used as artifact URIs so the document is
+machine-independent.  The scope line names the hot set and, when an RCE
+rule ran, the worker slice.
 """
 
 import json
@@ -24,6 +26,8 @@ def format_report(report: FlowReport) -> str:
     base = (f" ({report.baselined} baselined)" if report.baselined else "")
     scope = (f"{report.modules} modules, {report.functions} functions, "
              f"hot set {report.hot_functions}")
+    if report.worker_functions is not None:
+        scope += f", worker slice {report.worker_functions}"
     if report.clean:
         lines.append(f"simflow: clean{base} [{scope}]")
     else:
@@ -42,6 +46,7 @@ def findings_to_json(report: FlowReport) -> Dict:
             "modules": report.modules,
             "functions": report.functions,
             "hot_functions": report.hot_functions,
+            "worker_functions": report.worker_functions,
             "select": list(report.select) if report.select else None,
             "clean": report.clean,
         },

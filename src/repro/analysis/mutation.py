@@ -1,13 +1,13 @@
-"""Shared seeded-defect gauntlet machinery for the whole-program analyzers.
+"""Seeded-defect gauntlet machinery for the whole-program analyzer.
 
 A static analyzer that is never shown a true positive is just a formatter.
-Both simflow and simrace validate themselves the same way: each
-:class:`Mutant` patches one realistic defect into an *in-memory* copy of
-the tree (the files on disk are never touched — ``parse_project``'s
-``overrides`` hook substitutes the source text) and the analyzer must
-produce a finding the pristine tree does not have.  This module owns the
-mutant record, the source collection, and the kill-judging loop; each tool
-supplies its own mutant catalogue and its ``run`` function.
+simflow validates itself by seeding: each :class:`Mutant` patches one
+realistic defect into an *in-memory* copy of the tree (the files on disk
+are never touched — ``parse_project``'s ``overrides`` hook substitutes the
+source text) and the analyzer must produce a finding the pristine tree
+does not have.  This module owns the mutant record, the source
+collection, and the kill-judging loop; the caller supplies the mutant
+catalogue (FLW and RCE mutants alike) and the ``run`` function.
 """
 
 from dataclasses import dataclass
@@ -52,13 +52,15 @@ def run_seeded_mutants(
 ):
     """Seed each defect in memory and require the analyzer to catch it.
 
-    ``run_fn(paths, baseline=..., overrides=...)`` must return a report
-    with a ``findings`` list of keyed findings (the analyzers' shared
-    :class:`~repro.analysis.baseline.Finding`).  A mutant is *killed* when
-    the mutated tree produces at least one finding with the mutant's code
-    that the pristine tree does not have (same line-independent identity).
-    Raises ``ValueError`` if a mutant's anchor text no longer exists — a
-    drifted anchor must fail loudly, not silently test nothing.
+    ``run_fn(paths, select=..., baseline=..., overrides=...)`` must return
+    a report with a ``findings`` list of keyed findings
+    (:class:`~repro.analysis.baseline.Finding`).  The pristine tree runs
+    every rule once; each mutated tree runs only ``select=[mutant.code]``,
+    so no mutant pays for the other pass families.  A mutant is *killed*
+    when the mutated tree produces at least one finding with the mutant's
+    code that the pristine tree does not have (same line-independent
+    identity).  Raises ``ValueError`` if a mutant's anchor text no longer
+    exists — a drifted anchor must fail loudly, not silently test nothing.
 
     Returns ``(results, pristine_report)``.
     """
@@ -80,7 +82,8 @@ def run_seeded_mutants(
                     f"mutant {mutant.name}: anchor not found in "
                     f"{matches[0]} — update the mutant to the current tree")
             overrides[matches[0]] = text.replace(old, new, 1)
-        mutated = run_fn(paths, baseline=baseline, overrides=overrides)
+        mutated = run_fn(paths, select=[mutant.code], baseline=baseline,
+                         overrides=overrides)
         new = [str(f) for f in mutated.findings
                if f.code == mutant.code and f.key() not in pristine_keys]
         results.append(MutantResult(mutant=mutant, killed=bool(new),

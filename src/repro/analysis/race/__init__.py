@@ -1,10 +1,10 @@
-"""``simrace``: static concurrency & process-safety analysis for the
-parallel frontier.
+"""The RCE pass families: static concurrency & process-safety checks for
+the parallel frontier, run by :func:`repro.analysis.flow.run_flow`.
 
 The frontier's promise is that ``jobs=N`` changes wall-clock time and
-nothing else.  ``simrace`` checks the structural invariants that promise
-rests on, reusing simflow's project model (shared source layer, call
-graph, reachability) and pointing it at the process boundary:
+nothing else.  These passes check the structural invariants that promise
+rests on.  They read simflow's project model (shared source layer, call
+graph, reachability) and point it at the process boundary:
 
 * **RCE001–RCE002** payload safety (:mod:`~repro.analysis.race.payload`):
   everything a ``pool.submit`` captures must be frozen picklable data —
@@ -24,40 +24,13 @@ graph, reachability) and pointing it at the process boundary:
   ordering`): outputs must not depend on future-completion order or raw
   set iteration order.
 
-Entry points: :func:`~repro.analysis.race.engine.run_race`
-(programmatic), ``python -m repro.analysis race`` (CLI, JSON + SARIF +
-baseline), and ``python -m repro.analysis race-mutants`` (seeded-defect
-self-validation).
+The codes sit in simflow's one catalogue (``FLOW_CODES``), waive with
+``# simflow: ignore[RCE00x] -- justification``, baseline into
+``flow-baseline.json``, and their seeded defects
+(:mod:`~repro.analysis.race.mutants`) run in ``flow-mutants``.
 """
 
-from repro.analysis.race.engine import (
-    RACE_CODES,
-    HYGIENE_CODE,
-    RaceReport,
-    load_baseline,
-    run_race,
-    write_baseline,
-)
-from repro.analysis.race.mutants import RACE_MUTANTS, run_race_mutants
-from repro.analysis.race.report import (
-    findings_to_json,
-    findings_to_sarif,
-    format_report,
-)
+from repro.analysis.race.mutants import RACE_MUTANTS
 from repro.analysis.race.worker import RaceContext, build_context
 
-__all__ = [
-    "HYGIENE_CODE",
-    "RACE_CODES",
-    "RACE_MUTANTS",
-    "RaceContext",
-    "RaceReport",
-    "build_context",
-    "findings_to_json",
-    "findings_to_sarif",
-    "format_report",
-    "load_baseline",
-    "run_race",
-    "run_race_mutants",
-    "write_baseline",
-]
+__all__ = ["RACE_MUTANTS", "RaceContext", "build_context"]

@@ -22,7 +22,7 @@ import ast
 from typing import List, Optional, Set
 
 from repro.analysis.source import Violation, terminal_identifier
-from repro.analysis.race.worker import RaceContext
+from repro.analysis.flow.model import ProjectModel
 
 __all__ = ["run_durable_pass"]
 
@@ -68,9 +68,9 @@ def _sanctioned_lines(tree: ast.Module) -> Set[int]:
     return lines
 
 
-def run_durable_pass(ctx: RaceContext) -> List[Violation]:
+def run_durable_pass(model: ProjectModel) -> List[Violation]:
     findings: List[Violation] = []
-    for module in ctx.model.project.modules:
+    for module in model.project.modules:
         if not _is_durable_module(module.rel):
             continue
         sanctioned = _sanctioned_lines(module.tree)

@@ -1,25 +1,28 @@
-"""Seeded concurrency defects: the simrace self-test gauntlet.
+"""Seeded concurrency defects: the RCE half of the simflow gauntlet.
 
 Each mutant re-introduces, in memory, a realistic process-safety bug at
 the exact sites the real tree hardened — a callback smuggled into a
 payload, the trajectory write reverted to truncate-then-write, a worker
-counting runs in a module global — and simrace must kill it (produce a
+counting runs in a module global — and simflow must kill it (produce a
 finding with the mutant's code that the pristine tree does not have).
 Anchors are exact source snippets; if the tree drifts, the gauntlet
-raises instead of silently testing nothing.  Shared loop:
-:func:`repro.analysis.mutation.run_seeded_mutants`.
+raises instead of silently testing nothing.  The frontier mutants anchor
+on names — the ``pool.submit(_execute_payload, payload)`` call and the
+``_execute_payload`` signature — never on the payload tuple's shape, so a
+change to what the payload carries leaves them standing.  The catalogue
+runs with the FLW mutants through
+:func:`repro.analysis.flow.mutants.run_mutants`.
 """
 
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.analysis.mutation import Mutant, MutantResult, run_seeded_mutants
-from repro.analysis.race.engine import run_race
+from repro.analysis.mutation import Mutant
 
-__all__ = ["RACE_MUTANTS", "Mutant", "MutantResult", "run_race_mutants"]
+__all__ = ["RACE_MUTANTS"]
 
-_PAYLOAD_TUPLE = ("(request, tdir, telemetry_interval, parallel, handle,\n"
-                  "                 plan_cache_limit)")
+#: The frontier's two name anchors.
+_SUBMIT = "pool.submit(_execute_payload, payload)"
+_WORKER_DEF = "def _execute_payload(payload) -> Dict:\n"
 
 RACE_MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
@@ -28,9 +31,8 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
         description="the progress callback rides into the worker payload",
         edits=((
             "bench/frontier.py",
-            _PAYLOAD_TUPLE,
-            "(request, tdir, telemetry_interval, parallel, handle,\n"
-            "                 plan_cache_limit, on_payload)",
+            _SUBMIT,
+            "pool.submit(_execute_payload, (payload, on_payload))",
         ),),
     ),
     Mutant(
@@ -39,7 +41,7 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
         description="the submit target becomes a closure over the payload",
         edits=((
             "bench/frontier.py",
-            "pool.submit(_execute_payload, payload)",
+            _SUBMIT,
             "pool.submit(lambda: _execute_payload(payload))",
         ),),
     ),
@@ -50,9 +52,8 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
                     "process boundary",
         edits=((
             "bench/frontier.py",
-            _PAYLOAD_TUPLE,
-            "(request, tdir, telemetry_interval, parallel, handle,\n"
-            "                 plan_cache_limit, RunLedger())",
+            _SUBMIT,
+            "pool.submit(_execute_payload, (payload, RunLedger()))",
         ),),
     ),
     Mutant(
@@ -88,25 +89,14 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
         name="worker-mutates-module-state",
         code="RCE005",
         description="the worker counts runs in a module-global dict",
-        edits=(
-            (
-                "bench/frontier.py",
-                "EVENT_FINGERPRINT_LEN = 12\n",
-                "EVENT_FINGERPRINT_LEN = 12\n"
-                "_WORKER_STATS: Dict[str, int] = {}\n",
-            ),
-            (
-                "bench/frontier.py",
-                "    (request, telemetry_dir, telemetry_interval, "
-                "unique_stem, trace,\n"
-                "     plan_limit) = payload\n",
-                "    (request, telemetry_dir, telemetry_interval, "
-                "unique_stem, trace,\n"
-                "     plan_limit) = payload\n"
-                "    _WORKER_STATS[\"runs\"] = "
-                "_WORKER_STATS.get(\"runs\", 0) + 1\n",
-            ),
-        ),
+        edits=((
+            "bench/frontier.py",
+            _WORKER_DEF,
+            "_WORKER_STATS: Dict[str, int] = {}\n\n\n"
+            + _WORKER_DEF
+            + "    _WORKER_STATS[\"runs\"] = "
+            "_WORKER_STATS.get(\"runs\", 0) + 1\n",
+        ),),
     ),
     Mutant(
         name="worker-env-read",
@@ -115,12 +105,10 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
                     "never pinned",
         edits=((
             "bench/frontier.py",
-            "    runnable = trace if trace is not None else "
-            "build_workload(request)\n",
-            "    if os.environ.get(\"REPRO_FORCE_POLICY\"):\n"
-            "        pass\n"
-            "    runnable = trace if trace is not None else "
-            "build_workload(request)\n",
+            _WORKER_DEF,
+            _WORKER_DEF
+            + "    if os.environ.get(\"REPRO_FORCE_POLICY\"):\n"
+            "        pass\n",
         ),),
     ),
     Mutant(
@@ -129,11 +117,8 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
         description="the worker samples the process-global RNG",
         edits=((
             "bench/frontier.py",
-            "    result = simulate(request, telemetry=telemetry, "
-            "trace=trace)\n",
-            "    _jitter = random.random()\n"
-            "    result = simulate(request, telemetry=telemetry, "
-            "trace=trace)\n",
+            _WORKER_DEF,
+            _WORKER_DEF + "    _jitter = random.random()\n",
         ),),
     ),
     Mutant(
@@ -159,11 +144,3 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
     ),
 )
 
-
-def run_race_mutants(
-    paths: Sequence,
-    mutants: Sequence[Mutant] = RACE_MUTANTS,
-    baseline: Optional[Path] = None,
-) -> Tuple[List[MutantResult], object]:
-    """Seed each concurrency defect in memory; simrace must kill it."""
-    return run_seeded_mutants(run_race, paths, mutants, baseline=baseline)

@@ -22,8 +22,7 @@ from typing import List, Set
 
 from repro.analysis.source import (Violation, is_set_expr, set_typed_locals,
                                    terminal_identifier)
-from repro.analysis.flow.model import FunctionInfo
-from repro.analysis.race.worker import RaceContext
+from repro.analysis.flow.model import FunctionInfo, ProjectModel
 from repro.analysis.race.durable import _is_durable_module
 
 __all__ = ["run_ordering_pass"]
@@ -32,10 +31,10 @@ __all__ = ["run_ordering_pass"]
 _ORDER_SINKS = frozenset({"append", "extend", "emit", "write", "writelines"})
 
 
-def run_ordering_pass(ctx: RaceContext) -> List[Violation]:
+def run_ordering_pass(model: ProjectModel) -> List[Violation]:
     findings: List[Violation] = []
-    for qualname in sorted(ctx.model.functions):
-        info = ctx.model.functions[qualname]
+    for qualname in sorted(model.functions):
+        info = model.functions[qualname]
         findings.extend(_check_completion_order(info))
         if _is_durable_module(info.module.rel):
             findings.extend(_check_set_order(info))

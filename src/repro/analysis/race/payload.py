@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.source import Violation, terminal_identifier
 from repro.analysis.flow.model import FunctionInfo, ProjectModel
-from repro.analysis.race.worker import RaceContext
+from repro.analysis.race.worker import build_context
 
 __all__ = ["run_payload_pass", "worker_unsafe_classes"]
 
@@ -185,11 +185,11 @@ def _resolve(expr: ast.AST, bindings: Dict[str, Tuple[str, ast.AST]],
 # ----------------------------------------------------------------------
 
 
-def run_payload_pass(ctx: RaceContext) -> List[Violation]:
-    unsafe = worker_unsafe_classes(ctx.model)
+def run_payload_pass(model: ProjectModel) -> List[Violation]:
+    unsafe = worker_unsafe_classes(model)
     findings: List[Violation] = []
-    for info, call in ctx.submits:
-        findings.extend(_check_submit(ctx.model, info, call, unsafe))
+    for info, call in model.derived(build_context).submits:
+        findings.extend(_check_submit(model, info, call, unsafe))
     return findings
 
 

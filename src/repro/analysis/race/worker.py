@@ -7,7 +7,9 @@ parent-side module state is a stale copy (fork) or freshly re-imported
 whose receiver was bound from a ``ProcessPoolExecutor``/``Pool``
 construction (or is conventionally named ``pool``) roots the slice at
 ``fn``; :meth:`~repro.analysis.flow.model.ProjectModel.reachable_from`
-provides the closure.
+provides the closure.  The context is built once per model, on first use
+(:meth:`~repro.analysis.flow.model.ProjectModel.derived`), so a run that
+selects no payload or worker rule never pays for it.
 
 On that slice:
 
@@ -66,7 +68,7 @@ _RNG_MODULE = "util/rng.py"
 
 @dataclass
 class RaceContext:
-    """Everything the simrace passes share for one analyzed tree."""
+    """Everything the payload and worker passes share for one analyzed tree."""
 
     model: ProjectModel
     #: (enclosing function, ``pool.submit(...)`` call) pairs.
@@ -181,13 +183,14 @@ def module_mutables(module) -> Set[str]:
 # ----------------------------------------------------------------------
 
 
-def run_worker_pass(ctx: RaceContext) -> List[Violation]:
+def run_worker_pass(model: ProjectModel) -> List[Violation]:
+    ctx = model.derived(build_context)
     findings: List[Violation] = []
     for qualname in sorted(ctx.worker_slice):
-        info = ctx.model.functions[qualname]
+        info = model.functions[qualname]
         findings.extend(_check_global_mutation(info))
         findings.extend(_check_env_reads(info, ctx.pinned))
-    findings.extend(_check_global_rng(ctx.model))
+    findings.extend(_check_global_rng(model))
     return findings
 
 

@@ -1,9 +1,9 @@
 """``simlint``: static analysis enforcing simulator discipline.
 
 The reproduction's correctness rests on invariants the code only enforces
-implicitly: bit-for-bit replayability (every random draw routed through
-:mod:`repro.util.rng`), a single notion of simulated time (monotonic float
-timestamps in host-core cycles, converted from physical units only inside
+implicitly: bit-for-bit replayability (no wall-clock reads), a single
+notion of simulated time (monotonic float timestamps in host-core cycles,
+converted from physical units only inside
 :class:`~repro.sim.clock.ClockDomain` and the parameter tables), and a
 complete ISA registry.  ``simlint`` is an AST pass (stdlib ``ast``, no
 third-party dependencies) that machine-checks those conventions across
@@ -12,8 +12,7 @@ third-party dependencies) that machine-checks those conventions across
 Each module is parsed once and walked once: rules declare the node types
 they care about (:attr:`Rule.node_types`) and a single dispatch loop feeds
 every node to the interested rules, so adding a rule costs a dict lookup
-per node rather than another full ``ast.walk`` of the tree (measure with
-``python -m repro.analysis lint --bench``).
+per node rather than another full ``ast.walk`` of the tree.
 
 Rules are identified by ``SIMxxx`` codes.  A violation can be waived with an
 inline pragma **carrying a justification**::
@@ -31,7 +30,9 @@ is not a waiver — only real ``#`` comments count.
 
 Use :func:`lint_paths` programmatically or ``python -m repro.analysis lint``
 from the command line; see ``docs/analysis.md`` for the rule catalogue.
-The interprocedural (dataflow) layer lives in :mod:`repro.analysis.flow`.
+The interprocedural layer lives in :mod:`repro.analysis.flow`, which also
+owns unseeded randomness (RCE007) and per-event ``stats.add`` on the
+replay path (FLW009).
 """
 
 import ast
@@ -159,40 +160,6 @@ class WallClockRule(Rule):
                 module, node,
                 f"wall-clock call `{dotted}()` — simulator code must use "
                 f"simulated timestamps only")
-
-
-class UnseededRandomnessRule(Rule):
-    """SIM002: all randomness must flow through repro.util.rng."""
-
-    code = "SIM002"
-    title = "unseeded randomness"
-    rationale = ("Replayability requires every random stream to derive from "
-                 "an explicit seed via derive_seed/make_rng; bare random.* or "
-                 "np.random.* calls use hidden global state.")
-
-    node_types = (ast.Call,)
-
-    #: The one sanctioned home of np.random calls.
-    ALLOWED_MODULES = ("util/rng.py",)
-
-    def applies(self, module: Module) -> bool:
-        return not module.rel.endswith(self.ALLOWED_MODULES)
-
-    def visit(self, module: Module, node: ast.AST) -> Iterator[LintViolation]:
-        dotted = _dotted_name(node.func)
-        if dotted is None:
-            return
-        parts = dotted.split(".")
-        if parts[0] == "random" and len(parts) > 1:
-            yield self._violation(
-                module, node,
-                f"`{dotted}()` draws from the global `random` module — "
-                f"route randomness through repro.util.rng.make_rng")
-        elif "random" in parts[:-1] and parts[0] in ("np", "numpy"):
-            yield self._violation(
-                module, node,
-                f"`{dotted}()` bypasses the seed derivation tree — use "
-                f"repro.util.rng.make_rng / derive_seed")
 
 
 class TimestampEqualityRule(Rule):
@@ -500,65 +467,16 @@ class StatsKeyRegistryRule(Rule):
         return declared
 
 
-class HotLoopStatsRule(Rule):
-    """SIM009: no per-event ``stats.add()`` in engine hot-loop modules."""
-
-    code = "SIM009"
-    title = "stats.add in an engine hot loop"
-    rationale = ("The per-operation modules keep counters in preallocated "
-                 "Stats slots (`self._slots[SLOT_*] += x`), the batched "
-                 "fast path the trace-replay engine's throughput depends "
-                 "on; a `stats.add()` call there pays a dict lookup plus a "
-                 "method call per simulated event and silently undoes the "
-                 "optimization.  One-shot summary writes (`stats.set` at "
-                 "end of run) are fine.")
-
-    node_types = (ast.Call,)
-
-    #: Modules on the per-operation path of the run engine.  Everything
-    #: else (workloads, bench harness, verification) may use stats.add
-    #: freely — it runs once per experiment, not once per simulated op.
-    #: The flow layer's FLW009 re-derives this list from call-graph
-    #: reachability; this lexical rule stays as the fast first line.
-    HOT_MODULES = (
-        "cache/hierarchy.py",
-        "cpu/core.py",
-        "core/executor.py",
-        "core/pmu.py",
-        "core/locality_monitor.py",
-        "core/pim_directory.py",
-        "mem/hmc.py",
-        "system/system.py",
-    )
-
-    def applies(self, module: Module) -> bool:
-        return module.rel.endswith(self.HOT_MODULES)
-
-    def visit(self, module: Module, node: ast.AST) -> Iterator[LintViolation]:
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr != "add":
-            return
-        if _terminal_identifier(func.value) != "stats":
-            return
-        yield self._violation(
-            module, node,
-            "per-event `stats.add()` in an engine hot-loop module — "
-            "bind a slot once (`self._slots[SLOT_*]`) and increment it "
-            "in place")
-
-
 #: The rule registry, keyed by code.
 RULES: Dict[str, Rule] = {
     rule.code: rule
     for rule in (
         WallClockRule(),
-        UnseededRandomnessRule(),
         TimestampEqualityRule(),
         DefaultArgumentRule(),
         RawUnitLiteralRule(),
         IntrinsicRegistryRule(),
         StatsKeyRegistryRule(),
-        HotLoopStatsRule(),
     )
 }
 

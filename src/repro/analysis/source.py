@@ -8,8 +8,8 @@ machinery the tools must agree on exactly:
 * **Waiver parsing** — ``# <tool>: ignore[CODE, ...] -- justification``
   pragmas extracted through :mod:`tokenize`, so pragma-shaped text inside
   strings and docstrings is never mistaken for a live waiver.  The tool
-  name is a parameter: ``simlint`` and ``simflow`` pragmas are independent
-  namespaces.
+  name is a parameter, and there are exactly two namespaces: ``simlint``
+  (SIM codes) and ``simflow`` (FLW and RCE codes alike).
 * **Waiver application** — a violation is suppressed when a justified
   pragma names its code and sits on the same *logical statement*.  A
   pragma matches not only the exact violation line but any line of the

@@ -60,7 +60,7 @@ def code_version_salt() -> str:
     ``REPRO_BENCH_SALT`` overrides the computed digest — useful in tests
     and for deliberately sharing a cache across known-compatible trees.
     """
-    env = os.environ.get("REPRO_BENCH_SALT")  # simrace: ignore[RCE006] -- deliberate operator override; shapes cache keys only, never results
+    env = os.environ.get("REPRO_BENCH_SALT")  # simflow: ignore[RCE006] -- deliberate operator override; shapes cache keys only, never results
     if env:
         return env
     return _source_tree_digest()[:16]

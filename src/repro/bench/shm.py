@@ -232,9 +232,9 @@ def attach_trace(handle: TraceHandle) -> CompiledTrace:
     """
     trace = _DECODED.get(handle.name)
     if trace is not None:
-        _DECODE_STATS["memo_hits"] += 1  # simrace: ignore[RCE005] -- per-process counter; workers snapshot-delta it around each attach and ship the delta home in the result envelope (frontier._execute_payload)
+        _DECODE_STATS["memo_hits"] += 1  # simflow: ignore[RCE005] -- per-process counter; workers snapshot-delta it around each attach and ship the delta home in the result envelope (frontier._execute_payload)
         return trace
-    _DECODE_STATS["decodes"] += 1  # simrace: ignore[RCE005] -- per-process counter; workers snapshot-delta it around each attach and ship the delta home in the result envelope (frontier._execute_payload)
+    _DECODE_STATS["decodes"] += 1  # simflow: ignore[RCE005] -- per-process counter; workers snapshot-delta it around each attach and ship the delta home in the result envelope (frontier._execute_payload)
     try:
         segment = _attach_untracked(handle.name)
     except FileNotFoundError as exc:
@@ -251,5 +251,5 @@ def attach_trace(handle: TraceHandle) -> CompiledTrace:
             f"shared-memory trace segment {handle.name!r} holds trace "
             f"{trace.fingerprint[:12]}..., expected "
             f"{handle.fingerprint[:12]}...")
-    _DECODED[handle.name] = trace  # simrace: ignore[RCE005] -- idempotent per-process decode memo keyed by unique segment name; every attacher decodes identical bytes and the parent never reads it
+    _DECODED[handle.name] = trace  # simflow: ignore[RCE005] -- idempotent per-process decode memo keyed by unique segment name; every attacher decodes identical bytes and the parent never reads it
     return trace

@@ -131,8 +131,9 @@ def is_declared(key: str) -> bool:
 # never see the split.  Gauges are excluded: they are written once through
 # ``Stats.set`` at collection time.
 #
-# The ``SIM009`` lint rule flags literal ``stats.add`` calls with slot
-# counters inside the hot modules, keeping the fast path load-bearing.
+# simflow's ``FLW009`` rule flags any ``stats.add`` call on the replay path
+# (inside the engine loops or reachable from them), keeping the fast path
+# load-bearing.
 
 #: Counter keys batched through the slot fast path, in slot-index order.
 SLOT_KEYS: Tuple[str, ...] = (

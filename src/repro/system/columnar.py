@@ -51,7 +51,7 @@ never pay for it — enforced by the CI import-hygiene check.
 
 import heapq
 from collections import OrderedDict, defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 try:
     import numpy as np
@@ -68,6 +68,9 @@ from repro.cpu.trace import (
 )
 from repro.sim.stat_keys import SLOT_CORE_LOADS, SLOT_CORE_STORES
 from repro.vm.page_table import PageTable
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.system.system import System
 
 __all__ = ["ColumnPlan", "plan_cache_counters", "plan_cache_info",
            "replay", "set_plan_cache_limit"]
@@ -390,7 +393,7 @@ def replay(system, trace, op_table, n_threads: int, batch_window: float,
                            n_threads, effective_cap)
 
 
-def _replay_loop(system, trace, plan, n_threads: int,
+def _replay_loop(system: "System", trace, plan, n_threads: int,
                  batch_window: float) -> None:
     """The engine loop: scalar ``_run_trace`` with span-specialized bodies.
 

@@ -18,8 +18,8 @@ cover both hazards:
   on POSIX local filesystems (the append offset is updated atomically per
   ``write``).
 
-The ``simrace`` analyzer (:mod:`repro.analysis.race`, rules RCE003/RCE004)
-statically requires bench/obs writers to route through these helpers.
+simflow's durable-write rules (RCE003/RCE004, :mod:`repro.analysis.race`)
+statically require bench/obs writers to route through these helpers.
 This module sits in ``repro.util`` so both layers can import it —
 ``repro.bench`` depends on ``repro.obs``, never the reverse.
 """

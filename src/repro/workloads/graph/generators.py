@@ -153,5 +153,5 @@ def make_suite_graph(name: str, seed: int = 42) -> CsrGraph:
         graph = generate_power_law_graph(
             spec.n_vertices, spec.avg_degree, seed=seed, skew=spec.skew
         )
-        _SUITE_CACHE[key] = graph  # simrace: ignore[RCE005] -- idempotent per-process memo keyed by (name, seed); every process computes the identical graph
+        _SUITE_CACHE[key] = graph  # simflow: ignore[RCE005] -- idempotent per-process memo keyed by (name, seed); every process computes the identical graph
     return graph

@@ -82,7 +82,7 @@ def _workload_class(name: str) -> type:
     if cls is None:
         module_name, attr = _CLASS_PATHS[name]
         cls = getattr(import_module(module_name), attr)
-        _CLASSES[name] = cls  # simrace: ignore[RCE005] -- idempotent per-process import memo; every process resolves the identical class and the parent never reads it
+        _CLASSES[name] = cls  # simflow: ignore[RCE005] -- idempotent per-process import memo; every process resolves the identical class and the parent never reads it
     return cls
 
 

@@ -28,6 +28,13 @@ FLOW_DIRTY_MODULE = (
     "    return t_ns + freq_ghz\n"
 )
 
+# RCE003 (simflow): a truncating write in a durable-artifact module.
+RACE_DIRTY_MODULE = (
+    "def save(path, text):\n"
+    "    with open(path, 'w') as fh:\n"
+    "        fh.write(text)\n"
+)
+
 
 class TestLintExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
@@ -51,22 +58,23 @@ class TestLintExitCodes:
         assert main(["lint", "--list-rules"]) == 0
         assert "SIM001" in capsys.readouterr().out
 
-    def test_bench_flag_prints_timing_line(self, tmp_path, capsys):
-        write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["lint", "--bench", str(tmp_path)]) == 0
-        assert "lint-bench:" in capsys.readouterr().out
-
 
 class TestFlowExitCodes:
+    #: A tree with exactly one finding, and that finding's code.
+    DIRTY_TREE = {"mod.py": FLOW_DIRTY_MODULE}
+    CODE = "FLW004"
+    #: A code ``--select`` must reject.
+    UNKNOWN_CODE = "FLW123"
+
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
         assert main(["flow", str(tmp_path), "--no-baseline"]) == 0
-        assert "clean" in capsys.readouterr().out
+        assert "simflow: clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
-        write_tree(tmp_path, {"mod.py": FLOW_DIRTY_MODULE})
+        write_tree(tmp_path, self.DIRTY_TREE)
         assert main(["flow", str(tmp_path), "--no-baseline"]) == 1
-        assert "FLW004" in capsys.readouterr().out
+        assert self.CODE in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, tmp_path):
         assert main(["flow", str(tmp_path / "nope"), "--no-baseline"]) == 2
@@ -74,7 +82,7 @@ class TestFlowExitCodes:
     def test_unknown_select_code_exits_two(self, tmp_path):
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
         assert main(["flow", str(tmp_path), "--no-baseline",
-                     "--select", "FLW123"]) == 2
+                     "--select", self.UNKNOWN_CODE]) == 2
 
     def test_missing_baseline_file_exits_two(self, tmp_path):
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
@@ -89,28 +97,42 @@ class TestFlowExitCodes:
 
     def test_list_rules_exits_zero(self, capsys):
         assert main(["flow", "--list-rules"]) == 0
-        assert "FLW001" in capsys.readouterr().out
+        assert self.CODE in capsys.readouterr().out
 
     def test_json_and_sarif_are_written(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": FLOW_DIRTY_MODULE})
+        write_tree(tmp_path, self.DIRTY_TREE)
         out_json = tmp_path / "report.json"
         out_sarif = tmp_path / "report.sarif"
         assert main(["flow", str(tmp_path), "--no-baseline",
                      "--json", str(out_json),
                      "--sarif", str(out_sarif)]) == 1
         payload = json.loads(out_json.read_text(encoding="utf-8"))
-        assert [f["code"] for f in payload["findings"]] == ["FLW004"]
+        assert [f["code"] for f in payload["findings"]] == [self.CODE]
         sarif = json.loads(out_sarif.read_text(encoding="utf-8"))
         assert sarif["version"] == "2.1.0"
         results = sarif["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["FLW004"]
+        assert [r["ruleId"] for r in results] == [self.CODE]
+        # One driver carries both catalogues.
+        rules = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
+        assert {"FLW001", "RCE001", "FLW000"} <= rules
+
+
+class TestRaceExitCodes(TestFlowExitCodes):
+    """The same contract on an RCE finding: one ``flow`` CLI serves both
+    catalogues, and the retired ``RCE000`` hygiene code is no rule."""
+
+    DIRTY_TREE = {"bench/mod.py": RACE_DIRTY_MODULE}
+    CODE = "RCE003"
+    UNKNOWN_CODE = "RCE000"
 
 
 class TestBaselineRoundTripViaCli:
     """--update-baseline then a rerun must accept the same tree as clean."""
 
+    DIRTY_TREE = {"mod.py": FLOW_DIRTY_MODULE}
+
     def test_update_then_rerun_exits_zero(self, tmp_path, capsys):
-        write_tree(tmp_path, {"mod.py": FLOW_DIRTY_MODULE})
+        write_tree(tmp_path, self.DIRTY_TREE)
         baseline = tmp_path / "baseline.json"
         assert main(["flow", str(tmp_path), "--baseline", str(baseline),
                      "--update-baseline"]) == 0
@@ -127,6 +149,12 @@ class TestBaselineRoundTripViaCli:
                      "--update-baseline"]) == 2
 
 
+class TestRaceBaselineRoundTripViaCli(TestBaselineRoundTripViaCli):
+    """RCE findings round-trip through the same baseline file."""
+
+    DIRTY_TREE = {"bench/mod.py": RACE_DIRTY_MODULE}
+
+
 class TestFlowMutantsExitCodes:
     def test_missing_path_exits_two(self, tmp_path):
         assert main(["flow-mutants", str(tmp_path / "nope")]) == 2
@@ -137,91 +165,3 @@ class TestFlowMutantsExitCodes:
         # none), not report a vacuous pass.
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
         assert main(["flow-mutants", str(tmp_path), "--no-baseline"]) == 2
-
-
-# RCE003 (simrace): a truncating write in a durable-artifact module.
-RACE_DIRTY_MODULE = (
-    "def save(path, text):\n"
-    "    with open(path, 'w') as fh:\n"
-    "        fh.write(text)\n"
-)
-
-
-class TestRaceExitCodes:
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        write_tree(tmp_path, {"bench/mod.py": CLEAN_MODULE})
-        assert main(["race", str(tmp_path), "--no-baseline"]) == 0
-        assert "simrace: clean" in capsys.readouterr().out
-
-    def test_findings_exit_one(self, tmp_path, capsys):
-        write_tree(tmp_path, {"bench/mod.py": RACE_DIRTY_MODULE})
-        assert main(["race", str(tmp_path), "--no-baseline"]) == 1
-        assert "RCE003" in capsys.readouterr().out
-
-    def test_missing_path_exits_two(self, tmp_path):
-        assert main(["race", str(tmp_path / "nope"), "--no-baseline"]) == 2
-
-    def test_unknown_select_code_exits_two(self, tmp_path):
-        write_tree(tmp_path, {"bench/mod.py": CLEAN_MODULE})
-        assert main(["race", str(tmp_path), "--no-baseline",
-                     "--select", "RCE042"]) == 2
-
-    def test_missing_baseline_file_exits_two(self, tmp_path):
-        write_tree(tmp_path, {"bench/mod.py": CLEAN_MODULE})
-        assert main(["race", str(tmp_path),
-                     "--baseline", str(tmp_path / "nope.json")]) == 2
-
-    def test_malformed_baseline_exits_two(self, tmp_path):
-        write_tree(tmp_path, {"bench/mod.py": CLEAN_MODULE})
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"entries": [{"code": "RCE003"}]}),
-                       encoding="utf-8")
-        assert main(["race", str(tmp_path), "--baseline", str(bad)]) == 2
-
-    def test_list_rules_exits_zero(self, capsys):
-        assert main(["race", "--list-rules"]) == 0
-        assert "RCE001" in capsys.readouterr().out
-
-    def test_json_and_sarif_are_written(self, tmp_path):
-        write_tree(tmp_path, {"bench/mod.py": RACE_DIRTY_MODULE})
-        out_json = tmp_path / "report.json"
-        out_sarif = tmp_path / "report.sarif"
-        assert main(["race", str(tmp_path), "--no-baseline",
-                     "--json", str(out_json),
-                     "--sarif", str(out_sarif)]) == 1
-        payload = json.loads(out_json.read_text(encoding="utf-8"))
-        assert [f["code"] for f in payload["findings"]] == ["RCE003"]
-        sarif = json.loads(out_sarif.read_text(encoding="utf-8"))
-        assert sarif["version"] == "2.1.0"
-        results = sarif["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["RCE003"]
-
-
-class TestRaceBaselineRoundTripViaCli:
-    def test_update_then_rerun_exits_zero(self, tmp_path, capsys):
-        write_tree(tmp_path, {"bench/mod.py": RACE_DIRTY_MODULE})
-        baseline = tmp_path / "baseline.json"
-        assert main(["race", str(tmp_path), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(["race", str(tmp_path),
-                     "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-    def test_update_baseline_without_path_exits_two(self, tmp_path):
-        write_tree(tmp_path, {"bench/mod.py": CLEAN_MODULE})
-        assert main(["race", str(tmp_path), "--no-baseline",
-                     "--update-baseline"]) == 2
-
-
-class TestRaceMutantsExitCodes:
-    def test_missing_path_exits_two(self, tmp_path):
-        assert main(["race-mutants", str(tmp_path / "nope")]) == 2
-
-    def test_drifted_anchor_exits_two(self, tmp_path):
-        # Same contract as flow-mutants: a tree without the anchor lines
-        # must refuse to run, not report a vacuous pass.
-        write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["race-mutants", str(tmp_path), "--no-baseline"]) == 2

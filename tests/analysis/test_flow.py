@@ -1,8 +1,9 @@
 """simflow: project model, flow passes, waivers, baseline, mutants.
 
 Pass-behavior tests build small synthetic trees in ``tmp_path`` (the
-purity pass keys off the ``system/system.py:System._run_trace`` anchor,
-which a synthetic tree can provide under the same relative path).
+purity pass keys off the ``system/system.py:System._run_trace`` and
+``system/columnar.py:_replay_loop`` anchors, which a synthetic tree can
+provide under the same relative paths).
 Model-precision and cleanliness tests run against the real ``src/repro``
 tree — the analyzer's reason to exist is that tree, and its call-graph
 precision claims (the hot set excludes the functional/bench world) are
@@ -24,7 +25,7 @@ from repro.analysis.flow import (
 )
 from repro.analysis.flow.engine import HYGIENE_CODE
 from repro.analysis.flow.model import ProjectModel
-from repro.analysis.flow.purity import hot_set
+from repro.analysis.flow.purity import ENGINE_FUNCTIONS, hot_set
 from repro.analysis.source import parse_project, parse_waivers
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -57,6 +58,17 @@ PURITY_TREE = {
         "        return summary\n"
     ),
 }
+
+
+def engine_tree(step_body):
+    """A replay loop whose one callee, ``System.step``, runs ``step_body``."""
+    return {"system/system.py": (
+        "class System:\n"
+        "    def _run_trace(self):\n"
+        "        while True:\n"
+        "            self.step()\n"
+        "\n"
+        "    def step(self):\n" + step_body)}
 
 
 def codes_of(report):
@@ -93,6 +105,15 @@ class TestRealTree:
         leaked = sorted(q for q in hot if q.startswith(
             ("workloads/", "bench/", "verify/")))
         assert leaked == []
+
+    def test_replay_loops_bind_the_executor_fence(self, model):
+        """Both loops bind ``fence = executor.fence``; typed, it resolves
+        to the executor alone — not to every ``fence`` in the tree (the
+        golden model's, the telemetry sink's)."""
+        for engine in ENGINE_FUNCTIONS:
+            targets = model.loop_call_targets(model.find_function(engine))
+            fences = sorted(t for t in targets if t.endswith(".fence"))
+            assert fences == ["core/executor.py:PeiExecutor.fence"]
 
     def test_type_inference_resolves_the_engine_dispatch(self, model):
         assert model.return_types.get("build_machine") == "Machine"
@@ -168,6 +189,54 @@ class TestPurityPass:
         write_tree(tmp_path, PURITY_TREE)
         report = run_flow([tmp_path], select=["FLW009"])
         assert codes_of(report) == ["FLW009"]
+
+    def test_engine_loop_statements_are_checked(self, tmp_path):
+        """The loop body itself is per-op code, not only its callees."""
+        write_tree(tmp_path, {"system/system.py": (
+            "class System:\n"
+            "    def _run_trace(self):\n"
+            "        machine = self.machine\n"
+            "        while True:\n"
+            "            machine.stats.add('x', 1.0)\n"  # 5 FLW009
+            "            pending = []\n"                 # 6 FLW008
+            "        summary = {}\n"                     # once per run
+            "        return summary\n")})
+        report = run_flow([tmp_path])
+        assert [(f.code, f.line) for f in report.findings] == [
+            ("FLW009", 5), ("FLW008", 6)]
+
+    def test_columnar_replay_loop_roots_the_hot_set(self, tmp_path):
+        write_tree(tmp_path, {"system/columnar.py": (
+            "def _replay_loop(system, trace):\n"
+            "    while True:\n"
+            "        _flush(system.stats)\n"
+            "\n"
+            "def _flush(stats):\n"
+            "    stats.add('x', 1.0)\n")})
+        report = run_flow([tmp_path])
+        assert [(f.code, f.line) for f in report.findings] == [("FLW009", 6)]
+
+    def test_bare_stats_name_fires(self, tmp_path):
+        write_tree(tmp_path, {"system/system.py": (
+            "def tick(stats):\n"
+            "    stats.add('x', 2.0)\n"
+            "\n"
+            "class System:\n"
+            "    def _run_trace(self):\n"
+            "        while True:\n"
+            "            tick(self.stats)\n")})
+        assert codes_of(run_flow([tmp_path])) == ["FLW009"]
+
+    def test_stats_set_is_fine(self, tmp_path):
+        # One-shot summary writes are not per-event cost.
+        write_tree(tmp_path, engine_tree(
+            "        self.stats.set('run.cycles', 1.0)\n"))
+        assert codes_of(run_flow([tmp_path])) == []
+
+    def test_slot_fast_path_is_fine(self, tmp_path):
+        write_tree(tmp_path, engine_tree(
+            "        self._slots[KEY] += 1.0\n"))
+        assert codes_of(run_flow([tmp_path])) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""simrace: worker slice, race passes, waivers, baseline, mutants.
+"""simflow's RCE families: worker slice, passes, waivers, baseline, mutants.
 
 Pass-behavior tests build small synthetic trees in ``tmp_path`` (the
 durable and ordering rules key off ``bench/``/``obs/`` path segments and
 the payload rules off pool-construction shapes, all of which a synthetic
-tree can provide).  Cleanliness and end-to-end mutant tests run against
-the real ``src/repro`` tree — the frontier that analyzer exists to guard.
+tree can provide) and run every simflow rule over them, so an FLW finding
+on a race fixture would show too.  Cleanliness and end-to-end mutant
+tests run against the real ``src/repro`` tree — the frontier these rules
+exist to guard.
 """
 
 import json
@@ -12,19 +14,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.race import (
-    RACE_CODES,
-    RACE_MUTANTS,
-    load_baseline,
-    run_race,
-    run_race_mutants,
+from repro.analysis.flow import (
+    FLOW_CODES,
+    run_flow,
+    run_mutants,
     write_baseline,
 )
-from repro.analysis.race.engine import HYGIENE_CODE
+from repro.analysis.flow.engine import HYGIENE_CODE
+from repro.analysis.race import RACE_MUTANTS
 from repro.analysis.race.payload import worker_unsafe_classes
 from repro.analysis.race.worker import build_context
 from repro.analysis.flow.model import ProjectModel
 from repro.analysis.source import parse_project
+
+RACE_CODES = sorted(code for code in FLOW_CODES if code.startswith("RCE"))
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -58,23 +61,24 @@ POOL_PREFIX = (
 
 class TestRealTree:
     def test_tree_is_clean_without_baseline(self):
-        report = run_race([REPO_SRC])
+        # The RCE waivers count as stale unless each still suppresses one.
+        report = run_flow([REPO_SRC], select=RACE_CODES)
         assert report.findings == [], "\n".join(map(str, report.findings))
 
     def test_worker_slice_is_rooted_at_the_payload_executor(self):
-        project, _ = parse_project([REPO_SRC], tool="simrace")
+        project, _ = parse_project([REPO_SRC], tool="simflow")
         ctx = build_context(ProjectModel(project))
         assert any(q.endswith(":_execute_payload") for q in ctx.entries)
         # The slice reaches the simulation core the workers actually run.
         assert any("system/system.py" in q for q in ctx.worker_slice)
 
     def test_settings_env_vars_are_pinned(self):
-        project, _ = parse_project([REPO_SRC], tool="simrace")
+        project, _ = parse_project([REPO_SRC], tool="simflow")
         ctx = build_context(ProjectModel(project))
         assert "REPRO_BENCH_SEED" in ctx.pinned
 
     def test_run_ledger_is_structurally_process_unsafe(self):
-        project, _ = parse_project([REPO_SRC], tool="simrace")
+        project, _ = parse_project([REPO_SRC], tool="simflow")
         unsafe = worker_unsafe_classes(ProjectModel(project))
         assert "RunLedger" in unsafe
 
@@ -91,7 +95,7 @@ class TestPayloadPass:
             "    with ProcessPoolExecutor() as pool:\n"
             "        pool.submit(_work, lambda: 1)\n"
         )})
-        assert "RCE001" in codes_of(run_race([tmp_path]))
+        assert "RCE001" in codes_of(run_flow([tmp_path]))
 
     def test_lambda_submit_target_fires(self, tmp_path):
         write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
@@ -99,7 +103,7 @@ class TestPayloadPass:
             "    with ProcessPoolExecutor() as pool:\n"
             "        pool.submit(lambda: _work(1))\n"
         )})
-        assert "RCE001" in codes_of(run_race([tmp_path]))
+        assert "RCE001" in codes_of(run_flow([tmp_path]))
 
     def test_callback_param_traced_through_payload_tuple(self, tmp_path):
         write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
@@ -109,7 +113,7 @@ class TestPayloadPass:
             "        for payload in payloads:\n"
             "            pool.submit(_work, payload)\n"
         )})
-        assert "RCE001" in codes_of(run_race([tmp_path]))
+        assert "RCE001" in codes_of(run_flow([tmp_path]))
 
     def test_unsafe_class_instance_fires_rce002(self, tmp_path):
         write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
@@ -122,7 +126,7 @@ class TestPayloadPass:
             "    with ProcessPoolExecutor() as pool:\n"
             "        pool.submit(_work, (items, ledger))\n"
         )})
-        assert "RCE002" in codes_of(run_race([tmp_path]))
+        assert "RCE002" in codes_of(run_flow([tmp_path]))
 
     def test_frozen_data_payload_is_clean(self, tmp_path):
         write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
@@ -132,7 +136,7 @@ class TestPayloadPass:
             "        for payload in payloads:\n"
             "            pool.submit(_work, payload)\n"
         )})
-        assert codes_of(run_race([tmp_path])) == []
+        assert codes_of(run_flow([tmp_path])) == []
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +151,7 @@ class TestDurablePass:
             "    with open(path, 'w') as fh:\n"
             "        fh.write(text)\n"
         )})
-        assert "RCE003" in codes_of(run_race([tmp_path]))
+        assert "RCE003" in codes_of(run_flow([tmp_path]))
 
     def test_buffered_append_fires(self, tmp_path):
         write_tree(tmp_path, {"obs/stream.py": (
@@ -155,14 +159,14 @@ class TestDurablePass:
             "    with open(path, 'a') as fh:\n"
             "        fh.write(line)\n"
         )})
-        assert "RCE004" in codes_of(run_race([tmp_path]))
+        assert "RCE004" in codes_of(run_flow([tmp_path]))
 
     def test_write_text_fires(self, tmp_path):
         write_tree(tmp_path, {"obs/export.py": (
             "def save(path, text):\n"
             "    path.write_text(text)\n"
         )})
-        assert "RCE003" in codes_of(run_race([tmp_path]))
+        assert "RCE003" in codes_of(run_flow([tmp_path]))
 
     def test_reads_and_non_durable_modules_are_clean(self, tmp_path):
         write_tree(tmp_path, {
@@ -175,7 +179,7 @@ class TestDurablePass:
                 "    with open(path, 'w') as fh:\n"
                 "        fh.write(text)\n"),
         })
-        assert codes_of(run_race([tmp_path])) == []
+        assert codes_of(run_flow([tmp_path])) == []
 
     def test_sanctioned_fsio_defs_are_exempt(self, tmp_path):
         write_tree(tmp_path, {"obs/fsio.py": (
@@ -183,7 +187,7 @@ class TestDurablePass:
             "    with open(path, 'w') as fh:\n"
             "        fh.write(text)\n"
         )})
-        assert codes_of(run_race([tmp_path])) == []
+        assert codes_of(run_flow([tmp_path])) == []
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +210,7 @@ class TestWorkerPass:
             "        for item in items:\n"
             "            pool.submit(_work, item)\n"
         )})
-        assert "RCE005" in codes_of(run_race([tmp_path]))
+        assert "RCE005" in codes_of(run_flow([tmp_path]))
 
     def test_parent_side_global_mutation_is_clean(self, tmp_path):
         # Same mutation, but nothing submits the function to a pool.
@@ -217,7 +221,7 @@ class TestWorkerPass:
             "    _STATS['runs'] = _STATS.get('runs', 0) + 1\n"
             "    return payload\n"
         )})
-        assert codes_of(run_race([tmp_path])) == []
+        assert codes_of(run_flow([tmp_path])) == []
 
     def test_unpinned_env_read_fires_and_pinned_is_clean(self, tmp_path):
         write_tree(tmp_path, {"bench/run.py": (
@@ -237,7 +241,7 @@ class TestWorkerPass:
             "        for item in items:\n"
             "            pool.submit(_work, item)\n"
         )})
-        assert codes_of(run_race([tmp_path])) == ["RCE006"]
+        assert codes_of(run_flow([tmp_path])) == ["RCE006"]
 
     def test_global_rng_fires_tree_wide(self, tmp_path):
         write_tree(tmp_path, {"workloads/gen.py": (
@@ -246,14 +250,30 @@ class TestWorkerPass:
             "def jitter():\n"
             "    return random.random()\n"
         )})
-        assert "RCE007" in codes_of(run_race([tmp_path]))
+        assert "RCE007" in codes_of(run_flow([tmp_path]))
 
     def test_seeded_generator_calls_are_clean(self, tmp_path):
         write_tree(tmp_path, {"workloads/gen.py": (
             "def sample(rng):\n"
             "    return rng.random()\n"
         )})
-        assert codes_of(run_race([tmp_path])) == []
+        assert codes_of(run_flow([tmp_path])) == []
+
+    def test_np_default_rng_fires(self, tmp_path):
+        write_tree(tmp_path, {"mod.py": (
+            "import numpy as np\n"
+            "rng = np.random.default_rng()\n"
+        )})
+        assert codes_of(run_flow([tmp_path])) == ["RCE007"]
+
+    def test_rng_module_itself_is_exempt(self, tmp_path):
+        write_tree(tmp_path, {"util/rng.py": (
+            "import numpy as np\n"
+            "\n"
+            "def make_rng(seed):\n"
+            "    return np.random.default_rng(seed)\n"
+        )})
+        assert codes_of(run_flow([tmp_path])) == []
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +296,7 @@ class TestOrderingPass:
             "                results.append(fut.result())\n"
             "    return results\n"
         )})
-        assert "RCE008" in codes_of(run_race([tmp_path]))
+        assert "RCE008" in codes_of(run_flow([tmp_path]))
 
     def test_indexed_reorder_is_clean(self, tmp_path):
         write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
@@ -292,7 +312,7 @@ class TestOrderingPass:
             "                results[i] = fut.result()\n"
             "    return results\n"
         )})
-        assert codes_of(run_race([tmp_path])) == []
+        assert codes_of(run_flow([tmp_path])) == []
 
     def test_set_iteration_into_output_fires(self, tmp_path):
         write_tree(tmp_path, {"bench/report.py": (
@@ -302,7 +322,7 @@ class TestOrderingPass:
             "        entry[key] = after.get(key, 0) - before.get(key, 0)\n"
             "    return entry\n"
         )})
-        assert "RCE009" in codes_of(run_race([tmp_path]))
+        assert "RCE009" in codes_of(run_flow([tmp_path]))
 
     def test_sorted_set_iteration_is_clean(self, tmp_path):
         write_tree(tmp_path, {"bench/report.py": (
@@ -312,7 +332,7 @@ class TestOrderingPass:
             "        entry[key] = after.get(key, 0) - before.get(key, 0)\n"
             "    return entry\n"
         )})
-        assert codes_of(run_race([tmp_path])) == []
+        assert codes_of(run_flow([tmp_path])) == []
 
     def test_select_filters_passes(self, tmp_path):
         write_tree(tmp_path, {"bench/report.py": (
@@ -326,8 +346,8 @@ class TestOrderingPass:
             "    with open(path, 'w') as fh:\n"
             "        fh.write(text)\n"
         )})
-        assert codes_of(run_race([tmp_path])) == ["RCE003", "RCE009"]
-        only = run_race([tmp_path], select=["RCE009"])
+        assert codes_of(run_flow([tmp_path])) == ["RCE003", "RCE009"]
+        only = run_flow([tmp_path], select=["RCE009"])
         assert codes_of(only) == ["RCE009"]
 
 
@@ -343,30 +363,30 @@ class TestRaceWaivers:
             "\n"
             "def jitter():\n"
             "    return random.random()  "
-            "# simrace: ignore[RCE007] -- test-only jitter\n"
+            "# simflow: ignore[RCE007] -- test-only jitter\n"
         )})
-        assert codes_of(run_race([tmp_path])) == []
+        assert codes_of(run_flow([tmp_path])) == []
 
     def test_unjustified_waiver_reports_hygiene(self, tmp_path):
         write_tree(tmp_path, {"workloads/gen.py": (
             "import random\n"
             "\n"
             "def jitter():\n"
-            "    return random.random()  # simrace: ignore[RCE007]\n"
+            "    return random.random()  # simflow: ignore[RCE007]\n"
         )})
         # Unjustified pragmas do not suppress: both hygiene and the
         # original finding report.
-        assert codes_of(run_race([tmp_path])) == [HYGIENE_CODE, "RCE007"]
+        assert codes_of(run_flow([tmp_path])) == [HYGIENE_CODE, "RCE007"]
 
-    def test_simflow_namespace_does_not_silence_race(self, tmp_path):
+    def test_simrace_namespace_is_retired(self, tmp_path):
         write_tree(tmp_path, {"workloads/gen.py": (
             "import random\n"
             "\n"
             "def jitter():\n"
             "    return random.random()  "
-            "# simflow: ignore[RCE007] -- wrong tool\n"
+            "# simrace: ignore[RCE007] -- retired namespace\n"
         )})
-        assert "RCE007" in codes_of(run_race([tmp_path]))
+        assert codes_of(run_flow([tmp_path])) == ["RCE007"]
 
 
 class TestBaseline:
@@ -377,27 +397,22 @@ class TestBaseline:
             "def jitter():\n"
             "    return random.random()\n"
         )})
-        report = run_race([tmp_path])
+        report = run_flow([tmp_path])
         assert codes_of(report) == ["RCE007"]
-        baseline = tmp_path / "race-baseline.json"
+        baseline = tmp_path / "flow-baseline.json"
         write_baseline(baseline, report.findings)
-        again = run_race([tmp_path], baseline=baseline)
+        again = run_flow([tmp_path], baseline=baseline)
         assert again.findings == []
         assert again.baselined == 1
 
     def test_stale_entry_reports_hygiene(self, tmp_path):
         write_tree(tmp_path, {"workloads/gen.py": "X = 1\n"})
-        baseline = tmp_path / "race-baseline.json"
+        baseline = tmp_path / "flow-baseline.json"
         baseline.write_text(json.dumps({"entries": [
             {"code": "RCE007", "rel": "workloads/gen.py",
              "message": "long gone"}]}), encoding="utf-8")
-        report = run_race([tmp_path], baseline=baseline)
+        report = run_flow([tmp_path], baseline=baseline)
         assert codes_of(report) == [HYGIENE_CODE]
-
-    def test_checked_in_baseline_is_loadable(self):
-        checked_in = REPO_SRC.parents[1] / "race-baseline.json"
-        assert checked_in.exists()
-        load_baseline(checked_in)  # must not raise
 
 
 # ----------------------------------------------------------------------
@@ -407,19 +422,19 @@ class TestBaseline:
 
 class TestMutants:
     def test_catalogue_covers_every_rule(self):
-        assert {m.code for m in RACE_MUTANTS} == set(RACE_CODES)
+        assert sorted({m.code for m in RACE_MUTANTS}) == RACE_CODES
 
     def test_callback_mutant_is_killed(self, tmp_path):
-        """One end-to-end kill (the full gauntlet is `make race-mutants`)."""
+        """One end-to-end kill (the full gauntlet is `make flow-mutants`)."""
         subset = [m for m in RACE_MUTANTS
                   if m.name == "payload-captures-callback"]
-        results, pristine = run_race_mutants([REPO_SRC], mutants=subset)
+        results, pristine = run_mutants([REPO_SRC], mutants=subset)
         assert pristine.findings == []
         assert results[0].killed
 
     def test_drifted_anchor_fails_loudly(self, tmp_path):
-        from repro.analysis.race.mutants import Mutant
+        from repro.analysis.mutation import Mutant
         bogus = Mutant(name="bogus", code="RCE001", description="",
                        edits=(("bench/frontier.py", "NO SUCH ANCHOR", "x"),))
         with pytest.raises(ValueError):
-            run_race_mutants([REPO_SRC], mutants=[bogus])
+            run_mutants([REPO_SRC], mutants=[bogus])

@@ -1,6 +1,6 @@
 """Concurrent durability: torn-line-free streams and jobs-invariant output.
 
-The dynamic half of what simrace checks statically (RCE004/RCE008): many
+The dynamic half of what simflow checks statically (RCE004/RCE008): many
 processes hammering one JSONL stream through ``append_jsonl`` must never
 interleave partial lines, and a parallel ``prefetch`` with a live ledger
 listener streaming to disk must produce bit-identical results and an
