@@ -8,26 +8,25 @@ install:
 test:
 	pytest tests/
 
-# Static analysis: the in-tree simulator linter and the whole-program
-# analyzer (FLW + RCE rules, one parse) always run; ruff/mypy run only
-# where installed (the offline test container does not ship them).
+# Static analysis: simflow (SIM + FLW + RCE rules, one parse, one process)
+# always runs; ruff/mypy run only where installed (the offline test
+# container does not ship them).
 lint:
-	PYTHONPATH=src python -m repro.analysis lint src/repro
 	PYTHONPATH=src python -m repro.analysis flow src/repro
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests; \
 	else echo "ruff not installed; skipping"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy src/repro; \
 	else echo "mypy not installed; skipping"; fi
 
-# Whole-program analysis alone: cache-key (fingerprint) soundness,
+# simflow alone: simulator discipline, cache-key (fingerprint) soundness,
 # unit/dimension taint, hot-path purity, and the frontier's process-safety
 # rules (see docs/analysis.md).  Reads ./flow-baseline.json when present;
 # --update-baseline regenerates it.
 flow:
 	PYTHONPATH=src python -m repro.analysis flow src/repro
 
-# Seeded-defect self-validation: each FLW and RCE pass must catch every
-# mutant planted for its codes, or the target fails (~50 s).
+# Seeded-defect self-validation: each SIM, FLW and RCE pass must catch
+# every mutant planted for its codes, or the target fails (~70 s).
 flow-mutants:
 	PYTHONPATH=src python -m repro.analysis flow-mutants src/repro
 

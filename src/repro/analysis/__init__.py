@@ -1,23 +1,22 @@
 """Machine-checked guardrails for the PEI reproduction.
 
-Three checkers:
+Two checkers:
 
-* :mod:`repro.analysis.simlint` — an AST-based, per-module static-analysis
-  pass enforcing simulator discipline (wall-clock hygiene, timestamp
-  hygiene, unit discipline, ISA and stats-key registry completeness)
-  across ``src/repro``;
-* :mod:`repro.analysis.flow` — *simflow*, the whole-program analyzer:
-  per-function CFGs, a project-wide call graph and seven interprocedural
-  pass families over one parse (cache-fingerprint soundness FLW001–003,
-  unit/dimension taint FLW004–006, hot-path purity FLW007–009, and the
-  :mod:`repro.analysis.race` process-safety families RCE001–009), with
+* :mod:`repro.analysis.flow` — *simflow*, the one static analyzer: one
+  parse of the tree, per-function CFGs and a project-wide call graph, and
+  eight pass families over them — per-module simulator discipline
+  SIM001/SIM003–007 (wall-clock hygiene, timestamp hygiene, defaults,
+  unit discipline, ISA and stats-key registry completeness),
+  cache-fingerprint soundness FLW001–003, unit/dimension taint
+  FLW004–006, hot-path purity FLW007–009, and the
+  :mod:`repro.analysis.race` process-safety families RCE001–009 — with
   waivers, a checked-in baseline, SARIF output and a seeded-defect
   mutant gauntlet;
 * :mod:`repro.analysis.simsan` — a runtime sanitizer that replays a
   :class:`~repro.core.tracer.PeiTracer` event stream against the paper's
   Section 4.3 atomicity/coherence protocol.
 
-Command line: ``python -m repro.analysis lint|flow|flow-mutants|sanitize``
+Command line: ``python -m repro.analysis flow|flow-mutants|sanitize|...``
 (see ``docs/analysis.md``).
 """
 
@@ -30,12 +29,6 @@ from repro.analysis.flow import (
     run_flow,
     run_mutants,
 )
-from repro.analysis.simlint import (
-    RULES,
-    LintViolation,
-    format_violations,
-    lint_paths,
-)
 from repro.analysis.simsan import (
     CHECKS,
     SanitizerReport,
@@ -45,16 +38,12 @@ from repro.analysis.simsan import (
 )
 
 __all__ = [
-    "RULES",
     "CHECKS",
     "FLOW_CODES",
     "MUTANTS",
-    "LintViolation",
     "SanViolation",
     "SanitizerReport",
     "FlowReport",
-    "lint_paths",
-    "format_violations",
     "run_flow",
     "run_mutants",
     "findings_to_json",

@@ -1,8 +1,16 @@
 """Command-line entry points for the analysis subsystem.
 
-``python -m repro.analysis lint [paths...]``
-    Run the :mod:`~repro.analysis.simlint` static pass (defaults to the
-    installed ``repro`` source tree); exits non-zero on violations.
+``python -m repro.analysis flow [options] [paths...]``
+    Run :mod:`~repro.analysis.flow`, the one static analyzer (defaults to
+    the installed ``repro`` source tree): the SIM simulator-discipline
+    rules, fingerprint soundness, unit taint, hot-path purity and the
+    :mod:`~repro.analysis.race` process-safety families, with JSON/SARIF
+    output and a checked-in baseline; exits non-zero on findings.
+
+``python -m repro.analysis flow-mutants [paths...]``
+    Seeded-defect self-validation: patch each known SIM, FLW and RCE
+    defect into an in-memory copy of the tree and require the matching
+    pass to catch it; exits non-zero if any mutant survives.
 
 ``python -m repro.analysis sanitize [options]``
     Run registry workloads with a :class:`~repro.obs.telemetry.Telemetry`
@@ -26,17 +34,6 @@
     repro.bench run <exp> --telemetry`` / ``--events`` against the
     :mod:`~repro.analysis.telemetry` schema checks; exits non-zero on
     schema problems (or if no artifacts are found).
-
-``python -m repro.analysis flow [options] [paths...]``
-    Run the :mod:`~repro.analysis.flow` whole-program passes (fingerprint
-    soundness, unit taint, hot-path purity, and the
-    :mod:`~repro.analysis.race` process-safety families) with JSON/SARIF
-    output and a checked-in baseline; exits non-zero on findings.
-
-``python -m repro.analysis flow-mutants [paths...]``
-    Seeded-defect self-validation: patch each known FLW and RCE defect
-    into an in-memory copy of the tree and require the matching pass to
-    catch it; exits non-zero if any mutant survives.
 """
 
 import argparse
@@ -56,7 +53,6 @@ from repro.analysis.flow.report import (
     write_json,
     write_sarif,
 )
-from repro.analysis.simlint import RULES, format_violations, lint_paths
 from repro.analysis.simsan import CHECKS, sanitize_tracer
 from repro.analysis.telemetry import (
     check_bundle_dir,
@@ -75,7 +71,7 @@ DEFAULT_POLICIES = ("locality-aware", "locality-balanced")
 DEFAULT_DETERMINISM_WORKLOADS = ("PR", "HJ")
 
 
-def _default_lint_root() -> Path:
+def _default_root() -> Path:
     """The installed repro package source (``src/repro``)."""
     return Path(__file__).resolve().parents[1]
 
@@ -110,25 +106,6 @@ class _BadArgs(Exception):
     """Invalid CLI arguments detected past argparse (exit code 2)."""
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        for code in sorted(RULES):
-            rule = RULES[code]
-            print(f"{code}  {rule.title}")
-            print(f"       {rule.rationale}")
-        return 0
-    paths = [Path(p) for p in args.paths] or [_default_lint_root()]
-    if not _check_paths(paths):
-        return 2
-    try:
-        select = _parse_select(args.select, RULES)
-    except _BadArgs:
-        return 2
-    violations = lint_paths(paths, select=select)
-    print(format_violations(violations))
-    return 1 if violations else 0
-
-
 def _cmd_flow(args: argparse.Namespace) -> int:
     if args.list_rules:
         for code in sorted(FLOW_CODES):
@@ -136,7 +113,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             print(f"{code}  {title}")
             print(f"       {rationale}")
         return 0
-    paths = [Path(p) for p in args.paths] or [_default_lint_root()]
+    paths = [Path(p) for p in args.paths] or [_default_root()]
     if not _check_paths(paths):
         return 2
     try:
@@ -181,7 +158,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_flow_mutants(args: argparse.Namespace) -> int:
-    paths = [Path(p) for p in args.paths] or [_default_lint_root()]
+    paths = [Path(p) for p in args.paths] or [_default_root()]
     if not _check_paths(paths):
         return 2
     baseline = None if args.no_baseline else _default_baseline()
@@ -209,51 +186,76 @@ def _cmd_flow_mutants(args: argparse.Namespace) -> int:
     return 1 if survived else 0
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    # Imported lazily: the lint half must not require numpy.
+def _run_set(args: argparse.Namespace, default_workloads):
+    """The validated (workload, policy) runs, or None after a usage error.
+
+    Every ``-w``/``-p`` name is checked before the first run, so a typo in
+    the last one costs no simulation.
+    """
     from repro.core.dispatch import DispatchPolicy
+    from repro.workloads.registry import WORKLOAD_NAMES
+
+    workloads = args.workload or list(default_workloads)
+    try:
+        policies = [DispatchPolicy(name)
+                    for name in args.policy or DEFAULT_POLICIES]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    for name in workloads:
+        if name not in WORKLOAD_NAMES:
+            print(f"error: unknown workload '{name}'; choose from "
+                  f"{WORKLOAD_NAMES}", file=sys.stderr)
+            return None
+    return [(name, policy) for name in workloads for policy in policies]
+
+
+def _traced_run(args: argparse.Namespace, name: str, policy):
+    """One run on a fresh ``System`` with the full PEI trace attached.
+
+    Returns ``(system, result, tracer)``.
+    """
+    # Imported lazily: the static half must not require numpy.
     from repro.obs.hooks import attach
     from repro.obs.telemetry import Telemetry
     from repro.system.config import scaled_config, tiny_config
     from repro.system.system import System
     from repro.workloads.registry import make_workload
 
-    workloads = args.workload or list(FIG10_WORKLOADS)
-    policies = args.policy or list(DEFAULT_POLICIES)
     config_fn = tiny_config if args.config == "tiny" else scaled_config
+    system = System(config_fn(), policy)
+    sink = Telemetry(trace_capacity=None)
+    attach(system.machine, sink)
+    result = system.run(make_workload(name, args.size, seed=args.seed),
+                        max_ops_per_thread=args.ops)
+    return system, result, sink.tracer
+
+
+def _cmd_sanitize(args: argparse.Namespace) -> int:
+    runs = _run_set(args, FIG10_WORKLOADS)
+    if runs is None:
+        return 2
     failures = 0
     total_peis = 0
-    for name in workloads:
-        for policy_name in policies:
-            try:
-                policy = DispatchPolicy(policy_name)
-                workload = make_workload(name, args.size, seed=args.seed)
-            except (KeyError, ValueError) as exc:
-                message = exc.args[0] if exc.args else exc
-                print(f"error: {message}", file=sys.stderr)
-                return 2
-            system = System(config_fn(), policy)
-            sink = Telemetry(trace_capacity=None)
-            attach(system.machine, sink)
-            system.run(workload, max_ops_per_thread=args.ops)
-            directory = system.machine.directory
-            report = sanitize_tracer(
-                sink.tracer,
-                operand_buffer_entries=system.config.pcu_operand_buffer_entries,
-                directory_entries=None if directory.ideal else directory.entries,
-            )
-            total_peis += report.peis_checked
-            status = "clean" if report.ok else f"{len(report.violations)} violation(s)"
-            print(f"sanitize {name:>4} / {policy.value:<17} "
-                  f"{report.peis_checked:>7} PEIs, "
-                  f"{report.fences_checked:>4} pfences: {status}")
-            if not report.ok:
-                failures += len(report.violations)
-                for violation in report.violations:
-                    print(f"  {violation}")
+    for name, policy in runs:
+        system, _, tracer = _traced_run(args, name, policy)
+        directory = system.machine.directory
+        report = sanitize_tracer(
+            tracer,
+            operand_buffer_entries=system.config.pcu_operand_buffer_entries,
+            directory_entries=None if directory.ideal else directory.entries,
+        )
+        total_peis += report.peis_checked
+        status = "clean" if report.ok else f"{len(report.violations)} violation(s)"
+        print(f"sanitize {name:>4} / {policy.value:<17} "
+              f"{report.peis_checked:>7} PEIs, "
+              f"{report.fences_checked:>4} pfences: {status}")
+        if not report.ok:
+            failures += len(report.violations)
+            for violation in report.violations:
+                print(f"  {violation}")
     verdict = "clean" if failures == 0 else f"{failures} violation(s)"
-    print(f"simsan: {total_peis} PEIs across "
-          f"{len(workloads) * len(policies)} run(s): {verdict}")
+    print(f"simsan: {total_peis} PEIs across {len(runs)} run(s): {verdict}")
     return 1 if failures else 0
 
 
@@ -277,56 +279,36 @@ def _fingerprint(result, tracer) -> Dict[str, object]:
 
 
 def _cmd_determinism(args: argparse.Namespace) -> int:
-    # Imported lazily: the lint half must not require numpy.
-    from repro.core.dispatch import DispatchPolicy
-    from repro.obs.hooks import attach
-    from repro.obs.telemetry import Telemetry
-    from repro.system.config import scaled_config, tiny_config
-    from repro.system.system import System
-    from repro.workloads.registry import make_workload
-
-    workloads = args.workload or list(DEFAULT_DETERMINISM_WORKLOADS)
-    policies = args.policy or list(DEFAULT_POLICIES)
-    config_fn = tiny_config if args.config == "tiny" else scaled_config
+    runs = _run_set(args, DEFAULT_DETERMINISM_WORKLOADS)
+    if runs is None:
+        return 2
     failures = 0
-    for name in workloads:
-        for policy_name in policies:
-            fingerprints = []
-            for _ in range(2):
-                try:
-                    policy = DispatchPolicy(policy_name)
-                    workload = make_workload(name, args.size, seed=args.seed)
-                except (KeyError, ValueError) as exc:
-                    message = exc.args[0] if exc.args else exc
-                    print(f"error: {message}", file=sys.stderr)
-                    return 2
-                system = System(config_fn(), policy)
-                sink = Telemetry(trace_capacity=None)
-                attach(system.machine, sink)
-                result = system.run(workload, max_ops_per_thread=args.ops)
-                fingerprints.append(_fingerprint(result, sink.tracer))
-            first, second = fingerprints
-            diverged = sorted(k for k in first if first[k] != second[k])
-            n_events = len(first["events"])
-            if diverged:
-                failures += 1
-                print(f"determinism {name:>4} / {policy_name:<17} "
-                      f"DIVERGED: {', '.join(diverged)}")
-                for key in diverged:
-                    a, b = first[key], second[key]
-                    if isinstance(a, tuple) and isinstance(b, tuple):
-                        for i, (x, y) in enumerate(zip(a, b)):
-                            if x != y:
-                                print(f"  {key}[{i}]: {x!r} != {y!r}")
-                                break
-                        else:
-                            print(f"  {key}: lengths {len(a)} != {len(b)}")
+    for name, policy in runs:
+        fingerprints = []
+        for _ in range(2):
+            _, result, tracer = _traced_run(args, name, policy)
+            fingerprints.append(_fingerprint(result, tracer))
+        first, second = fingerprints
+        diverged = sorted(k for k in first if first[k] != second[k])
+        if diverged:
+            failures += 1
+            print(f"determinism {name:>4} / {policy.value:<17} "
+                  f"DIVERGED: {', '.join(diverged)}")
+            for key in diverged:
+                a, b = first[key], second[key]
+                if isinstance(a, tuple) and isinstance(b, tuple):
+                    for i, (x, y) in enumerate(zip(a, b)):
+                        if x != y:
+                            print(f"  {key}[{i}]: {x!r} != {y!r}")
+                            break
                     else:
-                        print(f"  {key}: {a!r} != {b!r}")
-            else:
-                print(f"determinism {name:>4} / {policy_name:<17} "
-                      f"{n_events:>6} events, "
-                      f"{len(first['stats']):>3} stats: identical")
+                        print(f"  {key}: lengths {len(a)} != {len(b)}")
+                else:
+                    print(f"  {key}: {a!r} != {b!r}")
+        else:
+            print(f"determinism {name:>4} / {policy.value:<17} "
+                  f"{len(first['events']):>6} events, "
+                  f"{len(first['stats']):>3} stats: identical")
     verdict = "replayable" if failures == 0 else f"{failures} divergent run(s)"
     print(f"determinism: {verdict}")
     return 1 if failures else 0
@@ -368,29 +350,43 @@ def _cmd_checks(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_run_options(parser: argparse.ArgumentParser, workloads,
+                     size: str, config: str, ops: int) -> None:
+    """The run-set options ``sanitize`` and ``determinism`` share."""
+    parser.add_argument("--workload", "-w", action="append",
+                        help="registry workload name (repeatable; default: "
+                        f"{', '.join(workloads)})")
+    parser.add_argument("--policy", "-p", action="append",
+                        help="dispatch policy value (repeatable; default: "
+                        f"{', '.join(DEFAULT_POLICIES)})")
+    parser.add_argument("--size", default=size,
+                        choices=("small", "medium", "large"),
+                        help=f"input regime (default: {size})")
+    parser.add_argument("--config", default=config,
+                        choices=("scaled", "tiny"),
+                        help=f"machine preset (default: {config})")
+    parser.add_argument("--ops", type=int, default=ops,
+                        help=f"operations per thread (default: {ops})")
+    parser.add_argument("--seed", type=int, default=42)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Simulator lint pass and PEI protocol sanitizer.",
+        description="Static analyzer and PEI protocol sanitizer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lint = sub.add_parser("lint", help="static simulator-discipline checks")
-    lint.add_argument("paths", nargs="*", help="files/directories to lint "
-                      "(default: the installed repro source tree)")
-    lint.add_argument("--select", help="comma-separated rule codes to run")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
-    lint.set_defaults(func=_cmd_lint)
-
     flow = sub.add_parser(
-        "flow", help="whole-program checks (fingerprints, units, hot-path "
-        "purity, payload safety, durable writes, worker hygiene, ordering)")
+        "flow", help="static checks (simulator discipline, fingerprints, "
+        "units, hot-path purity, payload safety, durable writes, worker "
+        "hygiene, ordering)")
     flow.add_argument("paths", nargs="*", help="files/directories to "
                       "analyze (default: the installed repro source tree)")
-    flow.add_argument("--select", help="comma-separated FLW/RCE codes to run")
+    flow.add_argument("--select", help="comma-separated SIM/FLW/RCE codes "
+                      "to run")
     flow.add_argument("--list-rules", action="store_true",
-                      help="print the flow rule catalogue and exit")
+                      help="print the rule catalogue and exit")
     flow.add_argument("--baseline", help="accepted-findings file (default: "
                       "./flow-baseline.json when present)")
     flow.add_argument("--no-baseline", action="store_true",
@@ -403,8 +399,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     flow.set_defaults(func=_cmd_flow)
 
     flow_mutants = sub.add_parser(
-        "flow-mutants", help="seeded-defect self-validation of the FLW and "
-        "RCE passes")
+        "flow-mutants", help="seeded-defect self-validation of the SIM, FLW "
+        "and RCE passes")
     flow_mutants.add_argument("paths", nargs="*",
                               help="tree to mutate in memory (default: the "
                               "installed repro source tree)")
@@ -417,42 +413,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sanitize = sub.add_parser(
         "sanitize", help="run workloads under the PEI protocol sanitizer")
-    sanitize.add_argument("--workload", "-w", action="append",
-                          help="registry workload name (repeatable; default: "
-                          f"{', '.join(FIG10_WORKLOADS)})")
-    sanitize.add_argument("--policy", "-p", action="append",
-                          help="dispatch policy value (repeatable; default: "
-                          f"{', '.join(DEFAULT_POLICIES)})")
-    sanitize.add_argument("--size", default="large",
-                          choices=("small", "medium", "large"),
-                          help="input regime (default: large, the Fig. 10 size)")
-    sanitize.add_argument("--config", default="scaled",
-                          choices=("scaled", "tiny"),
-                          help="machine preset (default: scaled)")
-    sanitize.add_argument("--ops", type=int, default=8000,
-                          help="operations per thread (default: 8000)")
-    sanitize.add_argument("--seed", type=int, default=42)
+    _add_run_options(sanitize, FIG10_WORKLOADS, size="large",
+                     config="scaled", ops=8000)
     sanitize.set_defaults(func=_cmd_sanitize)
 
     determinism = sub.add_parser(
         "determinism",
         help="run each experiment twice and require bit-identical results")
-    determinism.add_argument("--workload", "-w", action="append",
-                             help="registry workload name (repeatable; "
-                             "default: "
-                             f"{', '.join(DEFAULT_DETERMINISM_WORKLOADS)})")
-    determinism.add_argument("--policy", "-p", action="append",
-                             help="dispatch policy value (repeatable; "
-                             f"default: {', '.join(DEFAULT_POLICIES)})")
-    determinism.add_argument("--size", default="small",
-                             choices=("small", "medium", "large"),
-                             help="input regime (default: small)")
-    determinism.add_argument("--config", default="tiny",
-                             choices=("scaled", "tiny"),
-                             help="machine preset (default: tiny)")
-    determinism.add_argument("--ops", type=int, default=2000,
-                             help="operations per thread (default: 2000)")
-    determinism.add_argument("--seed", type=int, default=42)
+    _add_run_options(determinism, DEFAULT_DETERMINISM_WORKLOADS,
+                     size="small", config="tiny", ops=2000)
     determinism.set_defaults(func=_cmd_determinism)
 
     telemetry = sub.add_parser(

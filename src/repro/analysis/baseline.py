@@ -1,6 +1,6 @@
 """Baseline machinery for the whole-program analyzer.
 
-simflow suppresses accepted pre-existing findings — FLW and RCE alike —
+simflow suppresses accepted pre-existing findings — SIM, FLW and RCE alike —
 through one checked-in JSON baseline (``flow-baseline.json``) matched by
 ``(code, rel-path, message)``, line numbers excluded so unrelated edits
 never churn the file, and reports entries that no longer match anything
@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Set, Tuple
+
+from repro.analysis.source import HYGIENE_CODE
 
 __all__ = ["Finding", "apply_baseline", "load_baseline", "write_baseline"]
 
@@ -70,9 +72,8 @@ def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
 
 
 def apply_baseline(findings: List[Finding], entries: List[Dict[str, str]],
-                   baseline_path: Path,
-                   hygiene_code: str) -> Tuple[List[Finding], int]:
-    """Suppress baselined findings; report stale entries under ``hygiene_code``.
+                   baseline_path: Path) -> Tuple[List[Finding], int]:
+    """Suppress baselined findings; report stale entries as ``FLW000``.
 
     Returns ``(kept, suppressed_count)``.  An entry is *stale* when no
     current finding carries its key; staleness anchors at the baseline file
@@ -86,7 +87,7 @@ def apply_baseline(findings: List[Finding], entries: List[Dict[str, str]],
     for code, rel, message in sorted(accepted - matched):
         snippet = message if len(message) <= 60 else message[:57] + "..."
         kept.append(Finding(
-            code=hygiene_code,
+            code=HYGIENE_CODE,
             message=(f"stale baseline entry: {code} in {rel} "
                      f"(\"{snippet}\") no longer matches any finding — "
                      f"remove it"),

@@ -1,11 +1,14 @@
-"""``simflow``: whole-program analysis over the simulator tree.
+"""``simflow``: the static analyzer of the simulator tree.
 
-Where :mod:`repro.analysis.simlint` checks each module in isolation,
-``simflow`` builds a project model — per-function CFGs
-(:mod:`~repro.analysis.flow.cfg`), a project-wide call graph with
-reachability (:mod:`~repro.analysis.flow.model`) — and runs seven
-interprocedural pass families on top of one parse and one model:
+``simflow`` parses the tree once and builds a project model — per-function
+CFGs (:mod:`~repro.analysis.flow.cfg`), a project-wide call graph with
+reachability (:mod:`~repro.analysis.flow.model`) — then runs eight pass
+families over that one parse and one model:
 
+* **SIM001, SIM003–SIM007** simulator discipline (:mod:`~repro.analysis.
+  flow.lint`): per-module checks for wall-clock reads, float equality on
+  timestamps, mutable or type-lying defaults, raw physical-unit literals,
+  and the completeness of the ISA and stats-key registries.
 * **FLW001–FLW003** fingerprint soundness (:mod:`~repro.analysis.flow.
   fingerprint`): every config/settings field the simulation reads must be
   covered by the cache fingerprints, no field may be dead, and every

@@ -1,13 +1,13 @@
 """simflow orchestration: parse -> model -> passes -> waivers -> baseline.
 
-The run pipeline mirrors simlint's but adds two layers the interprocedural
-passes need:
+One parse of the tree feeds every rule — the per-module SIM rules, the
+interprocedural FLW rules and the process-safety RCE rules — and two
+layers sit on top of the passes:
 
-* **waivers** — ``# simflow: ignore[FLW00x, RCE00x] -- justification``
-  pragmas, same tokenize-based parser and statement-span matching as
-  simlint but an independent namespace (a simlint waiver never silences a
-  flow finding or vice versa).  Unjustified and stale pragmas report as
-  ``FLW000``.
+* **waivers** — ``# simflow: ignore[SIM00x, FLW00x, RCE00x] --
+  justification`` pragmas, the one waiver namespace, matched by statement
+  span (:mod:`repro.analysis.source`).  Unjustified and stale pragmas
+  report as ``FLW000``.
 * **baseline** — a checked-in JSON file of accepted pre-existing findings,
   matched by ``(code, rel-path, message)`` (line numbers excluded so
   unrelated edits do not churn the file).  Findings in the baseline are
@@ -30,8 +30,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import (Finding, apply_baseline, load_baseline,
                                      write_baseline)
-from repro.analysis.source import Violation, apply_waivers, parse_project
+from repro.analysis.source import (HYGIENE_CODE, SYNTAX_CODE, Violation,
+                                   apply_waivers, parse_project)
 from repro.analysis.flow.fingerprint import run_fingerprint_pass
+from repro.analysis.flow.lint import run_lint_pass
 from repro.analysis.flow.model import ProjectModel
 from repro.analysis.flow.purity import hot_set, run_purity_pass
 from repro.analysis.flow.units import run_units_pass
@@ -100,15 +102,34 @@ FLOW_CODES: Dict[str, Tuple[str, str]] = {
     "RCE009": ("set-order dependent output",
                "set iteration feeds an order-sensitive durable output "
                "without sorted(...)"),
+    "SIM001": ("wall-clock time source",
+               "a call to, bound reference of or from-import of a host "
+               "clock (time.perf_counter, datetime.now, ...) breaks "
+               "bit-for-bit replay of simulated time"),
+    "SIM003": ("float equality on timestamps",
+               "==/!= on float host-cycle timestamps is brittle under "
+               "refactors that reassociate arithmetic; order them instead"),
+    "SIM004": ("mutable or type-lying default",
+               "a mutable default is shared across calls; a None default "
+               "under a non-Optional annotation lies to every reader"),
+    "SIM005": ("raw physical-unit literal",
+               "ns/GHz quantities belong in the parameter tables "
+               "(SystemConfig, ClockDomain, repro.energy.params), converted "
+               "through ClockDomain"),
+    "SIM006": ("unregistered PEI intrinsic",
+               "a pim_* intrinsic builds its Pei from an op missing from "
+               "repro.core.isa.PIM_OPS, an instruction the machine does not "
+               "decode"),
+    "SIM007": ("undeclared stats key",
+               "a literal stats.add/stats.set key missing from "
+               "repro.sim.stat_keys silently creates a counter every "
+               "consumer reads as zero"),
 }
-
-#: Hygiene findings (unjustified/stale waivers, stale baseline entries).
-HYGIENE_CODE = "FLW000"
-#: Unparseable-source findings.
-SYNTAX_CODE = "FLW999"
 
 #: Which pass implements which codes (drives --select pass skipping).
 _PASSES = (
+    (run_lint_pass, ("SIM001", "SIM003", "SIM004", "SIM005", "SIM006",
+                     "SIM007")),
     (run_fingerprint_pass, ("FLW001", "FLW002", "FLW003")),
     (run_units_pass, ("FLW004", "FLW005", "FLW006")),
     (run_purity_pass, ("FLW007", "FLW008", "FLW009")),
@@ -145,15 +166,14 @@ def run_flow(
 ) -> FlowReport:
     """Run the flow passes over every Python file under ``paths``.
 
-    ``select`` restricts to the given FLW/RCE codes (a pass whose codes are
+    ``select`` restricts to the given rule codes (a pass whose codes are
     all deselected is skipped entirely).  ``baseline`` names an
     accepted-findings file; matches are suppressed, stale entries reported.
     ``overrides`` substitutes in-memory source text by rel-path suffix —
     the seeded-defect mutants run through this without touching the tree.
     """
-    project, syntax_errors = parse_project(
-        [Path(p) for p in paths], tool="simflow",
-        syntax_error_code=SYNTAX_CODE, overrides=overrides)
+    project, syntax_errors = parse_project([Path(p) for p in paths],
+                                           overrides=overrides)
     model = ProjectModel(project)
 
     selected = (set(code.upper() for code in select)
@@ -164,9 +184,7 @@ def run_flow(
             continue
         raw.extend(v for v in pass_fn(model) if v.code in selected)
 
-    survivors = apply_waivers(project, raw, selected,
-                              unjustified_code=HYGIENE_CODE,
-                              stale_code=HYGIENE_CODE)
+    survivors = apply_waivers(project, raw, selected)
 
     rel_of = {str(m.path): m.rel for m in project.modules}
     findings = [Finding(code=v.code, message=v.message, path=v.path,
@@ -178,8 +196,7 @@ def run_flow(
     if baseline is not None and Path(baseline).exists():
         entries = load_baseline(Path(baseline))
         findings, baselined = apply_baseline(findings, entries,
-                                             Path(baseline),
-                                             hygiene_code=HYGIENE_CODE)
+                                             Path(baseline))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     rce_selected = any(code.startswith("RCE") for code in selected)

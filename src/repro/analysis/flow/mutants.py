@@ -1,20 +1,20 @@
-"""Seeded-defect self-validation for the flow passes.
+"""Seeded-defect self-validation for the simflow passes.
 
 A static analyzer that is never shown a true positive is just a formatter.
 Each mutant below patches one realistic defect into an *in-memory* copy of
 the tree (the files on disk are never touched — ``parse_project``'s
 ``overrides`` hook substitutes the source text) and the corresponding pass
 must produce a finding that the pristine tree does not have.  ``make
-flow-mutants`` runs the full gauntlet — these FLW mutants plus the RCE
-ones in :mod:`repro.analysis.race.mutants` — and fails if any mutant
+flow-mutants`` runs the full gauntlet — these SIM and FLW mutants plus the
+RCE ones in :mod:`repro.analysis.race.mutants` — and fails if any mutant
 survives, so a refactor of the analyzer that silently blinds a pass fails
 CI even though the clean tree still reports clean.
 
-The defects are the actual failure modes the passes exist for: a config
-field dropped from the fingerprint (stale-cache corruption), an ns/cycles
-mix (unit corruption), a set iteration in the replay loop (replay
-nondeterminism), a per-op allocation (the regression trace replay was
-built to remove).
+The defects are the actual failure modes the passes exist for: a host
+clock in a core model (replay breaks), a config field dropped from the
+fingerprint (stale-cache corruption), an ns/cycles mix (unit corruption),
+a set iteration in the replay loop (replay nondeterminism), a per-op
+allocation (the regression trace replay was built to remove).
 """
 
 from pathlib import Path
@@ -25,6 +25,65 @@ from repro.analysis.flow.engine import FlowReport, run_flow
 from repro.analysis.race.mutants import RACE_MUTANTS
 
 __all__ = ["MUTANTS", "Mutant", "MutantResult", "run_mutants"]
+
+
+_SIM_MUTANTS: Tuple[Mutant, ...] = (
+    Mutant(
+        name="executor-host-clock",
+        code="SIM001",
+        description="the executor stamps a PEI's issue with the host clock "
+                    "— simulated time stops replaying bit for bit",
+        edits=(("core/executor.py",
+                "        issue_time = pcu.operand_buffer.allocate(core.time)\n",
+                "        issue_time = pcu.operand_buffer.allocate(time.time())\n"),),
+    ),
+    Mutant(
+        name="fence-horizon-equality",
+        code="SIM003",
+        description="the pfence horizon advances on any differing "
+                    "completion — float equality on a timestamp",
+        edits=(("core/pim_directory.py",
+                "            if completion > self._fence_horizon:\n",
+                "            if completion != self._fence_horizon:\n"),),
+    ),
+    Mutant(
+        name="shared-chain-default",
+        code="SIM004",
+        description="pim_hash_probe's chain defaults to one list shared by "
+                    "every call",
+        edits=(("core/intrinsics.py",
+                "def pim_hash_probe(addr: int, chain=None) -> Pei:",
+                "def pim_hash_probe(addr: int, chain=[]) -> Pei:"),),
+    ),
+    Mutant(
+        name="dram-burst-literal",
+        code="SIM005",
+        description="DramTimings.from_config hard-codes the burst time "
+                    "instead of reading Table 2's value from SystemConfig",
+        edits=(("mem/dram.py",
+                "            burst_ns=config.dram_burst_ns,\n",
+                "            burst_ns=1.25,\n"),),
+    ),
+    Mutant(
+        name="intrinsic-unregistered-op",
+        code="SIM006",
+        description="pim_inc builds its Pei from an op PIM_OPS does not "
+                    "register — Table 1 has no such instruction",
+        edits=(("core/intrinsics.py",
+                "    return Pei(INT_INCREMENT, addr)\n",
+                "    return Pei(INT_DECREMENT, addr)\n"),),
+    ),
+    Mutant(
+        name="misspelt-stats-key",
+        code="SIM007",
+        description="the pfence counter goes through stats.add with a "
+                    "misspelt key — a parallel counter every consumer reads "
+                    "as zero",
+        edits=(("core/pmu.py",
+                "        self._slots[SLOT_PEI_PFENCES] += 1.0\n",
+                "        self.stats.add(\"pei.pfence\", 1.0)\n"),),
+    ),
+)
 
 
 _FLW_MUTANTS: Tuple[Mutant, ...] = (
@@ -190,8 +249,8 @@ _FLW_MUTANTS: Tuple[Mutant, ...] = (
     ),
 )
 
-#: The whole gauntlet: at least one mutant per FLW and RCE code.
-MUTANTS: Tuple[Mutant, ...] = _FLW_MUTANTS + RACE_MUTANTS
+#: The whole gauntlet: at least one mutant per SIM, FLW and RCE code.
+MUTANTS: Tuple[Mutant, ...] = _SIM_MUTANTS + _FLW_MUTANTS + RACE_MUTANTS
 
 
 def run_mutants(

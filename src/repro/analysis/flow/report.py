@@ -1,7 +1,7 @@
 """simflow output: terminal text, machine JSON, and SARIF 2.1.0.
 
 The SARIF document is the minimal valid subset GitHub code scanning
-ingests: one run, one driver with the FLW and RCE rule catalogue, one
+ingests: one run, one driver with the SIM, FLW and RCE rule catalogue, one
 result per finding with a physical location.  ``rel`` paths (relative to
 the analyzed root) are used as artifact URIs so the document is
 machine-independent.  The scope line names the hot set and, when an RCE
@@ -21,7 +21,7 @@ _TOOL_URI = "docs/analysis.md"
 
 
 def format_report(report: FlowReport) -> str:
-    """Human-readable result block (mirrors simlint's format)."""
+    """Human-readable result block: one line per finding, then a verdict."""
     lines = [str(finding) for finding in report.findings]
     base = (f" ({report.baselined} baselined)" if report.baselined else "")
     scope = (f"{report.modules} modules, {report.functions} functions, "

@@ -1,15 +1,14 @@
-"""Shared source model for the static-analysis tools (simlint + simflow).
+"""Shared source model for simflow, the one static analyzer.
 
-Both analyzers consume the same parsed view of the tree: a :class:`Module`
+Every pass consumes the same parsed view of the tree: a :class:`Module`
 per file (source text, AST, waiver pragmas) collected into a
-:class:`Project`.  This module owns that data model plus the two pieces of
-machinery the tools must agree on exactly:
+:class:`Project`.  This module owns that data model plus the waiver
+machinery every rule shares:
 
-* **Waiver parsing** — ``# <tool>: ignore[CODE, ...] -- justification``
+* **Waiver parsing** — ``# simflow: ignore[CODE, ...] -- justification``
   pragmas extracted through :mod:`tokenize`, so pragma-shaped text inside
-  strings and docstrings is never mistaken for a live waiver.  The tool
-  name is a parameter, and there are exactly two namespaces: ``simlint``
-  (SIM codes) and ``simflow`` (FLW and RCE codes alike).
+  strings and docstrings is never mistaken for a live waiver.  There is
+  one namespace, for SIM, FLW and RCE codes alike.
 * **Waiver application** — a violation is suppressed when a justified
   pragma names its code and sits on the same *logical statement*.  A
   pragma matches not only the exact violation line but any line of the
@@ -17,8 +16,8 @@ machinery the tools must agree on exactly:
   continuation lines of a multi-line call), because rules anchor their
   report at the statement's first line while the human naturally writes
   the pragma next to the offending token.  Unjustified pragmas and pragmas
-  that suppress nothing are themselves reported, so the tree can never
-  silently accumulate unexplained or dead exemptions.
+  that suppress nothing are themselves reported (``FLW000``), so the tree
+  can never silently accumulate unexplained or dead exemptions.
 """
 
 import ast
@@ -30,6 +29,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
+    "HYGIENE_CODE",
+    "SYNTAX_CODE",
     "Module",
     "Project",
     "Violation",
@@ -44,6 +45,12 @@ __all__ = [
     "statement_spans",
     "terminal_identifier",
 ]
+
+
+#: Hygiene findings: unjustified/stale waivers and stale baseline entries.
+HYGIENE_CODE = "FLW000"
+#: Unparseable-source findings.
+SYNTAX_CODE = "FLW999"
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class Violation:
 
 @dataclass
 class Waiver:
-    """An inline ``# <tool>: ignore[...]`` pragma."""
+    """An inline ``# simflow: ignore[...]`` pragma."""
 
     line: int           # line the waiver applies to
     codes: Tuple[str, ...]
@@ -105,19 +112,8 @@ class Project:
 # Waiver parsing
 # ----------------------------------------------------------------------
 
-_WAIVER_RES: Dict[str, "re.Pattern"] = {}
-
-
-def _waiver_re(tool: str) -> "re.Pattern":
-    try:
-        return _WAIVER_RES[tool]
-    except KeyError:
-        pattern = re.compile(
-            r"#\s*" + re.escape(tool)
-            + r":\s*ignore\[([A-Za-z0-9_,\s]+)\]\s*(?:(?:--|—|–|-|:)?\s*(\S.*))?$"
-        )
-        _WAIVER_RES[tool] = pattern
-        return pattern
+_WAIVER_RE = re.compile(
+    r"#\s*simflow:\s*ignore\[([A-Za-z0-9_,\s]+)\]\s*(?:(?:--|—|–|-|:)?\s*(\S.*))?$")
 
 
 def _waiver_from_match(match: "re.Match", lineno: int, own_line: bool,
@@ -138,8 +134,8 @@ def _waiver_from_match(match: "re.Match", lineno: int, own_line: bool,
                   justification=justification, pragma_line=lineno)
 
 
-def parse_waivers(source: str, tool: str = "simlint") -> List[Waiver]:
-    """Extract ``tool``'s waiver pragmas from real ``#`` comments only.
+def parse_waivers(source: str) -> List[Waiver]:
+    """Extract the waiver pragmas from real ``#`` comments only.
 
     Tokenizing (rather than scanning raw lines) keeps pragma *text inside
     strings and docstrings* from being mistaken for a live waiver, which
@@ -147,17 +143,16 @@ def parse_waivers(source: str, tool: str = "simlint") -> List[Waiver]:
     that fail to tokenize fall back to the raw line scan so a syntax error
     still gets best-effort waiver handling.
     """
-    pattern = _waiver_re(tool)
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
-        return _parse_waivers_raw(source, pattern)
+        return _parse_waivers_raw(source)
     waivers = []
     lines = source.splitlines()
     for token in tokens:
         if token.type != tokenize.COMMENT:
             continue
-        match = pattern.search(token.string)
+        match = _WAIVER_RE.search(token.string)
         if match is None:
             continue
         lineno = token.start[0]
@@ -166,12 +161,12 @@ def parse_waivers(source: str, tool: str = "simlint") -> List[Waiver]:
     return waivers
 
 
-def _parse_waivers_raw(source: str, pattern: "re.Pattern") -> List[Waiver]:
+def _parse_waivers_raw(source: str) -> List[Waiver]:
     """Line-scanning fallback for sources the tokenizer rejects."""
     waivers = []
     lines = source.splitlines()
     for lineno, line in enumerate(lines, start=1):
-        match = pattern.search(line)
+        match = _WAIVER_RE.search(line)
         if match is None:
             continue
         own_line = not line[: match.start()].strip()
@@ -236,11 +231,11 @@ def collect_files(paths: Iterable[Path]) -> List[Tuple[Path, str]]:
 
 def parse_project(
     paths: Iterable[Path],
-    tool: str = "simlint",
-    syntax_error_code: str = "SIM999",
     overrides: Optional[Dict[str, str]] = None,
 ) -> Tuple[Project, List[Violation]]:
     """Parse every file under ``paths`` into a Project.
+
+    Files that fail to parse come back as ``FLW999`` violations.
 
     ``overrides`` maps a relative-path suffix to replacement source text —
     the in-memory mutation hook the seeded-defect self-validation uses to
@@ -258,11 +253,11 @@ def parse_project(
             tree = ast.parse(source, filename=str(file))
         except SyntaxError as exc:
             errors.append(Violation(
-                code=syntax_error_code, message=f"syntax error: {exc.msg}",
+                code=SYNTAX_CODE, message=f"syntax error: {exc.msg}",
                 path=str(file), line=exc.lineno or 1, col=exc.offset or 0))
             continue
         modules.append(Module(path=file, rel=rel, source=source, tree=tree,
-                              waivers=parse_waivers(source, tool)))
+                              waivers=parse_waivers(source)))
     return Project(modules), errors
 
 
@@ -290,18 +285,15 @@ def apply_waivers(
     project: Project,
     raw: Sequence[Violation],
     active_codes: Set[str],
-    unjustified_code: str,
-    stale_code: str,
 ) -> List[Violation]:
     """Suppress waived violations; report waiver-hygiene problems.
 
     A violation is dropped when a *justified* pragma names its code and
-    matches its statement.  An unjustified pragma is reported under
-    ``unjustified_code`` and suppresses nothing; a justified pragma that
-    matched no violation is reported under ``stale_code`` — but only when
-    every code it names was actually checked (``active_codes``), since a
-    selective run says nothing about the other rules' waivers.  The result
-    is sorted by location.
+    matches its statement.  An unjustified pragma is reported as
+    ``FLW000`` and suppresses nothing; so is a justified pragma that
+    matched no violation — but only when every code it names was actually
+    checked (``active_codes``), since a selective run says nothing about
+    the other rules' waivers.  The result is sorted by location.
     """
     modules_by_path: Dict[str, Module] = {str(m.path): m for m in project.modules}
     # A waiver is "used" if any raw violation matched its line and codes,
@@ -327,16 +319,16 @@ def apply_waivers(
         for waiver in module.waivers:
             if not waiver.justification:
                 kept.append(Violation(
-                    code=unjustified_code,
+                    code=HYGIENE_CODE,
                     message=("waiver without justification — write "
-                             "`# <tool>: ignore[CODE] -- <reason>`"),
+                             "`# simflow: ignore[CODE] -- <reason>`"),
                     path=str(module.path),
                     line=waiver.pragma_line))
             elif (id(waiver) not in used
                     and set(waiver.codes) <= active_codes):
                 codes = ", ".join(waiver.codes)
                 kept.append(Violation(
-                    code=stale_code,
+                    code=HYGIENE_CODE,
                     message=(f"waiver for {codes} suppresses nothing — "
                              f"delete the stale pragma"),
                     path=str(module.path),

@@ -1,4 +1,4 @@
-"""Schema checks for telemetry artifacts (pure stdlib, like simlint).
+"""Schema checks for telemetry artifacts (pure stdlib, like simflow).
 
 Validates the three files a :class:`~repro.obs.telemetry.Telemetry` bundle
 writes — the interval time-series JSONL, the Chrome Trace Event JSON, and

@@ -271,9 +271,9 @@ def _cmd_run(args) -> int:
         settings=settings_dict(runner.current_settings()))
     for name in names:
         before = runner.accounting().snapshot()
-        t0 = time.perf_counter()  # simlint: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
+        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
         report = EXPERIMENTS[name]()
-        elapsed = time.perf_counter() - t0  # simlint: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
+        elapsed = time.perf_counter() - t0  # simflow: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
         entry = trajectory.record(name, elapsed,
                                   before, runner.accounting().snapshot())
         if progress is not None:
@@ -338,9 +338,9 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs, cache_info=cache_info,
         settings=settings_dict(runner.current_settings()))
     before = runner.accounting().snapshot()
-    t0 = time.perf_counter()  # simlint: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
+    t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
     report = SweepRunner(spec, checkpoint=checkpoint).run(full=args.full)
-    elapsed = time.perf_counter() - t0  # simlint: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
+    elapsed = time.perf_counter() - t0  # simflow: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
     trajectory.record(f"sweep:{spec.name}", elapsed,
                       before, runner.accounting().snapshot())
     trajectory.sweep = report

@@ -305,9 +305,9 @@ def _execute_payload(payload) -> Dict:
                      label=request.label(), worker=pid),
         worker_event("simulate_start", fingerprint=fp, worker=pid),
     ]
-    t0 = time.perf_counter()  # simlint: ignore[SIM001] -- harness wall time for ledger events; never feeds simulated time
+    t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness wall time for ledger events; never feeds simulated time
     result = simulate(request, telemetry=telemetry, trace=trace)
-    dur = time.perf_counter() - t0  # simlint: ignore[SIM001] -- harness wall time for ledger events; never feeds simulated time
+    dur = time.perf_counter() - t0  # simflow: ignore[SIM001] -- harness wall time for ledger events; never feeds simulated time
     events.append(worker_event(
         "simulate_end", fingerprint=fp, worker=pid, dur_s=dur,
         cycles=float(result.cycles), instructions=int(result.instructions)))

@@ -86,9 +86,9 @@ def engine_ops_per_second(
     instructions = 0.0
     for _ in range(rounds):
         system = System(tiny_config(), DispatchPolicy.LOCALITY_AWARE)
-        t0 = time.perf_counter()  # simlint: ignore[SIM001] -- measures the simulator's own host cost; never feeds simulated time
+        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- measures the simulator's own host cost; never feeds simulated time
         result = system.run(trace, engine=engine)
-        elapsed = time.perf_counter() - t0  # simlint: ignore[SIM001] -- measures the simulator's own host cost; never feeds simulated time
+        elapsed = time.perf_counter() - t0  # simflow: ignore[SIM001] -- measures the simulator's own host cost; never feeds simulated time
         instructions = result.instructions
         if elapsed < best:
             best = elapsed

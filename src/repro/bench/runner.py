@@ -368,7 +368,7 @@ def _execute(requests: Sequence[RunRequest]) -> List[RunResult]:
         def on_payload(index, envelope, _listener=ledger.listener):
             for event in envelope["events"]:
                 _listener(event)
-    t0 = time.perf_counter()  # simlint: ignore[SIM001] -- harness throughput accounting; never feeds simulated time
+    t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness throughput accounting; never feeds simulated time
     try:
         envelopes = frontier.execute_batch(
             requests,
@@ -383,7 +383,7 @@ def _execute(requests: Sequence[RunRequest]) -> List[RunResult]:
     except Exception as exc:
         ledger.emit("failure", fingerprint="batch", error=repr(exc))
         raise
-    elapsed = time.perf_counter() - t0  # simlint: ignore[SIM001] -- harness throughput accounting; never feeds simulated time
+    elapsed = time.perf_counter() - t0  # simflow: ignore[SIM001] -- harness throughput accounting; never feeds simulated time
     results = [RunResult.from_dict(e["result"]) for e in envelopes]
     _AGGREGATOR.add_batch(elapsed)
     for envelope in envelopes:

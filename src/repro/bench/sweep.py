@@ -462,7 +462,7 @@ class SweepRunner:
         the ground-truth mode the adaptive result is validated against.
         """
         spec = self.spec
-        t0 = time.perf_counter()  # simlint: ignore[SIM001] -- sweep wall-clock throughput accounting; never feeds simulated time
+        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- sweep wall-clock throughput accounting; never feeds simulated time
         accounting0 = runner.accounting().snapshot()
         sampler = AdaptiveSampler(
             n=len(spec.values), seed=spec.seed,
@@ -505,7 +505,7 @@ class SweepRunner:
                 completed = not sampler.next_round()
                 break
             planned = sampler.next_round()
-        elapsed = time.perf_counter() - t0  # simlint: ignore[SIM001] -- sweep wall-clock throughput accounting; never feeds simulated time
+        elapsed = time.perf_counter() - t0  # simflow: ignore[SIM001] -- sweep wall-clock throughput accounting; never feeds simulated time
         return self._report(sampler, elapsed, accounting0,
                             completed=completed, full=full,
                             resumed_rounds=resumed_rounds)

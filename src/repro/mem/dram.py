@@ -38,7 +38,7 @@ class DramTimings:
         """Convert nanosecond timings into host cycles.
 
         Values intentionally have no defaults: physical-unit constants live
-        in :class:`repro.system.config.SystemConfig` (simlint SIM005), so
+        in :class:`repro.system.config.SystemConfig` (simflow SIM005), so
         callers must pass them from there (see ``from_config``).
         """
         clock = ClockDomain(1.0, host_freq_ghz)

@@ -121,7 +121,8 @@ class RunLedger(NullLedger):
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
                  listener: Optional[Callable[[Dict], None]] = None):
-        # Harness wall time only; ledger timestamps never feed simulated time.
+        # simflow: ignore[SIM001] -- harness wall time for ledger
+        # timestamps; never feeds simulated time
         self._clock = clock if clock is not None else time.perf_counter
         self.listener = listener
         self.events: List[Dict] = []

@@ -4,9 +4,9 @@ The flat :class:`~repro.sim.stats.Stats` namespace is convenient but
 typo-prone: ``stats.add("pei.host_dispatch")`` would silently create a new
 counter next to ``pei.host_dispatched`` and every downstream consumer would
 read zeros.  This module declares the complete key vocabulary, grouped by
-subsystem; the ``SIM007`` lint rule (:mod:`repro.analysis.simlint`) flags
-any literal ``stats.add``/``stats.set`` key in ``src/repro`` that is not
-declared here.
+subsystem; simflow's ``SIM007`` rule (:mod:`repro.analysis.flow.lint`)
+flags any literal ``stats.add``/``stats.set`` key in ``src/repro`` that is
+not declared here.
 
 When adding a new counter: add the key to the matching ``*_KEYS`` group (or
 start a new group — any module-level tuple whose name ends in ``_KEYS`` is

@@ -51,7 +51,7 @@ def _print_report(label: str, report: ExploreReport, elapsed: float) -> bool:
 
 
 def _elapsed_since(start: float) -> float:
-    return time.perf_counter() - start  # simlint: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+    return time.perf_counter() - start  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -77,7 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     ok = True
-    start = time.perf_counter()  # simlint: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+    start = time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
 
     if args.command in ("explore", "diff", "all"):
         bounds = _bounds_from_args(args)
@@ -85,7 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cases = len(bounds.directory_cases())
         print(f"enumerating {total} schedules x {cases} directory geometries "
               f"(max {args.max_peis} PEIs over {args.blocks} blocks)")
-        t0 = time.perf_counter()  # simlint: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
         if args.command == "explore":
             report = explore(bounds)
             ok = _print_report("explore", report, _elapsed_since(t0)) and ok
@@ -95,12 +95,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                                _elapsed_since(t0)) and ok
 
     if args.command in ("coherence", "all"):
-        t0 = time.perf_counter()  # simlint: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
         report = run_coherence(_coherence_bounds_from_args(args))
         ok = _print_report("coherence", report, _elapsed_since(t0)) and ok
 
     if args.command in ("mutants", "all"):
-        t0 = time.perf_counter()  # simlint: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
         mutant_report = run_mutants()
         print(f"[mutants] {mutant_report.summary()} "
               f"in {_elapsed_since(t0):.1f}s")

@@ -16,7 +16,7 @@ from .test_flow import write_tree
 
 CLEAN_MODULE = "def add(a, b):\n    return a + b\n"
 
-# SIM004 (simlint): a mutable default is shared across calls.
+# SIM004: a mutable default is shared across calls.
 LINT_DIRTY_MODULE = (
     "def collect(items=[]):\n"
     "    return items\n"
@@ -34,29 +34,6 @@ RACE_DIRTY_MODULE = (
     "    with open(path, 'w') as fh:\n"
     "        fh.write(text)\n"
 )
-
-
-class TestLintExitCodes:
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["lint", str(tmp_path)]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_findings_exit_one(self, tmp_path, capsys):
-        write_tree(tmp_path, {"mod.py": LINT_DIRTY_MODULE})
-        assert main(["lint", str(tmp_path)]) == 1
-        assert "SIM004" in capsys.readouterr().out
-
-    def test_missing_path_exits_two(self, tmp_path):
-        assert main(["lint", str(tmp_path / "nope")]) == 2
-
-    def test_unknown_select_code_exits_two(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["lint", str(tmp_path), "--select", "SIM999"]) == 2
-
-    def test_list_rules_exits_zero(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        assert "SIM001" in capsys.readouterr().out
 
 
 class TestFlowExitCodes:
@@ -112,9 +89,24 @@ class TestFlowExitCodes:
         assert sarif["version"] == "2.1.0"
         results = sarif["runs"][0]["results"]
         assert [r["ruleId"] for r in results] == [self.CODE]
-        # One driver carries both catalogues.
+        # One driver carries every catalogue.
         rules = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"FLW001", "RCE001", "FLW000"} <= rules
+        assert {"SIM001", "FLW001", "RCE001", "FLW000"} <= rules
+
+
+class TestLintExitCodes(TestFlowExitCodes):
+    """The same contract on a SIM finding: the SIM rules run in ``flow``
+    (there is no ``lint`` command), and the retired ``SIM999`` syntax code
+    is no rule."""
+
+    DIRTY_TREE = {"mod.py": LINT_DIRTY_MODULE}
+    CODE = "SIM004"
+    UNKNOWN_CODE = "SIM999"
+
+    def test_lint_command_is_retired(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestRaceExitCodes(TestFlowExitCodes):
@@ -165,3 +157,26 @@ class TestFlowMutantsExitCodes:
         # none), not report a vacuous pass.
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
         assert main(["flow-mutants", str(tmp_path), "--no-baseline"]) == 2
+
+
+class TestRunSetUsage:
+    """``sanitize`` and ``determinism`` reject a bad ``-w``/``-p`` name
+    before they simulate anything."""
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        from repro.system.system import System
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started before the usage error")
+        monkeypatch.setattr(System, "run", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["sanitize", "-w", "PR", "-w", "BOGUS"],
+        ["sanitize", "-p", "locality-aware", "-p", "bogus"],
+        ["determinism", "-w", "PR", "-w", "BOGUS"],
+        ["determinism", "-p", "locality-aware", "-p", "bogus"],
+    ])
+    def test_usage_error_comes_before_any_run(self, no_runs, argv, capsys):
+        assert main(argv + ["--size", "small", "--ops", "10"]) == 2
+        assert "bogus" in capsys.readouterr().err.lower()

@@ -83,8 +83,7 @@ def codes_of(report):
 class TestRealTree:
     @pytest.fixture(scope="class")
     def model(self):
-        project, errors = parse_project([REPO_SRC], tool="simflow",
-                                        syntax_error_code="FLW999")
+        project, errors = parse_project([REPO_SRC])
         assert not errors
         return ProjectModel(project)
 
@@ -275,6 +274,8 @@ class TestFlowWaivers:
         assert codes_of(run_flow([tmp_path])) == ["FLW007", "FLW009"]
 
     def test_simlint_namespace_does_not_silence_flow(self, tmp_path):
+        """`# simflow:` is the one waiver namespace; a retired `# simlint:`
+        pragma is a plain comment."""
         tree = dict(PURITY_TREE)
         tree["system/system.py"] = tree["system/system.py"].replace(
             "        waiting = {1, 2}\n",
@@ -288,14 +289,14 @@ class TestWaiverSpans:
 
     def test_own_line_pragma_targets_next_code_line(self):
         waivers = parse_waivers(
-            "# simlint: ignore[SIM001] -- reason\n"
+            "# simflow: ignore[SIM001] -- reason\n"
             "# continuation comment\n"
             "\n"
             "x = 1\n")
         assert [w.line for w in waivers] == [4]
 
     def test_trailing_pragma_targets_its_own_line(self):
-        waivers = parse_waivers("x = 1  # simlint: ignore[SIM001] -- r\n")
+        waivers = parse_waivers("x = 1  # simflow: ignore[SIM001] -- r\n")
         assert [w.line for w in waivers] == [1]
 
     def test_pragma_inside_multiline_call_suppresses_first_line(self, tmp_path):
@@ -314,18 +315,17 @@ class TestWaiverSpans:
         assert codes_of(run_flow([tmp_path])) == []
 
     def test_pragma_on_decorator_suppresses_def_line_finding(self, tmp_path):
-        """simlint reports SIM004 at the def line; the decorator belongs to
-        the same statement span."""
-        from repro.analysis.simlint import lint_paths
+        """SIM004 reports at the default on the def line; the decorator
+        belongs to the same statement span."""
         target = tmp_path / "mod.py"
         target.write_text(
             "import functools\n"
             "\n"
-            "@functools.lru_cache  # simlint: ignore[SIM004] -- span test\n"
+            "@functools.lru_cache  # simflow: ignore[SIM004] -- span test\n"
             "def f(xs=[]):\n"
             "    return xs\n",
             encoding="utf-8")
-        assert lint_paths([tmp_path]) == []
+        assert codes_of(run_flow([tmp_path])) == []
 
 
 # ----------------------------------------------------------------------

@@ -66,19 +66,19 @@ class TestRealTree:
         assert report.findings == [], "\n".join(map(str, report.findings))
 
     def test_worker_slice_is_rooted_at_the_payload_executor(self):
-        project, _ = parse_project([REPO_SRC], tool="simflow")
+        project, _ = parse_project([REPO_SRC])
         ctx = build_context(ProjectModel(project))
         assert any(q.endswith(":_execute_payload") for q in ctx.entries)
         # The slice reaches the simulation core the workers actually run.
         assert any("system/system.py" in q for q in ctx.worker_slice)
 
     def test_settings_env_vars_are_pinned(self):
-        project, _ = parse_project([REPO_SRC], tool="simflow")
+        project, _ = parse_project([REPO_SRC])
         ctx = build_context(ProjectModel(project))
         assert "REPRO_BENCH_SEED" in ctx.pinned
 
     def test_run_ledger_is_structurally_process_unsafe(self):
-        project, _ = parse_project([REPO_SRC], tool="simflow")
+        project, _ = parse_project([REPO_SRC])
         unsafe = worker_unsafe_classes(ProjectModel(project))
         assert "RunLedger" in unsafe
 

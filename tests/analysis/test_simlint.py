@@ -1,18 +1,20 @@
-"""Injected-fault tests for every simlint rule.
+"""Injected-fault tests for every SIM rule of simflow's lint pass.
 
-Each test writes a small source tree into ``tmp_path``, runs the linter on
-it, and asserts the expected rule code fires exactly where expected — and
-nowhere else.  The final test pins the acceptance criterion: the *real*
-``src/repro`` tree lints clean.
+Each test writes a small source tree into ``tmp_path``, runs the analyzer
+with the SIM rules selected, and asserts the expected rule code fires
+exactly where expected — and nowhere else.  The file keeps the name of
+the ``simlint`` tool these rules came from; ``test_flow.py::TestRealTree``
+holds the real tree clean under every rule at once.
 """
 
-from pathlib import Path
+from repro.analysis.flow import FLOW_CODES, format_report, run_flow
 
-import pytest
+SIM_CODES = ["SIM001", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007"]
 
-from repro.analysis.simlint import RULES, format_violations, lint_paths
 
-REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+def lint_paths(paths, select=None):
+    """The findings of the SIM rules (or ``select``) under ``paths``."""
+    return run_flow(paths, select=select or SIM_CODES).findings
 
 
 def lint_source(tmp_path, source, rel="mod.py", select=None):
@@ -32,6 +34,7 @@ class TestWallClock:
         out = lint_source(tmp_path, "import time\nstart = time.time()\n")
         assert codes(out) == ["SIM001"]
         assert out[0].line == 2
+        assert "call `time.time()`" in out[0].message
 
     def test_perf_counter_and_datetime_fire(self, tmp_path):
         out = lint_source(
@@ -40,6 +43,28 @@ class TestWallClock:
             "a = time.perf_counter()\nb = datetime.now()\n",
         )
         assert codes(out) == ["SIM001", "SIM001"]
+
+    def test_bound_clock_reference_fires(self, tmp_path):
+        """A clock stored for later calls reads the host clock all the same."""
+        out = lint_source(
+            tmp_path,
+            "import time\n\n"
+            "class Ledger:\n"
+            "    def __init__(self, clock=None):\n"
+            "        self._clock = clock if clock is not None "
+            "else time.perf_counter\n")
+        assert codes(out) == ["SIM001"]
+        assert out[0].line == 5
+        assert "reference `time.perf_counter`" in out[0].message
+
+    def test_from_time_import_fires(self, tmp_path):
+        out = lint_source(
+            tmp_path,
+            "from time import perf_counter, sleep\n"
+            "start = perf_counter()\n")
+        assert codes(out) == ["SIM001"]
+        assert out[0].line == 1
+        assert "import `time.perf_counter`" in out[0].message
 
     def test_simulated_time_attribute_is_fine(self, tmp_path):
         out = lint_source(
@@ -234,39 +259,41 @@ class TestWaivers:
     def test_justified_waiver_suppresses(self, tmp_path):
         out = lint_source(
             tmp_path,
-            "t_retrain_ns = 50.0  # simlint: ignore[SIM005] -- vendor-quoted\n")
+            "t_retrain_ns = 50.0  # simflow: ignore[SIM005] -- vendor-quoted\n")
         assert out == []
 
     def test_standalone_waiver_covers_next_line(self, tmp_path):
         out = lint_source(
             tmp_path,
-            "# simlint: ignore[SIM005] -- vendor-quoted retrain time\n"
+            "# simflow: ignore[SIM005] -- vendor-quoted retrain time\n"
             "t_retrain_ns = 50.0\n",
         )
         assert out == []
 
     def test_unjustified_waiver_is_reported(self, tmp_path):
-        # An unjustified pragma is flagged (SIM000) and does NOT suppress
+        # An unjustified pragma is flagged (FLW000) and does NOT suppress
         # the underlying violation.
         out = lint_source(
-            tmp_path, "t_retrain_ns = 50.0  # simlint: ignore[SIM005]\n")
-        assert codes(out) == ["SIM000", "SIM005"]
+            tmp_path, "t_retrain_ns = 50.0  # simflow: ignore[SIM005]\n")
+        assert codes(out) == ["FLW000", "SIM005"]
+        assert "without justification" in out[0].message
 
     def test_waiver_for_other_code_does_not_suppress(self, tmp_path):
         # The SIM005 violation survives, and the SIM001 waiver — justified
         # but matching nothing — is reported as stale.
         out = lint_source(
             tmp_path,
-            "t_retrain_ns = 50.0  # simlint: ignore[SIM001] -- wrong code\n")
-        assert codes(out) == ["SIM005", "SIM008"]
+            "t_retrain_ns = 50.0  # simflow: ignore[SIM001] -- wrong code\n")
+        assert codes(out) == ["FLW000", "SIM005"]
+        assert "suppresses nothing" in out[0].message
 
     def test_stale_waiver_is_reported(self, tmp_path):
         out = lint_source(
             tmp_path,
-            "# simlint: ignore[SIM005] -- excused a literal removed since\n"
+            "# simflow: ignore[SIM005] -- excused a literal removed since\n"
             "t_retrain = table.lookup()\n",
         )
-        assert codes(out) == ["SIM008"]
+        assert codes(out) == ["FLW000"]
         assert out[0].line == 1
 
     def test_stale_waiver_ignored_when_rule_not_selected(self, tmp_path):
@@ -274,24 +301,32 @@ class TestWaivers:
         # waiver suppresses anything, so it stays silent.
         out = lint_source(
             tmp_path,
-            "# simlint: ignore[SIM005] -- excused a literal removed since\n"
+            "# simflow: ignore[SIM005] -- excused a literal removed since\n"
             "t_retrain = table.lookup()\n",
             select=["SIM001"],
         )
         assert out == []
 
     def test_unjustified_match_is_used_not_stale(self, tmp_path):
-        # A pragma that matches a violation but lacks a justification gets
-        # SIM000 only — it is not *also* stale.
+        # A pragma that matches a violation but lacks a justification is
+        # reported as unjustified only — it is not *also* stale.
         out = lint_source(
-            tmp_path, "t_retrain_ns = 50.0  # simlint: ignore[SIM005]\n")
-        assert "SIM008" not in codes(out)
+            tmp_path, "t_retrain_ns = 50.0  # simflow: ignore[SIM005]\n")
+        assert codes(out).count("FLW000") == 1
+        assert not any("suppresses nothing" in v.message for v in out)
+
+    def test_simlint_namespace_is_retired(self, tmp_path):
+        # `# simflow:` is the only waiver namespace.
+        out = lint_source(
+            tmp_path,
+            "t_retrain_ns = 50.0  # simlint: ignore[SIM005] -- vendor-quoted\n")
+        assert codes(out) == ["SIM005"]
 
     def test_pragma_text_in_docstring_is_not_a_waiver(self, tmp_path):
         out = lint_source(
             tmp_path,
             '"""Example waiver::\n\n'
-            "    x = 1.0  # simlint: ignore[SIM005] -- vendor-quoted\n"
+            "    x = 1.0  # simflow: ignore[SIM005] -- vendor-quoted\n"
             '"""\n',
         )
         assert out == []
@@ -305,23 +340,19 @@ class TestDriver:
 
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         out = lint_source(tmp_path, "def broken(:\n")
-        assert codes(out) == ["SIM999"]
+        assert codes(out) == ["FLW999"]
 
-    def test_format_violations(self, tmp_path):
-        out = lint_source(tmp_path, "import time\nx = time.time()\n")
-        text = format_violations(out)
-        assert "SIM001" in text and "1 violation" in text
-        assert format_violations([]) == "simlint: clean"
+    def test_format_report(self, tmp_path):
+        target = tmp_path / "mod.py"
+        target.write_text("import time\nx = time.time()\n")
+        text = format_report(run_flow([tmp_path], select=SIM_CODES))
+        assert "SIM001" in text and "1 finding(s)" in text
+        target.write_text("x = 1\n")
+        text = format_report(run_flow([tmp_path], select=SIM_CODES))
+        assert text.startswith("simflow: clean")
 
     def test_rule_registry_is_complete(self):
-        assert set(RULES) == {
-            "SIM001", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007"}
-        for rule in RULES.values():
-            assert rule.title and rule.rationale
-
-
-class TestRealTree:
-    def test_src_repro_lints_clean(self):
-        """Acceptance criterion: the shipped tree passes every rule."""
-        violations = lint_paths([REPO_SRC])
-        assert violations == [], format_violations(violations)
+        assert {c for c in FLOW_CODES if c.startswith("SIM")} == set(SIM_CODES)
+        for code in SIM_CODES:
+            title, rationale = FLOW_CODES[code]
+            assert title and rationale
