@@ -1,6 +1,6 @@
 # Convenience targets for the PEI reproduction.
 
-.PHONY: install test lint flow flow-mutants sanitize verify determinism telemetry bench bench-smoke perf-smoke perfbench-smoke sweep-smoke dashboard experiments examples quick clean
+.PHONY: install test lint flow flow-mutants sanitize verify determinism telemetry bench bench-smoke perfbench-smoke sweep-smoke dashboard experiments examples quick clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -76,15 +76,6 @@ bench-smoke:
 dashboard:
 	PYTHONPATH=src python -m repro.obs dashboard bench-history
 
-# Engine-throughput gate: two runs each embed an engine microbenchmark
-# reading in their trajectory record; --compare fails on a >20% drop
-# against the best earlier record (see docs/performance.md).
-perf-smoke:
-	rm -rf bench-history
-	PYTHONPATH=src python -m repro.bench run smoke --jobs 2
-	PYTHONPATH=src python -m repro.bench run smoke --jobs 2
-	PYTHONPATH=src python -m repro.bench history --compare
-
 # Benchmark hook guard: the traced sweep-grid pass of perfbench/ wraps
 # program functions by name (System._warm_caches, columnar._warm,
 # _build_plan, _replay_loop, ...) and clears module caches by name
@@ -100,8 +91,8 @@ perfbench-smoke:
 
 # Adaptive-sweep smoke check: a cold sweep simulates and checkpoints, a
 # --fresh warm sweep must replay entirely from the disk cache (zero
-# simulations, certified by --assert-warm), and --compare prints the
-# sweep-throughput block next to the engine gate (see "Sweeping at
+# simulations, certified by --assert-warm), and history prints the
+# latest record's frontier and sweep-throughput blocks (see "Sweeping at
 # scale" in docs/benchmarks.md).
 sweep-smoke:
 	rm -rf .bench_cache bench-history
@@ -109,7 +100,7 @@ sweep-smoke:
 		--points 256 --jobs 2
 	PYTHONPATH=src python -m repro.bench sweep fig8-crossover \
 		--points 256 --jobs 2 --fresh
-	PYTHONPATH=src python -m repro.bench history --assert-warm --compare
+	PYTHONPATH=src python -m repro.bench history --assert-warm
 	PYTHONPATH=src python -m repro.obs dashboard bench-history
 
 # Same, via the CLI (no pytest-benchmark timing around it).

@@ -1,10 +1,10 @@
 """RCE003–RCE004: durable-write discipline for bench/obs artifacts.
 
 Cache entries, trajectory records, telemetry bundles and ledger streams
-are read back by later runs and by ``history --compare`` — a process
-killed mid-write (or two processes writing at once) must never leave a
-torn file behind.  The repo's contract is structural: durable writers in
-``bench/`` and ``obs/`` route through :mod:`repro.util.fsio`.
+are read back by later runs, by ``history`` and by the dashboard — a
+process killed mid-write (or two processes writing at once) must never
+leave a torn file behind.  The repo's contract is structural: durable
+writers in ``bench/`` and ``obs/`` route through :mod:`repro.util.fsio`.
 
 * **RCE003** — a direct ``open(path, "w"/"x"/"+")`` (or ``.write_text``)
   in a bench/obs module: a crash between truncate and final flush leaves

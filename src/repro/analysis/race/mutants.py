@@ -64,8 +64,8 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
             "bench/history.py",
             "        # Atomic publish: a run killed mid-write must never "
             "leave a torn\n"
-            "        # trajectory record for `history --compare` to trip "
-            "over.\n"
+            "        # trajectory record for `history` or the dashboard to "
+            "trip over.\n"
             "        atomic_write_json(path, self.payload(), indent=2)\n",
             "        with open(path, \"w\", encoding=\"utf-8\") as fh:\n"
             "            json.dump(self.payload(), fh, indent=2)\n",

@@ -15,8 +15,8 @@ Usage::
 evaluation budget, trace-affinity sharding across workers, and a
 checkpoint under ``--history-dir`` that lets a killed sweep resume with
 zero re-simulation.  The trajectory record it appends carries a ``sweep``
-block (points evaluated, crossover, points/sec) that ``history
---compare`` prints and the dashboard renders.
+block (points evaluated, crossover, points/sec) that ``history`` prints
+and the dashboard renders.
 
 Results are printed and, with ``--out DIR``, persisted one text file per
 experiment.  ``--telemetry [DIR]`` additionally writes a full observability
@@ -31,15 +31,15 @@ Every ``run`` fans independent simulation points across ``--jobs`` worker
 processes, serves repeats from a content-addressed disk cache (default
 ``.bench_cache/``; ``--no-cache`` disables it), and appends a
 ``BENCH_<runid>.json`` trajectory record — wall-clock per experiment,
-simulated ops/sec, cache hit counts, and an engine microbenchmark reading —
-under ``--history-dir`` (default ``bench-history/``).  Workloads are
-captured once per (input, seed) into compiled traces that replay across
-every policy/config of a sweep; the traces persist under
-``<cache-dir>/traces`` even with ``--no-cache``.  ``history`` summarizes
-the records; ``--assert-warm`` exits non-zero unless the latest run
-performed zero simulations (CI's warm-path proof), and ``--compare`` exits
-non-zero if the latest engine throughput regressed more than 20% against
-the best earlier record (CI's perf-smoke gate; see docs/performance.md).
+simulated ops/sec, cache hit counts — under ``--history-dir`` (default
+``bench-history/``).  Workloads are captured once per (input, seed) into
+compiled traces that replay across every policy/config of a sweep; the
+traces persist under ``<cache-dir>/traces`` even with ``--no-cache``.
+``history`` summarizes the records and prints the latest one's frontier
+and sweep blocks; ``--assert-warm`` exits non-zero unless the latest run
+performed zero simulations (CI's warm-path proof).  The simulator's own
+speed is measured by the repository benchmark under ``perfbench/`` (see
+docs/performance.md).
 """
 
 import argparse
@@ -52,10 +52,8 @@ from repro.bench.cache import DEFAULT_CACHE_DIR
 from repro.util.fsio import atomic_write_text
 from repro.bench.history import (
     BenchTrajectory,
-    compare_engine,
     format_observability,
     format_sweep,
-    latest_record,
     load_records,
     settings_dict,
 )
@@ -142,29 +140,38 @@ class ProgressRenderer:
             self._width = 0
 
 
+def _add_session_options(parser, jobs_help: str, no_cache_help: str,
+                         history_help: str) -> None:
+    """The worker, cache and history options ``run`` and ``sweep`` share."""
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help=jobs_help)
+    parser.add_argument("--cache-dir", type=pathlib.Path,
+                        default=pathlib.Path(DEFAULT_CACHE_DIR),
+                        metavar="DIR",
+                        help="on-disk result cache location "
+                        f"(default: {DEFAULT_CACHE_DIR})")
+    parser.add_argument("--no-cache", action="store_true",
+                        help=no_cache_help)
+    parser.add_argument("--history-dir", type=pathlib.Path,
+                        default=pathlib.Path(DEFAULT_HISTORY_DIR),
+                        metavar="DIR",
+                        help=f"{history_help} "
+                        f"(default: {DEFAULT_HISTORY_DIR})")
+
+
 def _add_run_parser(sub) -> None:
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
     run.add_argument("--out", type=pathlib.Path, default=None,
                      help="directory to write <experiment>.txt files into")
-    run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes for independent simulation "
-                     "points (default: 1, serial)")
-    run.add_argument("--cache-dir", type=pathlib.Path,
-                     default=pathlib.Path(DEFAULT_CACHE_DIR), metavar="DIR",
-                     help="on-disk result cache location "
-                     f"(default: {DEFAULT_CACHE_DIR})")
-    run.add_argument("--no-cache", action="store_true",
-                     help="disable the on-disk result cache (captured "
-                     "workload traces stay cached: a re-simulation never "
-                     "needs to re-run the functional algorithms)")
-    run.add_argument("--no-microbench", action="store_true",
-                     help="skip the engine microbenchmark normally embedded "
-                     "in the trajectory record")
-    run.add_argument("--history-dir", type=pathlib.Path,
-                     default=pathlib.Path(DEFAULT_HISTORY_DIR), metavar="DIR",
-                     help="directory for BENCH_<runid>.json trajectory "
-                     f"records (default: {DEFAULT_HISTORY_DIR})")
+    _add_session_options(
+        run,
+        jobs_help="worker processes for independent simulation points "
+        "(default: 1, serial)",
+        no_cache_help="disable the on-disk result cache (captured workload "
+        "traces stay cached: a re-simulation never needs to re-run the "
+        "functional algorithms)",
+        history_help="directory for BENCH_<runid>.json trajectory records")
     run.add_argument("--telemetry", nargs="?", const="telemetry",
                      default=None, metavar="DIR",
                      help="write per-run telemetry bundles (interval JSONL, "
@@ -191,8 +198,12 @@ def _add_sweep_parser(sub) -> None:
     sweep.add_argument("--full", action="store_true",
                        help="evaluate the entire grid exhaustively instead "
                        "of adaptively (the ground-truth mode)")
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default: 1, serial)")
+    _add_session_options(
+        sweep,
+        jobs_help="worker processes (default: 1, serial)",
+        no_cache_help="disable the on-disk result cache (disables warm "
+        "restarts too)",
+        history_help="directory for BENCH_<runid>.json records")
     sweep.add_argument("--schedule", choices=("affinity", "fifo"),
                        default="affinity",
                        help="parallel dispatch: 'affinity' shards points by "
@@ -208,21 +219,6 @@ def _add_sweep_parser(sub) -> None:
                        help="ignore (and overwrite) any existing checkpoint; "
                        "cached results still serve, so a fresh pass over a "
                        "warm cache simulates nothing")
-    sweep.add_argument("--cache-dir", type=pathlib.Path,
-                       default=pathlib.Path(DEFAULT_CACHE_DIR), metavar="DIR",
-                       help="on-disk result cache location "
-                       f"(default: {DEFAULT_CACHE_DIR})")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache (disables "
-                       "warm restarts too)")
-    sweep.add_argument("--history-dir", type=pathlib.Path,
-                       default=pathlib.Path(DEFAULT_HISTORY_DIR),
-                       metavar="DIR",
-                       help="directory for BENCH_<runid>.json records "
-                       f"(default: {DEFAULT_HISTORY_DIR})")
-    sweep.add_argument("--no-microbench", action="store_true",
-                       help="skip the engine microbenchmark normally "
-                       "embedded in the trajectory record")
 
 
 def _add_history_parser(sub) -> None:
@@ -234,12 +230,15 @@ def _add_history_parser(sub) -> None:
     hist.add_argument("--assert-warm", action="store_true",
                       help="exit 1 unless the latest record shows zero "
                       "simulations (everything cache-served)")
-    hist.add_argument("--compare", action="store_true",
-                      help="exit 1 if the latest record's engine throughput "
-                      "regressed >20%% against the best earlier record")
 
 
-def _cmd_run(args) -> int:
+def _open_session(args) -> BenchTrajectory:
+    """Set up the runner from the shared options; return the empty record.
+
+    Captured traces persist under the cache dir even with ``--no-cache``:
+    disabling the *result* cache forces re-simulation, which never
+    requires re-running the functional workloads.
+    """
     runner.set_jobs(args.jobs)
     if args.no_cache:
         runner.disable_disk_cache()
@@ -248,10 +247,28 @@ def _cmd_run(args) -> int:
         cache = runner.enable_disk_cache(args.cache_dir)
         cache_info = {"enabled": True, "dir": str(cache.root),
                       "salt": cache.salt}
-    # Captured traces persist under the cache dir even with --no-cache:
-    # disabling the *result* cache forces re-simulation, which never
-    # requires re-running the functional workloads.
     runner.enable_trace_cache(args.cache_dir / "traces")
+    return BenchTrajectory(
+        jobs=args.jobs, cache_info=cache_info,
+        settings=settings_dict(runner.current_settings()))
+
+
+def _close_session(trajectory: BenchTrajectory, history_dir,
+                   ledger=None) -> pathlib.Path:
+    """Fold the session's cache, trace and frontier counters (and the
+    ledger's event counts, when one ran) into the record; write it."""
+    cache = runner.disk_cache()
+    if cache is not None:
+        trajectory.cache_info.update(cache.counters())
+    trajectory.cache_info["traces"] = runner.trace_store().counters()
+    trajectory.observability = runner.frontier_summary()
+    if ledger is not None:
+        trajectory.observability["events"] = ledger.counts()
+    return trajectory.write(history_dir)
+
+
+def _cmd_run(args) -> int:
+    trajectory = _open_session(args)
     if args.telemetry is not None:
         telemetry_dir = runner.enable_telemetry(pathlib.Path(args.telemetry))
         print(f"telemetry bundles -> {telemetry_dir}")
@@ -266,9 +283,6 @@ def _cmd_run(args) -> int:
     else:
         names = [args.experiment]
 
-    trajectory = BenchTrajectory(
-        jobs=args.jobs, cache_info=cache_info,
-        settings=settings_dict(runner.current_settings()))
     for name in names:
         before = runner.accounting().snapshot()
         t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
@@ -286,26 +300,13 @@ def _cmd_run(args) -> int:
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
             atomic_write_text(args.out / f"{name}.txt", str(report) + "\n")
-    cache = runner.disk_cache()
-    if cache is not None:
-        trajectory.cache_info.update(cache.counters())
-    trajectory.cache_info["traces"] = runner.trace_store().counters()
-    trajectory.observability = runner.frontier_summary()
-    if ledger is not None:
-        trajectory.observability["events"] = ledger.counts()
-        if args.events is not None:
-            events_path = (
-                args.history_dir / f"EVENTS_{trajectory.runid}.jsonl"
-                if args.events == "auto" else pathlib.Path(args.events))
-            ledger.write_jsonl(events_path)
-            print(f"run ledger -> {events_path} ({len(ledger)} events)")
-    if not args.no_microbench:
-        from repro.bench.microbench import engine_ops_per_second
-        trajectory.engine = engine_ops_per_second()
-        print(f"engine: {trajectory.engine['ops_per_second']:,.0f} ops/s "
-              f"({trajectory.engine['ms_per_run']:.1f} ms/run, best of "
-              f"{trajectory.engine['rounds']:.0f})")
-    path = trajectory.write(args.history_dir)
+    if ledger is not None and args.events is not None:
+        events_path = (
+            args.history_dir / f"EVENTS_{trajectory.runid}.jsonl"
+            if args.events == "auto" else pathlib.Path(args.events))
+        ledger.write_jsonl(events_path)
+        print(f"run ledger -> {events_path} ({len(ledger)} events)")
+    path = _close_session(trajectory, args.history_dir, ledger)
     totals = trajectory.payload()["totals"]
     print(f"trajectory -> {path} "
           f"({totals['simulations']:.0f} simulations, "
@@ -316,17 +317,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    runner.set_jobs(args.jobs)
+    trajectory = _open_session(args)
     runner.set_schedule(args.schedule)
-    if args.no_cache:
-        runner.disable_disk_cache()
-        cache_info = {"enabled": False}
-    else:
-        cache = runner.enable_disk_cache(args.cache_dir)
-        cache_info = {"enabled": True, "dir": str(cache.root),
-                      "salt": cache.salt}
-    runner.enable_trace_cache(args.cache_dir / "traces")
-
     spec = SWEEPS[args.sweep](args.points)
     checkpoint = (args.checkpoint if args.checkpoint is not None
                   else args.history_dir / f"SWEEP_{spec.name}.json")
@@ -334,9 +326,6 @@ def _cmd_sweep(args) -> int:
         checkpoint.unlink()
     checkpoint.parent.mkdir(parents=True, exist_ok=True)
 
-    trajectory = BenchTrajectory(
-        jobs=args.jobs, cache_info=cache_info,
-        settings=settings_dict(runner.current_settings()))
     before = runner.accounting().snapshot()
     t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness wall-clock for the trajectory record; never feeds simulated time
     report = SweepRunner(spec, checkpoint=checkpoint).run(full=args.full)
@@ -346,18 +335,7 @@ def _cmd_sweep(args) -> int:
     trajectory.sweep = report
     for line in format_sweep({"sweep": report}):
         print(line.strip())
-    cache = runner.disk_cache()
-    if cache is not None:
-        trajectory.cache_info.update(cache.counters())
-    trajectory.cache_info["traces"] = runner.trace_store().counters()
-    trajectory.observability = runner.frontier_summary()
-    if not args.no_microbench:
-        from repro.bench.microbench import engine_ops_per_second
-        trajectory.engine = engine_ops_per_second()
-        print(f"engine: {trajectory.engine['ops_per_second']:,.0f} ops/s "
-              f"({trajectory.engine['ms_per_run']:.1f} ms/run, best of "
-              f"{trajectory.engine['rounds']:.0f})")
-    path = trajectory.write(args.history_dir)
+    path = _close_session(trajectory, args.history_dir)
     print(f"checkpoint -> {checkpoint}")
     print(f"trajectory -> {path} ({report['simulated']} simulations, "
           f"{report['evaluated']}/{report['grid_points']} points, "
@@ -368,36 +346,19 @@ def _cmd_sweep(args) -> int:
 def _cmd_history(args) -> int:
     records = load_records(args.history_dir)
     if not records:
-        if args.compare and not args.assert_warm:
-            # Satellite of the first sweep on a fresh machine / CI cache:
-            # nothing to regress against is a clean pass, not a failure.
-            print(f"no baseline yet: no BENCH_*.json records under "
-                  f"{args.history_dir}; nothing to compare")
-            return 0
         print(f"no BENCH_*.json records under {args.history_dir}")
         return 1
     for path, record in records:
         totals = record.get("totals", {})
-        engine = record.get("engine", {})
-        line = (f"{path.name}: jobs={record.get('jobs')} "
-                f"sims={totals.get('simulations', 0):.0f} "
-                f"disk_hits={totals.get('disk_hits', 0):.0f} "
-                f"wall={totals.get('wall_seconds', 0.0):.2f}s "
-                f"sim_ops/s={totals.get('sim_ops_per_second', 0.0):.0f}")
-        if engine.get("ops_per_second"):
-            line += f" engine_ops/s={engine['ops_per_second']:.0f}"
+        print(f"{path.name}: jobs={record.get('jobs')} "
+              f"sims={totals.get('simulations', 0):.0f} "
+              f"disk_hits={totals.get('disk_hits', 0):.0f} "
+              f"wall={totals.get('wall_seconds', 0.0):.2f}s "
+              f"sim_ops/s={totals.get('sim_ops_per_second', 0.0):.0f}")
+    path, record = records[-1]
+    for line in format_observability(record) + format_sweep(record):
         print(line)
-    if args.compare:
-        ok, message = compare_engine(records)
-        print(message)
-        for line in format_observability(records[-1][1]):
-            print(line)
-        for line in format_sweep(records[-1][1]):
-            print(line)
-        if not ok:
-            return 1
     if args.assert_warm:
-        path, record = latest_record(args.history_dir)
         sims = record.get("totals", {}).get("simulations", 0)
         if sims:
             print(f"ASSERT-WARM FAILED: {path.name} ran "

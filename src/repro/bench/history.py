@@ -37,8 +37,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.cache import atomic_write_json
 
-__all__ = ["BenchTrajectory", "compare_engine", "format_observability",
-           "format_sweep", "latest_record", "load_records", "new_runid"]
+__all__ = ["BenchTrajectory", "format_observability", "format_sweep",
+           "load_records", "new_runid"]
 
 SCHEMA = "repro.bench.trajectory/1"
 
@@ -47,10 +47,6 @@ _COUNTER_FIELDS = ("wall_seconds", "simulations", "memo_hits", "disk_hits",
                    "instructions", "sim_wall_seconds", "trace_captures",
                    "trace_hits", "plan_hits", "plan_misses", "plan_evictions",
                    "trace_decodes", "trace_decode_hits")
-
-#: Relative engine-throughput drop (vs the best prior record) that
-#: ``history --compare`` treats as a regression.
-ENGINE_REGRESSION_THRESHOLD = 0.20
 
 
 _RUNID_SEQ = itertools.count()
@@ -85,9 +81,6 @@ class BenchTrajectory:
         self.cache_info = dict(cache_info) if cache_info is not None else {}
         self.settings = dict(settings) if settings is not None else {}
         self.experiments: List[Dict] = []
-        #: Engine microbenchmark measurement for this invocation
-        #: (:func:`repro.bench.microbench.engine_ops_per_second` output).
-        self.engine: Dict = {}
         #: Frontier observability summary for this invocation
         #: (:func:`repro.bench.runner.frontier_summary` output, plus the
         #: run-ledger event counts when a ledger was enabled).
@@ -119,7 +112,6 @@ class BenchTrajectory:
             "jobs": self.jobs,
             "cache": self.cache_info,
             "settings": self.settings,
-            "engine": self.engine,
             "observability": self.observability,
             "sweep": self.sweep,
             "experiments": self.experiments,
@@ -130,7 +122,7 @@ class BenchTrajectory:
         out_dir = Path(out_dir)
         path = out_dir / f"BENCH_{self.runid}.json"
         # Atomic publish: a run killed mid-write must never leave a torn
-        # trajectory record for `history --compare` to trip over.
+        # trajectory record for `history` or the dashboard to trip over.
         atomic_write_json(path, self.payload(), indent=2)
         return path
 
@@ -145,8 +137,8 @@ def load_records(history_dir) -> List[Tuple[Path, Dict]]:
     records = []
     for path in sorted(history_dir.glob("BENCH_*.json")):
         # A single unreadable record (half-downloaded CI artifact, torn
-        # copy) must not kill `history --compare` for the whole series:
-        # skip it with a warning and keep the readable ones.
+        # copy) must not kill `history` for the whole series: skip it
+        # with a warning and keep the readable ones.
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 records.append((path, json.load(fh)))
@@ -154,42 +146,6 @@ def load_records(history_dir) -> List[Tuple[Path, Dict]]:
             warnings.warn(f"skipping unreadable bench record {path}: {exc}",
                           stacklevel=2)
     return records
-
-
-def latest_record(history_dir) -> Optional[Tuple[Path, Dict]]:
-    records = load_records(history_dir)
-    return records[-1] if records else None
-
-
-def compare_engine(records: List[Tuple[Path, Dict]],
-                   threshold: float = ENGINE_REGRESSION_THRESHOLD,
-                   ) -> Tuple[bool, str]:
-    """Flag engine-throughput regressions in a record series.
-
-    Compares the newest record's ``engine.ops_per_second`` against the
-    *best* earlier record (minimum-of-rounds measurements regress by
-    slowing down, not by losing a lucky draw).  Returns ``(ok, message)``;
-    ``ok`` is False when the newest throughput is more than ``threshold``
-    below the prior best.  Series with fewer than two engine-bearing
-    records vacuously pass — there is nothing to compare against.
-    """
-    bearing = [(path, record) for path, record in records
-               if record.get("engine", {}).get("ops_per_second")]
-    if len(bearing) < 2:
-        return True, (f"engine-compare: skipped "
-                      f"({len(bearing)} record(s) with engine data; need 2)")
-    newest_path, newest = bearing[-1]
-    best_path, best = max(bearing[:-1],
-                          key=lambda pr: pr[1]["engine"]["ops_per_second"])
-    current = newest["engine"]["ops_per_second"]
-    reference = best["engine"]["ops_per_second"]
-    drop = 1.0 - current / reference
-    detail = (f"{newest_path.name}: {current:,.0f} engine ops/s vs best "
-              f"{reference:,.0f} ({best_path.name}); "
-              f"change {-drop:+.1%}, threshold -{threshold:.0%}")
-    if drop > threshold:
-        return False, f"ENGINE REGRESSION: {detail}"
-    return True, f"engine-compare OK: {detail}"
 
 
 def format_observability(record: Dict) -> List[str]:

@@ -82,10 +82,10 @@ _PLAN_CACHE: "OrderedDict[Tuple, Optional[ColumnPlan]]" = OrderedDict()
 _PLAN_CACHE_LIMIT = 8
 
 #: Lifetime hit/miss/eviction counters for this process's plan cache.
-#: Consumers (the bench frontier, the engine microbenchmark) snapshot
-#: around a run and report the delta; the counters themselves only ever
-#: grow.  The bound and the counters shape host memory use and harness
-#: observability, never simulation results — replay is bit-identical
+#: ``System.run`` snapshots them around a replay and reports the delta to
+#: the bench frontier; the counters themselves only ever grow.  The bound
+#: and the counters shape host memory use and harness observability,
+#: never simulation results — replay is bit-identical
 #: whether a plan came from the cache or a fresh compile
 #: (tests/bench/test_plan_cache.py).
 _PLAN_STATS = {"hits": 0, "misses": 0, "evictions": 0}

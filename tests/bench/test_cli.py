@@ -85,7 +85,9 @@ class TestRunCommand:
         assert [e["name"] for e in payload["experiments"]] == ["smoke"]
         assert "sim_ops_per_second" in payload["totals"]
         assert "trace_captures" in payload["totals"]
-        assert payload["engine"]["ops_per_second"] > 0
+        # The simulator's speed is perfbench's to measure; the record
+        # carries no engine reading.
+        assert "engine" not in payload
 
     def test_run_configures_jobs_and_cache(self, fake_experiments, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -120,7 +122,7 @@ class TestRunCommand:
                                               tmp_path):
         history = tmp_path / "hist"
         assert main(["run", "smoke", "--no-cache", "--events",
-                     "--no-microbench", "--history-dir", str(history)]) == 0
+                     "--history-dir", str(history)]) == 0
         [events_path] = history.glob("EVENTS_*.jsonl")
         [record] = history.glob("BENCH_*.json")
         runid = json.loads(record.read_text())["runid"]
@@ -134,14 +136,13 @@ class TestRunCommand:
     def test_run_events_explicit_path(self, fake_experiments, tmp_path):
         target = tmp_path / "ledger.events.jsonl"
         assert main(["run", "smoke", "--no-cache",
-                     "--events", str(target), "--no-microbench",
+                     "--events", str(target),
                      "--history-dir", str(tmp_path / "hist")]) == 0
         assert target.exists()
 
     def test_run_progress_renders_line(self, fake_experiments, tmp_path,
                                        capsys):
         assert main(["run", "smoke", "--no-cache", "--progress",
-                     "--no-microbench",
                      "--history-dir", str(tmp_path / "hist")]) == 0
         # The stub experiments plan no requests, so the line may be empty;
         # the flag must at least leave the runner with a live ledger.
@@ -201,19 +202,29 @@ class TestHistoryCommand:
     def test_empty_history_fails(self, tmp_path, capsys):
         assert main(["history", "--history-dir", str(tmp_path)]) == 1
 
-    def test_compare_empty_history_exits_zero(self, tmp_path, capsys):
-        """First run of a fresh checkout: nothing to compare is not an
-        error, or CI would fail before the baseline ever exists."""
-        assert main(["history", "--history-dir", str(tmp_path),
-                     "--compare"]) == 0
-        out = capsys.readouterr().out
-        assert "no baseline yet" in out
-
-    def test_compare_empty_with_assert_warm_still_fails(self, tmp_path):
+    def test_assert_warm_empty_history_fails(self, tmp_path):
         # --assert-warm is an explicit check: absence of records must
         # fail loudly rather than vacuously pass.
         assert main(["history", "--history-dir", str(tmp_path),
-                     "--compare", "--assert-warm"]) == 1
+                     "--assert-warm"]) == 1
+
+    def test_prints_latest_frontier_and_sweep_blocks(self, tmp_path,
+                                                     capsys):
+        for runid, hits in (("20260101T000000-1", 1),
+                            ("20260102T000000-1", 7)):
+            payload = {
+                "runid": runid, "jobs": 1, "totals": {"simulations": 0},
+                "observability": {"cache": {
+                    "hit_rate": 1.0, "memo_hits": hits, "disk_hits": 0,
+                    "simulations": 0}},
+                "sweep": {"name": f"grid-{hits}", "evaluated": hits,
+                          "grid_points": 16}}
+            (tmp_path / f"BENCH_{runid}.json").write_text(json.dumps(payload))
+        assert main(["history", "--history-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "(7 memo + 0 disk, 0 simulated)" in out
+        assert "sweep grid-7: 7/16 points" in out
+        assert "grid-1" not in out and "(1 memo" not in out
 
     def test_assert_warm(self, fake_experiments, tmp_path):
         history = tmp_path / "hist"
@@ -239,48 +250,6 @@ class TestHistoryCommand:
                      "--assert-warm"]) == 1
         assert calls == []
 
-    def _write_record(self, history, runid, ops_per_second):
-        history.mkdir(parents=True, exist_ok=True)
-        payload = {"schema": "repro.bench.trajectory/1", "runid": runid,
-                   "jobs": 1, "cache": {}, "settings": {}, "experiments": [],
-                   "engine": {"ops_per_second": ops_per_second,
-                              "ms_per_run": 1.0, "instructions": 1.0,
-                              "rounds": 3},
-                   "totals": {"simulations": 0}}
-        (history / f"BENCH_{runid}.json").write_text(json.dumps(payload))
-
-    def test_compare_passes_within_threshold(self, tmp_path, capsys):
-        history = tmp_path / "hist"
-        self._write_record(history, "20260101T000000-1", 100_000.0)
-        self._write_record(history, "20260102T000000-1", 90_000.0)
-        assert main(["history", "--history-dir", str(history),
-                     "--compare"]) == 0
-        assert "engine-compare OK" in capsys.readouterr().out
-
-    def test_compare_flags_regression(self, tmp_path, capsys):
-        history = tmp_path / "hist"
-        self._write_record(history, "20260101T000000-1", 100_000.0)
-        self._write_record(history, "20260102T000000-1", 70_000.0)
-        assert main(["history", "--history-dir", str(history),
-                     "--compare"]) == 1
-        assert "ENGINE REGRESSION" in capsys.readouterr().out
-
-    def test_compare_uses_best_prior_record(self, tmp_path, capsys):
-        # A slow middle record must not lower the bar.
-        history = tmp_path / "hist"
-        self._write_record(history, "20260101T000000-1", 100_000.0)
-        self._write_record(history, "20260102T000000-1", 60_000.0)
-        self._write_record(history, "20260103T000000-1", 75_000.0)
-        assert main(["history", "--history-dir", str(history),
-                     "--compare"]) == 1
-
-    def test_compare_skips_thin_series(self, tmp_path, capsys):
-        history = tmp_path / "hist"
-        self._write_record(history, "20260101T000000-1", 100_000.0)
-        assert main(["history", "--history-dir", str(history),
-                     "--compare"]) == 0
-        assert "skipped" in capsys.readouterr().out
-
 
 class TestSweepCommand:
     @pytest.fixture(autouse=True)
@@ -301,7 +270,7 @@ class TestSweepCommand:
         history = tmp_path / "hist"
         base = ["sweep", "fig8-crossover", "--points", "16",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--history-dir", str(history), "--no-microbench"]
+                "--history-dir", str(history)]
         assert main(base) == 0
         cold = capsys.readouterr().out
         assert "sweep fig8-crossover:" in cold
@@ -316,15 +285,17 @@ class TestSweepCommand:
         assert warm["sweep"]["evaluated"] > 0
         assert warm["sweep"]["points_per_second"] > 0
         assert main(["history", "--history-dir", str(history),
-                     "--assert-warm", "--compare"]) == 0
+                     "--assert-warm"]) == 0
         out = capsys.readouterr().out
+        # history prints the latest record's frontier and sweep blocks.
+        assert "  cache: " in out
         assert "sweep fig8-crossover:" in out
+        assert "assert-warm OK" in out
 
     def test_sweep_writes_checkpoint_next_to_history(self, tmp_path):
         history = tmp_path / "hist"
         assert main(["sweep", "fig8-crossover", "--points", "16",
-                     "--no-cache", "--history-dir", str(history),
-                     "--no-microbench"]) == 0
+                     "--no-cache", "--history-dir", str(history)]) == 0
         assert (history / "SWEEP_fig8-crossover.json").exists()
 
     def test_unknown_sweep_rejected(self, tmp_path, capsys):

@@ -17,7 +17,6 @@ def write_record(directory, runid, sims=4, memo=2, disk=2, ops=1e6,
         "jobs": 2,
         "cache": {"enabled": True},
         "settings": {},
-        "engine": {},
         "observability": {
             "schema": "repro.obs.frontier/2",
             "cache": {"memo_hits": memo, "disk_hits": disk,

@@ -55,15 +55,30 @@ def test_columnar_degrades_gracefully_without_numpy():
                 return None
 
         sys.meta_path.insert(0, BlockNumpy())
-        # EngineMicroload generates its streams with pure arithmetic — the
-        # registry workloads draw their data through numpy and cannot even
-        # capture in a numpy-less environment.
-        from repro.bench.microbench import capture_engine_trace
+        from repro.core.isa import FP_ADD
+        from repro.cpu.trace import Compute, Load, Pei
         from repro.system.config import tiny_config
         from repro.system.system import System
+        from repro.workloads.base import Workload
 
-        trace = capture_engine_trace(n_ops=500)
-        result = System(tiny_config()).run(trace)
+        class Arithmetic(Workload):
+            # Pure-arithmetic streams: the registry workloads draw their
+            # data through numpy and cannot even capture without it.
+            name = "arithmetic"
+
+            def prepare(self, space):
+                self.space = space
+                self.region = space.alloc("data", 1 << 16)
+
+            def make_threads(self, n_threads):
+                def thread(t):
+                    base = self.region.base
+                    for i in range(500):
+                        addr = base + (i * 64 + t * 4096) % (1 << 16)
+                        yield (Pei(FP_ADD, addr), Load(addr), Compute(4))[i % 3]
+                return [thread(t) for t in range(n_threads)]
+
+        result = System(tiny_config()).run(Arithmetic())
         assert result.instructions > 0
         print("scalar fallback OK")
     """)
