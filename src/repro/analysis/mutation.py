@@ -59,29 +59,20 @@ def run_seeded_mutants(
     so no mutant pays for the other pass families.  A mutant is *killed*
     when the mutated tree produces at least one finding with the mutant's
     code that the pristine tree does not have (same line-independent
-    identity).  Raises ``ValueError`` if a mutant's anchor text no longer
-    exists — a drifted anchor must fail loudly, not silently test nothing.
+    identity).  Raises ``ValueError``, before any run, if a mutant's anchor
+    text no longer exists — a drifted anchor must fail loudly, not silently
+    test nothing.
 
     Returns ``(results, pristine_report)``.
     """
     sources = collect_sources(paths)
+    # Seed every mutant before the first run: a drifted anchor anywhere in
+    # the catalogue fails in the time of one source read.
+    seeded = [(mutant, _seed(mutant, sources)) for mutant in mutants]
     pristine = run_fn(paths, baseline=baseline)
     pristine_keys = {f.key() for f in pristine.findings}
     results: List[MutantResult] = []
-    for mutant in mutants:
-        overrides: Dict[str, str] = {}
-        for rel_suffix, old, new in mutant.edits:
-            matches = [rel for rel in sources if rel.endswith(rel_suffix)]
-            if len(matches) != 1:
-                raise ValueError(
-                    f"mutant {mutant.name}: {len(matches)} files match "
-                    f"{rel_suffix!r}")
-            text = overrides.get(matches[0], sources[matches[0]])
-            if old not in text:
-                raise ValueError(
-                    f"mutant {mutant.name}: anchor not found in "
-                    f"{matches[0]} — update the mutant to the current tree")
-            overrides[matches[0]] = text.replace(old, new, 1)
+    for mutant, overrides in seeded:
         mutated = run_fn(paths, select=[mutant.code], baseline=baseline,
                          overrides=overrides)
         new = [str(f) for f in mutated.findings
@@ -89,3 +80,21 @@ def run_seeded_mutants(
         results.append(MutantResult(mutant=mutant, killed=bool(new),
                                     new_findings=new))
     return results, pristine
+
+
+def _seed(mutant: Mutant, sources: Dict[str, str]) -> Dict[str, str]:
+    """rel -> mutated text of each file ``mutant`` edits."""
+    overrides: Dict[str, str] = {}
+    for rel_suffix, old, new in mutant.edits:
+        matches = [rel for rel in sources if rel.endswith(rel_suffix)]
+        if len(matches) != 1:
+            raise ValueError(
+                f"mutant {mutant.name}: {len(matches)} files match "
+                f"{rel_suffix!r}")
+        text = overrides.get(matches[0], sources[matches[0]])
+        if old not in text:
+            raise ValueError(
+                f"mutant {mutant.name}: anchor not found in "
+                f"{matches[0]} — update the mutant to the current tree")
+        overrides[matches[0]] = text.replace(old, new, 1)
+    return overrides

@@ -237,8 +237,11 @@ def _open_session(args) -> BenchTrajectory:
 
     Captured traces persist under the cache dir even with ``--no-cache``:
     disabling the *result* cache forces re-simulation, which never
-    requires re-running the functional workloads.
+    requires re-running the functional workloads.  The accounting starts
+    from zero, so a second session in one process records its own
+    counters, not the running totals.
     """
+    runner.reset_accounting()
     runner.set_jobs(args.jobs)
     if args.no_cache:
         runner.disable_disk_cache()

@@ -9,7 +9,7 @@ out-of-order core overlaps their dependent PEI chains — modelled with the
 ``chain`` tag of :class:`repro.cpu.trace.Pei`.
 """
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class HashJoin(Workload):
         self.s_keys = rng.integers(0, self.build_rows * 2, size=self.probe_rows).astype(
             np.int64
         )
-        self._r_keyset = set(int(k) for k in self.r_keys)
+        self._r_keyset = set(self.r_keys.tolist())
         # Hash-table geometry: ~2 keys per bucket before chaining.
         n_buckets = 1
         while n_buckets * KEYS_PER_NODE < self.build_rows * 2:
@@ -59,45 +59,59 @@ class HashJoin(Workload):
         self.n_buckets = n_buckets
         buckets = space.alloc("hj.buckets", n_buckets * NODE_BYTES)
         # Build the chains functionally (initialization is not simulated).
-        chains: Dict[int, List[List[int]]] = {}
+        # Keys fill their bucket's nodes in insertion order, KEYS_PER_NODE
+        # to a node, so a key lives in node ``rank // KEYS_PER_NODE`` of its
+        # bucket, where ``rank`` counts the earlier keys of that bucket.
+        # The hash keeps bits 17.. of the product, which depend only on
+        # its low 64 bits: uint64's wraparound multiply is exact for them.
         mask = n_buckets - 1
-        for key in self.r_keys:
-            b = bucket_hash(int(key), mask)
-            nodes = chains.setdefault(b, [[]])
-            if len(nodes[-1]) >= KEYS_PER_NODE:
-                nodes.append([])
-            nodes[-1].append(int(key))
-        n_overflow = sum(max(0, len(nodes) - 1) for nodes in chains.values())
-        overflow = space.alloc("hj.overflow", max(1, n_overflow) * NODE_BYTES)
+        product = self.r_keys.astype(np.uint64) * np.uint64(_HASH_MULT)
+        bucket = ((product >> np.uint64(17)) & np.uint64(mask)).astype(np.int64)
+        order = np.argsort(bucket, kind="stable")
+        counts = np.bincount(bucket, minlength=n_buckets)
+        starts = np.cumsum(counts) - counts
+        rank = np.empty(self.build_rows, dtype=np.int64)
+        rank[order] = np.arange(self.build_rows) - starts[bucket[order]]
+        # Overflow nodes are numbered bucket by bucket, in the order the
+        # buckets received their first key; the stable sort puts each
+        # bucket's first key at its start.
+        occupied = np.flatnonzero(counts)
+        by_first_key = occupied[np.argsort(order[starts[occupied]])]
+        n_overflow = (counts[by_first_key] - 1) // KEYS_PER_NODE
+        overflow_index = np.zeros(n_buckets, dtype=np.int64)
+        overflow_index[by_first_key] = np.cumsum(n_overflow) - n_overflow
+        overflow = space.alloc("hj.overflow",
+                               max(1, int(n_overflow.sum())) * NODE_BYTES)
         space.alloc("hj.probe_keys", self.probe_rows * 8)
-        # Materialize per-bucket node address lists and key contents.
-        self._node_addrs: Dict[int, List[int]] = {}
-        self._node_keys: Dict[int, List[List[int]]] = {}
-        next_overflow = 0
-        for b, nodes in chains.items():
-            addrs = [buckets.base + b * NODE_BYTES]
-            for _ in nodes[1:]:
-                addrs.append(overflow.base + next_overflow * NODE_BYTES)
-                next_overflow += 1
-            self._node_addrs[b] = addrs
-            self._node_keys[b] = nodes
+        key_rank = np.full(self.build_rows * 2, -1, dtype=np.int64)
+        key_rank[self.r_keys] = rank
+        self._key_rank = key_rank.tolist()
+        self._bucket_count = counts.tolist()
+        self._overflow_index = overflow_index.tolist()
         self._bucket_mask = mask
         self._buckets_base = buckets.base
+        self._overflow_base = overflow.base
         self.matches = 0
 
+    def _bucket_nodes(self, b: int) -> List[int]:
+        """Addresses of bucket ``b``'s nodes: its head, then its overflow."""
+        head = self._buckets_base + b * NODE_BYTES
+        count = self._bucket_count[b]
+        if count <= KEYS_PER_NODE:
+            return [head]
+        first = self._overflow_base + self._overflow_index[b] * NODE_BYTES
+        end = first + (count - 1) // KEYS_PER_NODE * NODE_BYTES
+        return [head, *range(first, end, NODE_BYTES)]
+
     def _chain_for(self, key: int) -> List[int]:
-        """Node addresses a probe of ``key`` visits (stops at the match)."""
-        b = bucket_hash(key, self._bucket_mask)
-        addrs = self._node_addrs.get(b)
-        if addrs is None:
-            # Empty bucket: the probe still reads the bucket head node.
-            return [self._buckets_base + b * NODE_BYTES]
-        visited = []
-        for addr, keys in zip(addrs, self._node_keys[b]):
-            visited.append(addr)
-            if key in keys:
-                return visited
-        return visited
+        """Node addresses a probe of ``key`` visits (stops at the match).
+
+        A miss reads every node of the bucket; an empty bucket still reads
+        its head node.
+        """
+        nodes = self._bucket_nodes(bucket_hash(key, self._bucket_mask))
+        rank = self._key_rank[key] if 0 <= key < len(self._key_rank) else -1
+        return nodes if rank < 0 else nodes[:rank // KEYS_PER_NODE + 1]
 
     def make_threads(self, n_threads: int):
         return [self._thread(t, n_threads) for t in range(n_threads)]

@@ -6,7 +6,7 @@ power-law graphs with the same *roles*: matching names, the same
 vertex-count ordering, approximately the original average degrees, and a
 Zipf-skewed in-degree distribution (the "power-law degree distribution"
 property Section 7.1 credits for Locality-Aware's wins on medium graphs).
-Vertex counts are scaled down 64x, the same factor by which the default
+Vertex counts are scaled down 16x, the same factor by which the default
 experiment machine scales the last-level cache — preserving the
 footprint-to-LLC ratio that drives every locality result.
 """
@@ -25,7 +25,7 @@ class GraphSpec:
     """One synthetic stand-in for a paper graph."""
 
     name: str
-    n_vertices: int  # scaled (original / 64)
+    n_vertices: int  # scaled (original / 16)
     avg_degree: float
     original_vertices: int
     skew: float = 0.65  # Zipf rank exponent (~power-law count exponent 2.5)
@@ -77,11 +77,38 @@ def zipf_targets(rng: np.random.Generator, n_vertices: int, count: int,
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     draws = rng.random(count)
-    ids = np.searchsorted(cdf, draws, side="left")
+    ids = bucketed_searchsorted(cdf, draws)
     # Shuffle identity -> vertex id mapping deterministically so popular
     # vertices are spread over the address space rather than clustered.
     perm = rng.permutation(n_vertices)
     return perm[ids]
+
+
+def bucketed_searchsorted(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Exactly ``np.searchsorted(cdf, draws, side="left")``, for a
+    non-decreasing ``cdf`` that ends at 1.0 and ``draws`` in [0, 1).
+
+    With ``K`` a power of two, ``d * K`` and ``j / K`` are exact floats,
+    so a draw ``d`` in bucket ``j = int(d * K)`` satisfies
+    ``j / K <= d < (j + 1) / K`` and its answer lies in
+    ``[edges[j], edges[j + 1]]``, where ``edges`` is the search of every
+    bucket boundary.  A vectorized binary search inside those ranges
+    finishes in a step or two because ``K`` is two to four times
+    ``len(cdf)``.
+    """
+    n_buckets = 1 << (2 * len(cdf)).bit_length()
+    index = np.int32 if n_buckets < 1 << 31 else np.int64
+    edges = np.searchsorted(cdf, np.arange(n_buckets + 1) / n_buckets,
+                            side="left").astype(index)
+    bucket = (draws * n_buckets).astype(index)
+    lo = edges[bucket]
+    hi = edges[bucket + 1]
+    for _ in range(int(np.diff(edges).max()).bit_length()):
+        mid = (lo + hi) >> 1
+        below = cdf[mid] < draws
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
 
 
 def trim_out_degrees(out_degrees: np.ndarray, excess: int,
@@ -129,10 +156,13 @@ def generate_power_law_graph(
         np.add.at(out_degrees, bump, 1)
     elif diff < 0:
         trim_out_degrees(out_degrees, -diff, rng)
-    sources = np.repeat(np.arange(n_vertices, dtype=np.int64), out_degrees)
-    targets = zipf_targets(rng, n_vertices, len(sources), skew)
-    weights = rng.integers(1, 16, size=len(sources), dtype=np.int64)
-    return CsrGraph.from_edges(n_vertices, sources, targets, weights)
+    # Vertex v's edges are the next out_degrees[v] draws, so the draws are
+    # already in CSR order.
+    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(out_degrees, out=indptr[1:])
+    targets = zipf_targets(rng, n_vertices, int(indptr[-1]), skew)
+    weights = rng.integers(1, 16, size=int(indptr[-1]), dtype=np.int64)
+    return CsrGraph(indptr, targets, weights)
 
 
 _SUITE_CACHE: Dict[tuple, CsrGraph] = {}

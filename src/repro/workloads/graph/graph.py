@@ -66,16 +66,23 @@ class CsrGraph:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def symmetrized(self) -> "CsrGraph":
-        """Return the undirected version (each edge mirrored, self-dedup'd)."""
-        sources = np.repeat(np.arange(self.n_vertices, dtype=np.int64),
-                            np.diff(self.indptr))
-        all_src = np.concatenate([sources, self.indices])
-        all_dst = np.concatenate([self.indices, sources])
-        # Deduplicate mirrored edge pairs.
-        keys = all_src * self.n_vertices + all_dst
-        _, unique_idx = np.unique(keys, return_index=True)
-        return CsrGraph.from_edges(self.n_vertices, all_src[unique_idx],
-                                   all_dst[unique_idx])
+        """Return the undirected version (each edge mirrored, self-dedup'd).
+
+        Successors come out sorted by (source, target): one sort of the
+        ``source * n + target`` keys over the edges and their mirrors,
+        with adjacent duplicates dropped.
+        """
+        n = self.n_vertices
+        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        keys = np.concatenate([sources * n + self.indices,
+                               self.indices * n + sources])
+        keys.sort()
+        if len(keys):
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        all_src, all_dst = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(all_src, minlength=n), out=indptr[1:])
+        return CsrGraph(indptr, all_dst)
 
     def __repr__(self) -> str:
         return f"CsrGraph({self.n_vertices} vertices, {self.n_edges} edges)"

@@ -393,3 +393,22 @@ class TestMutants:
                        edits=(("system/config.py", "NO SUCH ANCHOR", "x"),))
         with pytest.raises(ValueError):
             run_mutants([REPO_SRC], mutants=[bogus])
+
+    def test_drifted_last_anchor_fails_before_any_run(self):
+        """Every anchor is checked up front, so a drifted one at the end
+        of the catalogue costs no analyzer run."""
+        from dataclasses import replace
+
+        from repro.analysis.mutation import run_seeded_mutants
+        rel, _, new = MUTANTS[-1].edits[0]
+        drifted = replace(MUTANTS[-1], edits=((rel, "NO SUCH ANCHOR", new),))
+        calls = []
+
+        def counting_run(paths, **kwargs):
+            calls.append(kwargs)
+            return run_flow(paths, **kwargs)
+
+        with pytest.raises(ValueError, match="anchor not found"):
+            run_seeded_mutants(counting_run, [REPO_SRC],
+                               list(MUTANTS[:-1]) + [drifted])
+        assert calls == []

@@ -282,6 +282,8 @@ class TestSweepCommand:
         assert len(records) == 2
         warm = json.loads(records[-1].read_text())
         assert warm["sweep"]["simulated"] == 0
+        # The warm session's frontier block counts only its own work.
+        assert warm["observability"]["cache"]["simulations"] == 0
         assert warm["sweep"]["evaluated"] > 0
         assert warm["sweep"]["points_per_second"] > 0
         assert main(["history", "--history-dir", str(history),

@@ -9,7 +9,11 @@ from repro.cpu.trace import KIND_PEI
 from repro.system.config import tiny_config
 from repro.system.system import System
 from repro.vm.address_space import AddressSpace
-from repro.workloads.analytics.hash_join import HashJoin, bucket_hash
+from repro.workloads.analytics.hash_join import (
+    KEYS_PER_NODE,
+    HashJoin,
+    bucket_hash,
+)
 from repro.workloads.analytics.histogram import Histogram
 from repro.workloads.analytics.radix_partition import RadixPartition
 
@@ -54,10 +58,13 @@ class TestHashJoin:
         w.prepare(AddressSpace())
         key = int(w.s_keys[0])
         chain = w._chain_for(key)
+        nodes = w._bucket_nodes(bucket_hash(key, w._bucket_mask))
         if key in w._r_keyset:
-            # The last node visited contains the key.
-            b = bucket_hash(key, w._bucket_mask)
-            assert key in w._node_keys[b][len(chain) - 1]
+            # The last node visited holds the key: node rank // 4 of its
+            # bucket, counting insertions.
+            assert chain == nodes[:w._key_rank[key] // KEYS_PER_NODE + 1]
+        else:
+            assert chain == nodes  # a miss reads the whole bucket
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

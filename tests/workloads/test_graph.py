@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.util.rng import make_rng
 from repro.workloads.graph import generators
 from repro.workloads.graph.generators import (
     GRAPH_SUITE,
+    MAX_TARGET_SHARE,
+    bucketed_searchsorted,
     generate_power_law_graph,
     make_suite_graph,
     trim_out_degrees,
@@ -69,6 +72,140 @@ class TestCsrGraph:
             for t in g.successors(s)
         )
         assert rebuilt == sorted(edges)
+
+
+def unique_symmetrized(graph):
+    """Reference: the original ``np.unique``-based symmetrization."""
+    sources = np.repeat(np.arange(graph.n_vertices, dtype=np.int64),
+                        np.diff(graph.indptr))
+    all_src = np.concatenate([sources, graph.indices])
+    all_dst = np.concatenate([graph.indices, sources])
+    keys = all_src * graph.n_vertices + all_dst
+    _, unique_idx = np.unique(keys, return_index=True)
+    return CsrGraph.from_edges(graph.n_vertices, all_src[unique_idx],
+                               all_dst[unique_idx])
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "weights"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, sources, targets) with duplicates, self-loops, mirrored pairs,
+    isolated vertices and empty edge lists all in reach."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    if edges:
+        picked = draw(st.lists(st.sampled_from(edges), max_size=10))
+        edges = draw(st.permutations(
+            edges + picked + [(t, s) for s, t in picked]))
+    return n, [s for s, _ in edges], [t for _, t in edges]
+
+
+class TestSymmetrizedMatchesUnique:
+    @settings(max_examples=80, deadline=None)
+    @given(edge_lists())
+    def test_edge_lists(self, case):
+        graph = CsrGraph.from_edges(*case)
+        assert_same_csr(graph.symmetrized(), unique_symmetrized(graph))
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    @pytest.mark.parametrize("name", ["soc-Slashdot0811", "web-Stanford"])
+    def test_suite_graphs(self, name, seed):
+        graph = make_suite_graph(name, seed)
+        assert_same_csr(graph.symmetrized(), unique_symmetrized(graph))
+
+
+def zipf_cdf(n_vertices, skew, max_share=MAX_TARGET_SHARE):
+    """The capped Zipf CDF ``zipf_targets`` searches."""
+    weights = np.arange(1, n_vertices + 1, dtype=np.float64) ** (-skew)
+    cap = max(max_share, 20.0 / n_vertices) * weights.sum()
+    cdf = np.cumsum(np.minimum(weights, cap))
+    return cdf / cdf[-1]
+
+
+def searchsorted_zipf_targets(rng, n_vertices, count, skew):
+    """Reference: the original ``zipf_targets``, one plain searchsorted."""
+    cdf = zipf_cdf(n_vertices, skew)
+    ids = np.searchsorted(cdf, rng.random(count), side="left")
+    return rng.permutation(n_vertices)[ids]
+
+
+class TestZipfSearchMatchesSearchsorted:
+    @pytest.mark.parametrize("n, count, skew, seed", [
+        (2, 500, 0.65, 1), (3, 1000, 0.0, 2), (100, 5000, 0.65, 3),
+        (1024, 20_000, 0.0, 4), (5000, 50_000, 1.2, 5),
+        (17_620, 100_000, 0.65, 42),
+    ])
+    def test_seeded_cases(self, n, count, skew, seed):
+        fast_rng = np.random.default_rng(seed)
+        slow_rng = np.random.default_rng(seed)
+        fast = zipf_targets(fast_rng, n, count, skew)
+        slow = searchsorted_zipf_targets(slow_rng, n, count, skew)
+        assert fast.dtype == slow.dtype
+        assert np.array_equal(fast, slow)
+        assert fast_rng.integers(0, 2**62) == slow_rng.integers(0, 2**62)
+
+    @pytest.mark.parametrize("n, skew", [
+        (2, 0.65), (7, 0.65), (1000, 0.65), (4096, 0.0), (3000, 1.2)])
+    def test_draws_on_and_beside_boundaries(self, n, skew):
+        """Draws at, and one ulp either side of, every cdf value and every
+        bucket boundary ``j / K`` for each power of two ``K`` near 4n."""
+        cdf = zipf_cdf(n, skew)
+        bits = (4 * n).bit_length()
+        bounds = [np.arange(k + 1) / k
+                  for k in (1 << b for b in range(bits - 3, bits + 3))]
+        points = np.concatenate([cdf, *bounds])
+        draws = np.concatenate([points, np.nextafter(points, 0.0),
+                                np.nextafter(points, 1.0)])
+        draws = draws[(draws >= 0.0) & (draws < 1.0)]
+        assert np.array_equal(bucketed_searchsorted(cdf, draws),
+                              np.searchsorted(cdf, draws, side="left"))
+
+
+def reference_power_law_graph(n_vertices, avg_degree, seed, skew):
+    """Reference: the original generator, with the plain-searchsorted
+    targets and ``from_edges`` over the repeated sources."""
+    rng = make_rng(seed, "power-law", n_vertices)
+    n_edges = max(1, int(round(n_vertices * avg_degree)))
+    raw = rng.exponential(scale=avg_degree, size=n_vertices)
+    out_degrees = np.maximum(1, np.round(raw * (n_edges / max(raw.sum(), 1e-9)))).astype(
+        np.int64
+    )
+    diff = n_edges - int(out_degrees.sum())
+    if diff > 0:
+        np.add.at(out_degrees, rng.integers(0, n_vertices, size=diff), 1)
+    elif diff < 0:
+        trim_out_degrees(out_degrees, -diff, rng)
+    sources = np.repeat(np.arange(n_vertices, dtype=np.int64), out_degrees)
+    targets = searchsorted_zipf_targets(rng, n_vertices, len(sources), skew)
+    weights = rng.integers(1, 16, size=len(sources), dtype=np.int64)
+    return CsrGraph.from_edges(n_vertices, sources, targets, weights)
+
+
+class TestGeneratorMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 42])
+    @pytest.mark.parametrize("name", ["p2p-Gnutella31", "soc-Slashdot0811"])
+    def test_suite_specs(self, name, seed):
+        spec = GRAPH_SUITE[name]
+        args = (spec.n_vertices, spec.avg_degree, seed, spec.skew)
+        assert_same_csr(generate_power_law_graph(*args),
+                        reference_power_law_graph(*args))
+
+    def test_more_vertices_than_edges(self):
+        # Every vertex keeps one out-edge, so the trim stops early and the
+        # graph has more edges than asked for.
+        args = (200, 0.5, 3, 0.65)
+        graph = generate_power_law_graph(*args)
+        assert graph.n_edges == 200
+        assert_same_csr(graph, reference_power_law_graph(*args))
 
 
 class TestGenerators:

@@ -1,12 +1,18 @@
 """Deeper tests of workload-internal mechanisms: frontier caching, round
 bookkeeping, hash-table geometry, partition cursor math, chunk schedules."""
 
+from collections import Counter
+from typing import Dict, List
+
 import numpy as np
 import pytest
 
+from repro.cpu.trace import capture_trace
+from repro.util.rng import make_rng
 from repro.vm.address_space import AddressSpace
 from repro.workloads.analytics.hash_join import (
     KEYS_PER_NODE,
+    NODE_BYTES,
     HashJoin,
     bucket_hash,
 )
@@ -16,6 +22,7 @@ from repro.workloads.graph.bfs import BreadthFirstSearch
 from repro.workloads.graph.graph import CsrGraph
 from repro.workloads.graph.layout import GraphLayout, GraphWorkloadBase
 from repro.workloads.graph.sssp import SingleSourceShortestPath
+from repro.workloads.registry import make_workload
 
 
 class TestThreadChunks:
@@ -122,20 +129,107 @@ class TestHashJoinGeometry:
         for key in w.r_keys[:100]:
             chain = w._chain_for(int(key))
             b = bucket_hash(int(key), w._bucket_mask)
-            assert int(key) in w._node_keys[b][len(chain) - 1]
+            # The probe stops at the node holding the key, inside the chain.
+            assert len(chain) - 1 == w._key_rank[int(key)] // KEYS_PER_NODE
+            assert chain == w._bucket_nodes(b)[:len(chain)]
 
     def test_chain_nodes_hold_at_most_four_keys(self):
         w = HashJoin(build_rows=500, probe_rows=10)
         w.prepare(AddressSpace())
-        for nodes in w._node_keys.values():
-            assert all(len(node) <= KEYS_PER_NODE for node in nodes)
+        ranks: Dict[int, List[int]] = {}
+        for key in w.r_keys.tolist():
+            ranks.setdefault(bucket_hash(key, w._bucket_mask), []).append(
+                w._key_rank[key])
+        for b, bucket_ranks in ranks.items():
+            # Ranks number a bucket's keys 0..count-1, four to a node.
+            assert sorted(bucket_ranks) == list(range(len(bucket_ranks)))
+            per_node = Counter(r // KEYS_PER_NODE for r in bucket_ranks)
+            assert max(per_node.values()) <= KEYS_PER_NODE
+            assert len(w._bucket_nodes(b)) == len(per_node)
 
     def test_node_addresses_block_aligned_and_unique(self):
         w = HashJoin(build_rows=500, probe_rows=10)
         w.prepare(AddressSpace())
-        addrs = [a for chain in w._node_addrs.values() for a in chain]
+        addrs = [a for b in range(w.n_buckets) for a in w._bucket_nodes(b)]
         assert len(addrs) == len(set(addrs))
         assert all(a % 64 == 0 for a in addrs)
+
+
+class DictChainHashJoin(HashJoin):
+    """Reference: the original dict-of-lists chain build and probe."""
+
+    def prepare(self, space) -> None:
+        self.space = space
+        rng = make_rng(self.seed, "hj")
+        self.r_keys = rng.permutation(self.build_rows * 2)[: self.build_rows].astype(
+            np.int64
+        )
+        self.s_keys = rng.integers(0, self.build_rows * 2, size=self.probe_rows).astype(
+            np.int64
+        )
+        self._r_keyset = set(int(k) for k in self.r_keys)
+        n_buckets = 1
+        while n_buckets * KEYS_PER_NODE < self.build_rows * 2:
+            n_buckets *= 2
+        self.n_buckets = n_buckets
+        buckets = space.alloc("hj.buckets", n_buckets * NODE_BYTES)
+        chains: Dict[int, List[List[int]]] = {}
+        mask = n_buckets - 1
+        for key in self.r_keys:
+            b = bucket_hash(int(key), mask)
+            nodes = chains.setdefault(b, [[]])
+            if len(nodes[-1]) >= KEYS_PER_NODE:
+                nodes.append([])
+            nodes[-1].append(int(key))
+        n_overflow = sum(max(0, len(nodes) - 1) for nodes in chains.values())
+        overflow = space.alloc("hj.overflow", max(1, n_overflow) * NODE_BYTES)
+        space.alloc("hj.probe_keys", self.probe_rows * 8)
+        self._node_addrs: Dict[int, List[int]] = {}
+        self._node_keys: Dict[int, List[List[int]]] = {}
+        next_overflow = 0
+        for b, nodes in chains.items():
+            addrs = [buckets.base + b * NODE_BYTES]
+            for _ in nodes[1:]:
+                addrs.append(overflow.base + next_overflow * NODE_BYTES)
+                next_overflow += 1
+            self._node_addrs[b] = addrs
+            self._node_keys[b] = nodes
+        self._bucket_mask = mask
+        self._buckets_base = buckets.base
+        self.matches = 0
+
+    def _chain_for(self, key: int) -> List[int]:
+        b = bucket_hash(key, self._bucket_mask)
+        addrs = self._node_addrs.get(b)
+        if addrs is None:
+            return [self._buckets_base + b * NODE_BYTES]
+        visited = []
+        for addr, keys in zip(addrs, self._node_keys[b]):
+            visited.append(addr)
+            if key in keys:
+                return visited
+        return visited
+
+
+class TestHashJoinMatchesDictChains:
+    @pytest.mark.parametrize("size, seed", [("small", 1), ("small", 42),
+                                            ("medium", 42)])
+    def test_chains_and_regions(self, size, seed):
+        fast = make_workload("HJ", size, seed=seed)
+        slow = DictChainHashJoin(fast.build_rows, fast.probe_rows, seed=seed)
+        fast_space, slow_space = AddressSpace(), AddressSpace()
+        fast.prepare(fast_space)
+        slow.prepare(slow_space)
+        assert fast_space.regions == slow_space.regions
+        for key in range(-1, 2 * fast.build_rows + 1):
+            assert fast._chain_for(key) == slow._chain_for(key)
+
+    @pytest.mark.parametrize("size", ["small", "medium"])
+    def test_captured_trace(self, size):
+        fast = make_workload("HJ", size, seed=1)
+        slow = DictChainHashJoin(fast.build_rows, fast.probe_rows, seed=1)
+        assert capture_trace(fast, 4, 1500).fingerprint == \
+            capture_trace(slow, 4, 1500).fingerprint
 
 
 class TestRadixPartitionCursors:
