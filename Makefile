@@ -34,9 +34,10 @@ flow-mutants:
 sanitize:
 	PYTHONPATH=src python -m repro.analysis sanitize
 
-# Bounded protocol verification: exhaustive interleaving exploration,
-# differential check against the golden model, full-machine coherence pass,
-# and the seeded-mutant self-validation (~45 s; see docs/verification.md).
+# Bounded protocol verification: exhaustive interleaving exploration judged
+# by simsan and the golden model, full-machine coherence pass, and the
+# seeded-mutant self-validation (44 s median on a 2-vCPU VM; see
+# docs/verification.md).
 verify:
 	PYTHONPATH=src python -m repro.verify all
 

@@ -33,8 +33,8 @@ SAN010    per-entry reader concurrency never exceeds what the 10-bit
 
 SAN009/SAN010 need the directory geometry and activate only when the
 caller passes ``directory_entries`` (they are meaningless for an ideal
-per-block directory).  The same invariants are proven exhaustively in the
-small by :mod:`repro.verify`; here they are monitored on real runs.
+per-block directory).  :mod:`repro.verify` judges its exhaustive small
+timelines with these same checks; here they monitor real runs.
 
 Because the executor is synchronous, trace order equals directory-acquire
 order, so the single-pass checks below mirror the timestamp semantics of
@@ -338,6 +338,11 @@ def sanitize_tracer(
 
 
 def _check_monotonic(trace: PeiTrace, report: SanitizerReport) -> None:
+    decision = trace.decision_time
+    if (trace.issue_time <= trace.grant_time <= trace.completion
+            and (decision is None
+                 or trace.issue_time <= decision <= trace.grant_time)):
+        return
     stamps = [("issue_time", trace.issue_time)]
     if trace.decision_time is not None:
         stamps.append(("decision_time", trace.decision_time))

@@ -7,29 +7,31 @@ Three cooperating pieces (see ``docs/verification.md``):
   10-bit reader / 1-bit writer counters, per-block cache-copy and
   memory-freshness state), deliberately independent of the simulator's
   timestamp encoding.
-* :mod:`repro.verify.explorer` / :mod:`repro.verify.coherence` — bounded
-  exhaustive exploration: every interleaving of small PEI workloads is
-  replayed through the real :class:`~repro.core.pim_directory.PimDirectory`
-  (and, for coherence, a full built machine) and checked against the
-  VER001–VER014 invariants.
-* :mod:`repro.verify.differential` — replays each explored schedule
-  through the golden model too and fails on any timeline divergence.
+* :mod:`repro.verify.explorer` — bounded exhaustive exploration: every
+  interleaving of small PEI workloads is replayed through the real
+  :class:`~repro.core.pim_directory.PimDirectory`, recorded as the
+  simulator's ``PeiTrace``/``FenceTrace`` events, and judged by the simsan
+  sanitizer (SAN001–SAN005, SAN009) plus a differential replay through the
+  golden model (VER007/VER008).
+* :mod:`repro.verify.coherence` — the same schedules on a full built
+  machine, checking the PMU's back-invalidation/back-writeback against the
+  golden cache state (VER009–VER014) and judging the events with simsan.
 
 :mod:`repro.verify.mutants` seeds known protocol defects into the simulator
 and requires the above to kill every one — the harness validates itself.
 
 Run ``python -m repro.verify all`` (or ``make verify``) for the whole
-sweep; ``explore``, ``diff``, ``coherence`` and ``mutants`` run the pieces
+sweep; ``explore``, ``coherence`` and ``mutants`` run the pieces
 individually.
 """
 
 from repro.verify.coherence import CoherenceBounds, run_coherence
-from repro.verify.differential import diff_schedule, run_all, run_differential
 from repro.verify.explorer import (
     ExploreReport,
     Violation,
-    check_invariants,
+    diff_schedule,
     explore,
+    judge,
     replay,
 )
 from repro.verify.golden import GoldenCacheState, GoldenDirectory, GoldenError
@@ -55,15 +57,13 @@ __all__ = [
     "MutantReport",
     "Schedule",
     "Violation",
-    "check_invariants",
     "count_schedules",
     "default_directory_cases",
     "diff_schedule",
     "enumerate_schedules",
     "explore",
+    "judge",
     "replay",
-    "run_all",
     "run_coherence",
-    "run_differential",
     "run_mutants",
 ]

@@ -2,8 +2,7 @@
 
 Subcommands::
 
-    python -m repro.verify explore    # invariants on the real directory
-    python -m repro.verify diff       # + differential vs. the golden model
+    python -m repro.verify explore    # real directory: simsan + golden model
     python -m repro.verify coherence  # full-machine coherence pass
     python -m repro.verify mutants    # seeded defects must all be killed
     python -m repro.verify all        # everything above (= `make verify`)
@@ -17,19 +16,22 @@ import sys
 # Wall-clock timing below measures the harness's own host cost for the CI
 # budget; it never feeds a simulated timestamp.
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.verify.coherence import CoherenceBounds, run_coherence
-from repro.verify.differential import run_all
 from repro.verify.explorer import ExploreReport, explore
 from repro.verify.mutants import run_mutants
-from repro.verify.schedule import ExploreBounds, count_schedules
+from repro.verify.schedule import (
+    N_BLOCKS,
+    ExploreBounds,
+    count_schedules,
+    default_directory_cases,
+)
 
 
 def _bounds_from_args(args: argparse.Namespace) -> ExploreBounds:
     return ExploreBounds(
         max_peis=args.max_peis,
-        n_blocks=args.blocks,
         durations=tuple(args.durations),
         strides=tuple(args.strides),
         include_fences=not args.no_fences,
@@ -50,8 +52,12 @@ def _print_report(label: str, report: ExploreReport, elapsed: float) -> bool:
     return report.ok
 
 
+def _now() -> float:
+    return time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+
+
 def _elapsed_since(start: float) -> float:
-    return time.perf_counter() - start  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+    return _now() - start
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -59,13 +65,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.verify",
         description="Bounded protocol checker for the PEI architecture.")
     parser.add_argument("command",
-                        choices=("explore", "diff", "coherence",
-                                 "mutants", "all"),
+                        choices=("explore", "coherence", "mutants", "all"),
                         help="which pass to run")
     parser.add_argument("--max-peis", type=int, default=4,
                         help="longest PEI/pfence sequence to enumerate")
-    parser.add_argument("--blocks", type=int, default=2,
-                        help="distinct target blocks per schedule")
     parser.add_argument("--durations", type=float, nargs="+",
                         default=[3.0, 11.0],
                         help="lock occupancies to combine")
@@ -77,30 +80,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     ok = True
-    start = time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+    start = _now()
 
-    if args.command in ("explore", "diff", "all"):
+    if args.command in ("explore", "all"):
         bounds = _bounds_from_args(args)
-        total = count_schedules(bounds)
-        cases = len(bounds.directory_cases())
-        print(f"enumerating {total} schedules x {cases} directory geometries "
-              f"(max {args.max_peis} PEIs over {args.blocks} blocks)")
-        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
-        if args.command == "explore":
-            report = explore(bounds)
-            ok = _print_report("explore", report, _elapsed_since(t0)) and ok
-        else:
-            report = run_all(bounds)
-            ok = _print_report("explore+diff", report,
-                               _elapsed_since(t0)) and ok
+        print(f"enumerating {count_schedules(bounds)} schedules x "
+              f"{len(default_directory_cases())} directory geometries "
+              f"(max {args.max_peis} PEIs over {N_BLOCKS} blocks)")
+        t0 = _now()
+        report = explore(bounds)
+        ok = _print_report("explore", report, _elapsed_since(t0)) and ok
 
     if args.command in ("coherence", "all"):
-        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+        t0 = _now()
         report = run_coherence(_coherence_bounds_from_args(args))
         ok = _print_report("coherence", report, _elapsed_since(t0)) and ok
 
     if args.command in ("mutants", "all"):
-        t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness self-timing for the CI wall-clock budget, never a simulated timestamp
+        t0 = _now()
         mutant_report = run_mutants()
         print(f"[mutants] {mutant_report.summary()} "
               f"in {_elapsed_since(t0):.1f}s")

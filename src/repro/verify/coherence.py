@@ -10,9 +10,9 @@ every geometry, it drives the actual :class:`~repro.core.pmu.Pmu` and
 memory-freshness state (:class:`~repro.verify.golden.GoldenCacheState`):
 
 ========  ==========================================================
-VER009    clean readiness: memory-side execution may not begin before
-          the clean completed; a clean that had to touch the
-          hierarchy cannot be free
+VER009    clean cost: a clean that had to touch the hierarchy pays
+          at least the L3 + crossbar probe; a clean of a block with
+          no on-chip copy is free
 VER010    copy discipline: back-invalidation leaves no on-chip copy;
           back-writeback preserves exactly the copies it should
 VER011    memory freshness: after any clean, no dirty copy of the
@@ -26,31 +26,34 @@ VER014    forced execution side: the dispatch policy the pass sets
 ========  ==========================================================
 
 Every replay also assembles the equivalent ``PeiTrace``/``FenceTrace``
-stream and runs it through :func:`repro.analysis.simsan.sanitize_events`
-with the machine's directory geometry — cross-validating the trace
-sanitizer's SAN001–SAN010 rules against the same schedules the explorer
-proves, so the two checkers can never silently drift apart.  The
-sanitizer owns the timestamp invariants: SAN004 (issue <= decision <=
-grant <= completion, and no pfence before its issue) and SAN005 (a pfence
-waits for every prior writer) judge this pass's timelines too.
+stream and judges it with :func:`~repro.verify.explorer.sanitize`
+(simsan's SAN001–SAN010, with the machine's directory geometry), so the
+sanitizer owns the timestamp invariants here exactly as it does for the
+explorer: SAN003 (every clean lies inside its PEI's [grant, completion]
+window), SAN004 (issue <= decision <= grant <= completion, and no pfence
+before its issue) and SAN005 (a pfence waits for every prior writer).
 """
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.simsan import sanitize_events
 from repro.core.dispatch import DispatchPolicy
-from repro.core.isa import HASH_PROBE, INT_INCREMENT, PimOp
 from repro.core.tracer import FenceTrace, PeiTrace
 from repro.sim.stats import Stats
 from repro.system.builder import Machine, build_machine
 from repro.system.config import SystemConfig, tiny_config
-from repro.verify.explorer import ExploreReport, Violation, times_close
+from repro.verify.explorer import (
+    ExploreReport,
+    Violation,
+    sanitize,
+    times_close,
+)
 from repro.verify.golden import GoldenCacheState
 from repro.verify.schedule import (
+    READER_OP,
+    WRITER_OP,
     ExploreBounds,
     FenceStep,
-    PeiStep,
     Schedule,
     enumerate_schedules,
 )
@@ -63,11 +66,6 @@ __all__ = [
     "replay_coherence",
     "run_coherence",
 ]
-
-#: Writer / reader operations used to drive the PMU (any Table 1 pair works;
-#: the protocol keys only on the R/W columns).
-WRITER_OP: PimOp = INT_INCREMENT
-READER_OP: PimOp = HASH_PROBE
 
 #: Cache priming modes applied before each schedule.
 PRIMES: Tuple[str, ...] = ("cold", "shared-clean", "dirty-owner")
@@ -112,17 +110,11 @@ class CoherenceBounds:
     strides: Tuple[float, ...] = (0.0, 31.0)
     #: Schedules start here, safely after every priming access retires.
     base_time: float = 500.0
-    geometries: Optional[Tuple[CoherenceGeometry, ...]] = None
     primes: Tuple[str, ...] = PRIMES
-
-    def geometry_cases(self) -> Tuple[CoherenceGeometry, ...]:
-        return self.geometries if self.geometries is not None \
-            else default_geometries()
 
     def schedule_bounds(self) -> ExploreBounds:
         return ExploreBounds(
             max_peis=self.max_peis,
-            n_blocks=2,
             durations=self.durations,
             strides=self.strides,
         )
@@ -178,12 +170,12 @@ def replay_coherence(
     golden = {block: GoldenCacheState() for block in geometry.blocks}
     _prime(machine, geometry, prime, golden)
     case_name = f"{geometry.name}/{prime}"
-    desc = sched.describe()
     state = _CoherenceReplay()
 
     def bad(code: str, detail: str) -> None:
         state.violations.append(Violation(
-            code=code, case=case_name, schedule=desc, detail=detail))
+            code=code, case=case_name, schedule=sched.describe(),
+            detail=detail))
 
     for i, step in enumerate(sched.steps):
         issue = base_time + sched.issue(i)
@@ -230,16 +222,8 @@ def replay_coherence(
             bad("VER012",
                 f"step {i}: single-writer violated for blocks {broken}")
 
-    # Cross-validate simsan on the same timeline the checks above passed.
-    san = sanitize_events(
-        state.events,
-        operand_buffer_entries=None,
-        directory_entries=machine.directory.entries,
-    )
-    for violation in san.violations:
-        state.violations.append(Violation(
-            code=violation.code, case=case_name, schedule=desc,
-            detail=violation.message))
+    state.violations.extend(sanitize(
+        state.events, machine.directory.entries, case_name, sched))
     return state.violations
 
 
@@ -252,12 +236,8 @@ def _memory_side_step(machine, golden, block, op, step, grant, i, bad):
     before_wb = stats.get("pmu.back_writebacks")
     ready = machine.pmu.clean_block_for_memory(block, op, grant.grant_time)
 
-    # VER009: readiness bounds.
+    # VER009: clean cost (SAN003 owns "ready inside [grant, completion]").
     clean_floor = hierarchy.l3_latency + hierarchy.crossbar.latency
-    if ready < grant.grant_time - 1e-9:
-        bad("VER009",
-            f"step {i}: clean ready at {ready:g} before the grant "
-            f"{grant.grant_time:g}")
     if expectation.touches_hierarchy:
         if ready < grant.grant_time + clean_floor - 1e-9:
             bad("VER009",
@@ -314,7 +294,7 @@ def run_coherence(bounds: Optional[CoherenceBounds] = None,
     if bounds is None:
         bounds = CoherenceBounds()
     report = ExploreReport()
-    geometries = bounds.geometry_cases()
+    geometries = default_geometries()
     for sched in enumerate_schedules(bounds.schedule_bounds()):
         report.schedules += 1
         for geometry in geometries:

@@ -4,51 +4,76 @@ For every :class:`~repro.verify.schedule.Schedule` at the configured bound
 and every directory geometry, :func:`replay` drives a **fresh, real**
 :class:`~repro.core.pim_directory.PimDirectory` through the schedule exactly
 as the executor would (acquire → occupy → release, fences via
-``fence_time``) and records the resulting timeline.  :func:`check_invariants`
-then judges the timeline against the protocol obligations of Section 4.3:
+``fence_time``) and records the timeline the way the simulator's tracer
+does: one :class:`~repro.core.tracer.PeiTrace` or
+:class:`~repro.core.tracer.FenceTrace` per step.  :func:`judge` then holds
+every timeline to two references:
 
 ========  ==========================================================
-VER001    two writer PEIs of one *block* overlap in time
-VER002    a reader PEI of a block overlaps a writer PEI of that block
-VER003    unstable or out-of-range directory indexing (a tag-less
-          false negative: one block visiting two entries)
-VER004    grant precedes issue + directory latency, or completion
-          precedes grant (time ran backwards)
-VER005    a pfence released before a previously issued writer PEI
+SAN001    two writer PEIs of one block overlap in time
+SAN002    a reader PEI of a block overlaps a writer PEI of that block
+SAN003    a memory-side PEI's clean lies outside [grant, completion]
+SAN004    a PEI's grant precedes its issue or its completion precedes
+          its grant, or a pfence releases before its own issue
+SAN005    a pfence released before a previously issued writer PEI
           completed
-VER006    two PEIs sharing one directory *entry* overlap illegally
-          (covers aliased blocks, which must serialize even though
-          they never conflict architecturally)
+SAN009    two PEIs whose different blocks share one directory entry
+          overlap (non-ideal geometries only)
+VER007    the real directory granted a PEI (or released a pfence) at
+          a different time, or into a different entry, than the
+          golden model admits
+VER008    the golden model's own hardware-width bookkeeping tripped
+          while it computed its admissible timeline — a checker
+          defect, never a verdict on the real timeline
 ========  ==========================================================
 
-The differential codes VER007/VER008 and the coherence codes VER009+ live
-in :mod:`repro.verify.differential` and :mod:`repro.verify.coherence`.
+The SAN codes come from :func:`repro.analysis.simsan.sanitize_events`, the
+one statement of the Section 4.3/3.2 protocol invariants that also
+monitors real runs and judges the coherence pass
+(:mod:`repro.verify.coherence`, VER009+).  VER007/VER008 replay the
+schedule through the paper-literal
+:class:`~repro.verify.golden.GoldenDirectory`, which receives only each
+step's block, issue time and occupancy and derives its own grants.
+Because the two encodings perform the same max/+ float arithmetic on
+correct implementations, that comparison uses a tight tolerance: a
+mutation as small as dropping the handoff penalty or skipping the
+directory latency shifts a grant by whole cycles and is caught at once.
 """
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.simsan import sanitize_events
 from repro.core.pim_directory import PimDirectory
+from repro.core.tracer import FenceTrace, PeiTrace, TraceEvent
 from repro.sim.stats import Stats
+from repro.util.bitops import ilog2, xor_fold
+from repro.verify.golden import GoldenDirectory, GoldenError
 from repro.verify.schedule import (
+    READER_OP,
+    WRITER_OP,
     DirectoryCase,
     ExploreBounds,
     FenceStep,
     PeiStep,
     Schedule,
+    default_directory_cases,
     enumerate_schedules,
 )
 
 __all__ = [
     "Violation",
-    "ReplayPei",
-    "ReplayFence",
-    "ReplayResult",
     "ExploreReport",
     "times_close",
     "build_directory",
+    "occupancy_of",
     "replay",
-    "check_invariants",
+    "golden_index_fn",
+    "build_golden",
+    "sanitize",
+    "diff_schedule",
+    "judge",
     "explore",
 ]
 
@@ -74,34 +99,15 @@ class Violation:
         return f"{self.code} [{self.case}] {self.schedule}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ReplayPei:
-    """One PEI's observed passage through the real directory."""
-
-    step_index: int
-    step: PeiStep
-    block: int        # real block number (case.blocks[step.block])
-    entry: int
-    issue: float
-    grant: float
-    completion: float
-
-
-@dataclass(frozen=True)
-class ReplayFence:
-    """One pfence's observed release."""
-
-    step_index: int
-    issue: float
-    release: float
-
-
-@dataclass
-class ReplayResult:
-    """Everything one schedule replay produced, in step order."""
-
-    peis: List[ReplayPei] = field(default_factory=list)
-    fences: List[ReplayFence] = field(default_factory=list)
+def _violations(case_name: str, sched: Schedule,
+                found: Sequence[Tuple[str, str]]) -> List[Violation]:
+    """(code, detail) pairs as violations; describes the schedule only
+    when there is something to report."""
+    if not found:
+        return []
+    desc = sched.describe()
+    return [Violation(code=code, case=case_name, schedule=desc, detail=detail)
+            for code, detail in found]
 
 
 def build_directory(case: DirectoryCase) -> PimDirectory:
@@ -122,149 +128,165 @@ def occupancy_of(step: PeiStep, memory_lead: float) -> float:
     return lead + step.duration
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _pei_trace(op: str, block: int, on_host: bool, issue: float,
+               grant: float, completion: float, clean_time: Optional[float],
+               clean_invalidate: Optional[bool]) -> PeiTrace:
+    """One interned, immutable PEI event.
+
+    The sweep's half-million timelines repeat a few thousand distinct
+    events, and looking one up costs about a tenth of building a frozen
+    :class:`~repro.core.tracer.PeiTrace` (the interned-steps idiom of
+    :mod:`repro.verify.schedule`, applied to the replay's output).
+    """
+    return PeiTrace(core=0, op=op, block=block, on_host=on_host,
+                    issue_time=issue, grant_time=grant, completion=completion,
+                    clean_time=clean_time, clean_invalidate=clean_invalidate)
+
+
 def replay(
     case: DirectoryCase,
     sched: Schedule,
     memory_lead: float,
-    directory: Optional[PimDirectory] = None,
-) -> ReplayResult:
-    """Drive a real directory through one schedule; return the timeline.
+) -> Tuple[List[TraceEvent], List[Optional[int]]]:
+    """Drive a fresh real directory through one schedule.
 
-    Mirrors the executor's synchronous discipline: each PEI acquires at its
-    issue time, its completion is computed from the grant, and the release
-    is recorded immediately (the directory holds completions as future
-    timestamps, exactly as :class:`~repro.core.executor.PeiExecutor` does).
+    Returns one trace event per step, in step order, and the entry
+    ``acquire`` gave each step (``None`` for a pfence).  Mirrors the
+    executor's synchronous discipline: each PEI acquires at its issue time,
+    its completion is computed from the grant, and the release is recorded
+    immediately (the directory holds completions as future timestamps,
+    exactly as :class:`~repro.core.executor.PeiExecutor` does).  A
+    memory-side PEI cleans its block at the grant — back-invalidation for a
+    writer, back-writeback for a reader — and the clean is ready
+    ``memory_lead`` later, which is when its compute starts.  The explorer
+    models no cores, so every event carries core 0.
     """
-    if directory is None:
-        directory = build_directory(case)
-    result = ReplayResult()
+    directory = build_directory(case)
+    events: List[TraceEvent] = []
+    entries: List[Optional[int]] = []
     for i, step in enumerate(sched.steps):
         issue = sched.issue(i)
         if isinstance(step, FenceStep):
-            release = directory.fence_time(issue)
-            result.fences.append(ReplayFence(step_index=i, issue=issue,
-                                             release=release))
+            events.append(FenceTrace(core=0, issue_time=issue,
+                                     release_time=directory.fence_time(issue)))
+            entries.append(None)
             continue
         block = case.blocks[step.block]
         entry, grant = directory.acquire(block, step.is_writer, issue)
         completion = grant + occupancy_of(step, memory_lead)
         directory.release(entry, step.is_writer, completion)
-        result.peis.append(ReplayPei(
-            step_index=i, step=step, block=block, entry=entry,
-            issue=issue, grant=grant, completion=completion))
-    return result
+        op = WRITER_OP if step.is_writer else READER_OP
+        if step.on_host:
+            events.append(_pei_trace(op.mnemonic, block, True, issue, grant,
+                                     completion, None, None))
+        else:
+            events.append(_pei_trace(op.mnemonic, block, False, issue, grant,
+                                     completion, grant + memory_lead,
+                                     step.is_writer))
+        entries.append(entry)
+    return events, entries
 
 
 # ----------------------------------------------------------------------
-# Invariant checking
+# The judge: simsan plus the golden differential
 # ----------------------------------------------------------------------
 
 
-def _overlaps(a: ReplayPei, b: ReplayPei) -> bool:
-    """Strict interval overlap of two lock-hold windows [grant, completion).
+def golden_index_fn(case: DirectoryCase) -> Callable[[int], int]:
+    """The geometry's index function, derived independently of PimDirectory.
 
-    Touching endpoints (one completes exactly when the next starts) is a
-    legal handoff, not an overlap.
+    Computed straight from ``xor_fold`` so a directory whose ``acquire``
+    folds a block to the wrong entry diverges from the golden expectation
+    instead of poisoning both sides.
     """
-    return a.grant < b.completion - TIME_TOLERANCE \
-        and b.grant < a.completion - TIME_TOLERANCE
+    if case.ideal:
+        return lambda block: block
+    bits = ilog2(case.entries)
+    return lambda block: xor_fold(block, bits)
 
 
-def check_invariants(
+def build_golden(case: DirectoryCase) -> GoldenDirectory:
+    return GoldenDirectory(
+        index_fn=golden_index_fn(case),
+        entries=case.entries,
+        latency=case.latency,
+        handoff_penalty=case.handoff_penalty,
+        ideal=case.ideal,
+    )
+
+
+def sanitize(
+    events: Sequence[TraceEvent],
+    directory_entries: Optional[int],
+    case_name: str,
+    sched: Schedule,
+) -> List[Violation]:
+    """Run simsan over one replayed timeline.
+
+    ``directory_entries`` is the tag-less table's size, enabling the
+    entry-granular SAN009/SAN010; pass ``None`` for an ideal directory.
+    """
+    report = sanitize_events(events, directory_entries=directory_entries)
+    return _violations(case_name, sched, [(v.code, v.message)
+                                          for v in report.violations])
+
+
+def diff_schedule(
     case: DirectoryCase,
     sched: Schedule,
-    result: ReplayResult,
-    directory: Optional[PimDirectory] = None,
+    events: Sequence[TraceEvent],
+    entries: Sequence[Optional[int]],
+    memory_lead: float,
 ) -> List[Violation]:
-    """Judge one replayed timeline against the Section 4.3 obligations."""
-    out: List[Violation] = []
-    desc = sched.describe()
+    """Replay one schedule through the golden model; compare timelines."""
+    golden = build_golden(case)
+    found: List[Tuple[str, str]] = []
+    for i, (step, event, entry) in enumerate(
+            zip(sched.steps, events, entries)):
+        if isinstance(step, FenceStep):
+            expected = golden.fence(event.issue_time)
+            if not times_close(event.release_time, expected.release):
+                found.append((
+                    "VER007",
+                    f"step {i} pfence released at {event.release_time:g}, "
+                    f"golden model requires {expected.release:g}"))
+            continue
+        try:
+            expected = golden.admit_pei(
+                event.block, step.is_writer, event.issue_time,
+                occupancy_of(step, memory_lead))
+        except GoldenError as exc:
+            found.append(("VER008",
+                          f"step {i}: golden model bookkeeping failed: {exc}"))
+            break
+        if not case.ideal and expected.entry != entry:
+            found.append((
+                "VER007",
+                f"step {i} block {event.block} entered entry {entry}, "
+                f"golden fold says {expected.entry}"))
+        if not times_close(event.grant_time, expected.grant):
+            found.append((
+                "VER007",
+                f"step {i} ({step.describe()}) granted at "
+                f"{event.grant_time:g}, golden model admits "
+                f"{expected.grant:g}"
+                + (" (after blocking)" if expected.blocked else "")))
+    return _violations(case.name, sched, found)
 
-    def bad(code: str, detail: str) -> None:
-        out.append(Violation(code=code, case=case.name, schedule=desc,
-                             detail=detail))
 
-    # VER003: index stability and range.
-    for pei in result.peis:
-        if directory is not None:
-            for _ in range(2):
-                again = directory.index_of(pei.block)
-                if again != pei.entry:
-                    bad("VER003",
-                        f"block {pei.block} indexed entry {pei.entry} at "
-                        f"acquire but {again} on re-query — tag-less "
-                        f"false negative")
-                    break
-        if not case.ideal and not 0 <= pei.entry < case.entries:
-            bad("VER003",
-                f"block {pei.block} mapped outside the table: entry "
-                f"{pei.entry} of {case.entries}")
-
-    # VER004: local monotonicity of each PEI's own timeline.
-    for pei in result.peis:
-        floor = pei.issue + (0.0 if case.ideal else case.latency)
-        if pei.grant < floor - TIME_TOLERANCE:
-            bad("VER004",
-                f"step {pei.step_index} granted at {pei.grant:g} before "
-                f"issue+latency {floor:g}")
-        if pei.completion < pei.grant - TIME_TOLERANCE:
-            bad("VER004",
-                f"step {pei.step_index} completed at {pei.completion:g} "
-                f"before its grant {pei.grant:g}")
-
-    # VER001/VER002: per-block atomicity (the architectural contract).
-    by_block: Dict[int, List[ReplayPei]] = {}
-    for pei in result.peis:
-        by_block.setdefault(pei.block, []).append(pei)
-    for block, peis in by_block.items():
-        for i in range(len(peis)):
-            for j in range(i + 1, len(peis)):
-                a, b = peis[i], peis[j]
-                if not (a.step.is_writer or b.step.is_writer):
-                    continue
-                if not _overlaps(a, b):
-                    continue
-                code = "VER001" if (a.step.is_writer and b.step.is_writer) \
-                    else "VER002"
-                bad(code,
-                    f"block {block}: steps {a.step_index} "
-                    f"({a.step.describe()}, [{a.grant:g},{a.completion:g})) "
-                    f"and {b.step_index} ({b.step.describe()}, "
-                    f"[{b.grant:g},{b.completion:g})) overlap")
-
-    # VER006: per-entry exclusion (the tag-less hardware contract — aliased
-    # blocks must serialize too, because the entry cannot tell them apart).
-    if not case.ideal:
-        by_entry: Dict[int, List[ReplayPei]] = {}
-        for pei in result.peis:
-            by_entry.setdefault(pei.entry, []).append(pei)
-        for entry, peis in by_entry.items():
-            for i in range(len(peis)):
-                for j in range(i + 1, len(peis)):
-                    a, b = peis[i], peis[j]
-                    if not (a.step.is_writer or b.step.is_writer):
-                        continue
-                    if _overlaps(a, b):
-                        bad("VER006",
-                            f"entry {entry}: steps {a.step_index} and "
-                            f"{b.step_index} (blocks {a.block}/{b.block}) "
-                            f"overlap — entry-level serialization violated")
-
-    # VER005: every fence waits for every writer issued before it.
-    for fence in result.fences:
-        if fence.release < fence.issue - TIME_TOLERANCE:
-            bad("VER005",
-                f"step {fence.step_index} fence released at "
-                f"{fence.release:g} before its own issue {fence.issue:g}")
-        for pei in result.peis:
-            if pei.step_index > fence.step_index or not pei.step.is_writer:
-                continue
-            if fence.release < pei.completion - TIME_TOLERANCE:
-                bad("VER005",
-                    f"step {fence.step_index} fence released at "
-                    f"{fence.release:g} before writer step "
-                    f"{pei.step_index} completed at {pei.completion:g}")
-    return out
+def judge(
+    case: DirectoryCase,
+    sched: Schedule,
+    events: Sequence[TraceEvent],
+    entries: Sequence[Optional[int]],
+    memory_lead: float,
+) -> List[Violation]:
+    """Every verdict on one replay: simsan, then the golden differential."""
+    found = sanitize(events, None if case.ideal else case.entries,
+                     case.name, sched)
+    found.extend(diff_schedule(case, sched, events, entries, memory_lead))
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -302,31 +324,17 @@ class ExploreReport:
                 f"{self.replays} replays{tail}")
 
 
-def explore(
-    bounds: ExploreBounds,
-    fail_fast: bool = False,
-    extra_check: Optional[
-        Callable[[DirectoryCase, Schedule, ReplayResult], List[Violation]]
-    ] = None,
-) -> ExploreReport:
-    """Exhaustively replay every schedule at the bound under every geometry.
-
-    ``extra_check`` lets the differential harness piggyback on the same
-    enumeration pass (one walk, both checkers) — it receives the case, the
-    schedule, and the real timeline, and returns further violations.
-    """
+def explore(bounds: ExploreBounds, fail_fast: bool = False) -> ExploreReport:
+    """Replay every schedule at the bound under every directory geometry
+    and :func:`judge` each timeline."""
     report = ExploreReport()
-    cases = bounds.directory_cases()
+    cases = default_directory_cases()
     for sched in enumerate_schedules(bounds):
         report.schedules += 1
         for case in cases:
-            directory = build_directory(case)
-            result = replay(case, sched, bounds.memory_lead,
-                            directory=directory)
+            events, entries = replay(case, sched, bounds.memory_lead)
             report.replays += 1
-            found = check_invariants(case, sched, result, directory=directory)
-            if extra_check is not None:
-                found.extend(extra_check(case, sched, result))
+            found = judge(case, sched, events, entries, bounds.memory_lead)
             if found:
                 report.record(found)
                 if fail_fast:

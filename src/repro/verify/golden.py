@@ -6,10 +6,11 @@ last reader completion).  This module re-derives the admissible orderings
 from the paper's own vocabulary instead — per-entry **readable/writeable
 bits** backed by a 10-bit reader counter and a 1-bit writer counter, plus
 explicit **cache-copy / memory-freshness state** per block — so the two
-encodings can be checked against each other by the differential harness
-(:mod:`repro.verify.differential`).  Nothing here imports the simulator's
-directory; the only shared code is the entry-width constants and the
-``xor_fold`` index function, both of which are themselves under test.
+encodings can be checked against each other by the explorer's differential
+(:func:`repro.verify.explorer.diff_schedule`).  Nothing here imports the
+simulator's directory; the only shared code is the entry-width constants
+and the ``xor_fold`` index function, both of which are themselves under
+test.
 
 Why the encodings must agree exactly: with in-flight PEIs retired the moment
 a later PEI arrives, "entry not readable" is precisely "an admitted writer's

@@ -5,9 +5,9 @@ module injects known protocol defects into the real simulator via
 monkeypatching (each mutant is a context manager that swaps one method of
 :class:`~repro.core.pim_directory.PimDirectory` or
 :class:`~repro.core.pmu.Pmu` and restores it on exit) and demands that the
-bounded explorer, the differential checker, or the coherence harness flags
-every one of them.  A surviving mutant fails ``make verify`` — it means a
-class of real bug would sail through the checkers undetected.
+bounded explorer (simsan plus the golden differential) or the coherence
+harness flags every one of them.  A surviving mutant fails ``make verify``
+— it means a class of real bug would sail through the checkers undetected.
 
 The catalog covers every rule the protocol comprises: lock-handoff cost,
 reader/writer blocking in all four directions, pfence horizons, tag-less
@@ -21,8 +21,7 @@ from typing import Callable, Iterator, List, Tuple
 from repro.core.pim_directory import PimDirectory
 from repro.core.pmu import Pmu
 from repro.verify.coherence import CoherenceBounds, run_coherence
-from repro.verify.differential import run_all
-from repro.verify.explorer import ExploreReport
+from repro.verify.explorer import ExploreReport, explore
 from repro.verify.schedule import ExploreBounds
 
 __all__ = ["Mutant", "MUTANTS", "MutantOutcome", "MutantReport", "run_mutants"]
@@ -134,19 +133,19 @@ def _mutant_release_skips_fence_horizon():
 
 
 def _mutant_unstable_index():
-    original = PimDirectory.index_of
+    original = PimDirectory.acquire
     flip = {"n": 0}
 
-    def index_of(self, block):
-        # Defect: a tag-less false negative — the same block alternates
-        # between two entries, so conflicting PEIs can miss each other.
-        flip["n"] += 1
-        base = original(self, block)
+    def acquire(self, block, is_writer, time):
         if self.ideal:
-            return base
-        return base ^ (flip["n"] & 1)
+            return original(self, block, is_writer, time)
+        # Defect: a tag-less false negative — acquire's fold sends the same
+        # block to alternating entries, so conflicting PEIs can miss each
+        # other.  Flipping a block's low bit flips the low bit of its fold.
+        flip["n"] += 1
+        return original(self, block ^ (flip["n"] & 1), is_writer, time)
 
-    return _swap(PimDirectory, "index_of", index_of)
+    return _swap(PimDirectory, "acquire", acquire)
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +254,7 @@ def _check_mutant(mutant: Mutant) -> MutantOutcome:
             report: ExploreReport = run_coherence(
                 kill_coherence_bounds(), fail_fast=True)
         else:
-            report = run_all(kill_bounds(), fail_fast=True)
+            report = explore(kill_bounds(), fail_fast=True)
         codes.extend(sorted(report.by_code))
     return MutantOutcome(mutant=mutant, killed=bool(codes),
                          codes=tuple(codes))

@@ -23,11 +23,14 @@ default sweep allocation-free in the hot loop.
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Tuple, Union
 
-from repro.util.bitops import ilog2, xor_fold
+from repro.core.isa import HASH_PROBE, INT_INCREMENT, PimOp
 
 __all__ = [
+    "N_BLOCKS",
+    "WRITER_OP",
+    "READER_OP",
     "PeiStep",
     "FenceStep",
     "FENCE",
@@ -41,6 +44,15 @@ __all__ = [
     "enumerate_schedules",
     "count_schedules",
 ]
+
+#: Logical blocks per schedule: two cover every conflict class (module
+#: docstring), and every geometry's block table holds exactly two.
+N_BLOCKS = 2
+
+#: The operations replayed writer / reader steps carry (any Table 1 pair
+#: works; the protocol keys only on the R/W columns).
+WRITER_OP: PimOp = INT_INCREMENT
+READER_OP: PimOp = HASH_PROBE
 
 
 @dataclass(frozen=True)
@@ -109,19 +121,6 @@ class DirectoryCase:
     ideal: bool
     blocks: Tuple[int, ...]  # logical block id -> real block number
 
-    def index_of(self, block_id: int) -> int:
-        """The entry the real (non-mutated) fold assigns to a block id."""
-        if self.ideal:
-            return self.blocks[block_id]
-        return xor_fold(self.blocks[block_id], ilog2(self.entries))
-
-    @property
-    def aliased(self) -> bool:
-        """Do the case's two blocks share one directory entry?"""
-        if self.ideal or len(self.blocks) < 2:
-            return False
-        return self.index_of(0) == self.index_of(1)
-
 
 def default_directory_cases() -> Tuple[DirectoryCase, ...]:
     """The three geometries of interest: aliased, disjoint, and ideal.
@@ -151,28 +150,21 @@ class ExploreBounds:
     """
 
     max_peis: int = 4
-    n_blocks: int = 2
     durations: Tuple[float, ...] = (3.0, 11.0)
     strides: Tuple[float, ...] = (0.0, 7.0)
     include_fences: bool = True
-    include_memory_side: bool = True
     #: Fixed clean/operand-ship lead charged to memory-side PEIs before
     #: compute, so side choice genuinely changes the explored timelines.
     memory_lead: float = 6.0
-    cases: Optional[Tuple[DirectoryCase, ...]] = None
-
-    def directory_cases(self) -> Tuple[DirectoryCase, ...]:
-        return self.cases if self.cases is not None else default_directory_cases()
 
 
 def step_alphabet(bounds: ExploreBounds) -> Tuple[Step, ...]:
     """Every distinct step a schedule slot can hold, built once."""
-    sides = (True, False) if bounds.include_memory_side else (True,)
     steps: list = [
         PeiStep(is_writer=w, on_host=h, block=b, duration=d)
         for w in (False, True)
-        for h in sides
-        for b in range(bounds.n_blocks)
+        for h in (True, False)
+        for b in range(N_BLOCKS)
         for d in bounds.durations
     ]
     if bounds.include_fences:
@@ -199,7 +191,3 @@ def count_schedules(bounds: ExploreBounds) -> int:
     alphabet = len(step_alphabet(bounds))
     sequences = sum(alphabet ** n for n in range(1, bounds.max_peis + 1))
     return sequences * len(bounds.strides)
-
-
-def sequence_has_pei(steps: Sequence[Step]) -> bool:
-    return any(isinstance(step, PeiStep) for step in steps)

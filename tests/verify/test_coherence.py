@@ -1,9 +1,9 @@
 """The coherence pass: one owner per timestamp invariant.
 
 The pass forwards every replay's ``PeiTrace``/``FenceTrace`` stream to the
-protocol sanitizer, so a PMU that breaks timestamp monotonicity or the
-pfence horizon on a full machine is caught by SAN004/SAN005, not by a
-second copy of those checks in the pass.
+protocol sanitizer, so a PMU that breaks timestamp monotonicity, the
+pfence horizon or the clean window on a full machine is caught by
+SAN004/SAN005/SAN003, not by a second copy of those checks in the pass.
 """
 
 from repro.core.pmu import Pmu
@@ -40,3 +40,16 @@ def test_decision_before_issue_fires_san004(monkeypatch):
 def test_fence_ignoring_writers_fires_san005(monkeypatch):
     monkeypatch.setattr(Pmu, "fence", lambda self, time: time)
     assert codes(replay(WRITER, FENCE)) == ["SAN005"]
+
+
+def test_clean_ready_before_grant_fires_san003(monkeypatch):
+    # SAN003 owns "the clean lies inside [grant, completion]"; VER009 keeps
+    # only the clean-cost checks.
+    original = Pmu.clean_block_for_memory
+
+    def early_clean(self, block, op, time):
+        original(self, block, op, time)
+        return time - 1.0
+
+    monkeypatch.setattr(Pmu, "clean_block_for_memory", early_clean)
+    assert "SAN003" in codes(replay(WRITER))

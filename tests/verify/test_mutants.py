@@ -5,7 +5,8 @@ cannot detect a dropped handoff penalty or a skipped back-invalidation
 would pass silently on a broken simulator too.
 """
 
-from repro.verify.mutants import MUTANTS, run_mutants
+from repro.verify.explorer import explore
+from repro.verify.mutants import MUTANTS, kill_bounds, run_mutants
 
 
 class TestCatalogue:
@@ -33,11 +34,19 @@ class TestKills:
             assert outcome.killed, outcome.describe()
             assert outcome.codes  # at least one VER/SAN code fired
 
+    def test_reader_ignoring_writer_is_judged_by_simsan(self):
+        # The explorer's per-block exclusion verdict is simsan's SAN002;
+        # the retired VER001-VER006 restatements no longer exist.
+        mutant = next(m for m in MUTANTS if m.name == "reader-ignores-writer")
+        with mutant.patch():
+            report = explore(kill_bounds())
+        assert "SAN002" in report.by_code
+        retired = {f"VER00{n}" for n in range(1, 7)}
+        assert not retired & set(report.by_code), report.summary()
+
 
 class TestBaselineStillClean:
     def test_unmutated_simulator_passes_kill_bounds(self):
         # The mutant harness's own bounds must be green on the real code,
         # or a kill would be indistinguishable from a flaky bound.
-        from repro.verify.differential import run_all
-        from repro.verify.mutants import kill_bounds
-        assert run_all(kill_bounds()).ok
+        assert explore(kill_bounds()).ok
