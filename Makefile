@@ -5,8 +5,9 @@
 install:
 	pip install -e . --no-build-isolation
 
+# The tier-1 suite, exactly as ROADMAP.md states it.
 test:
-	pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
 # Static analysis: simflow (SIM + FLW + RCE rules, one parse, one process)
 # always runs; ruff/mypy run only where installed (the offline test
@@ -116,8 +117,8 @@ examples:
 
 # Fast sanity pass: unit tests plus one cheap experiment.
 quick:
-	pytest tests/ -q
-	python -m repro.bench run fig10
+	PYTHONPATH=src python -m pytest tests/ -q
+	PYTHONPATH=src python -m repro.bench run fig10
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

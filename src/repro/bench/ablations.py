@@ -4,7 +4,9 @@ The ablations probe the design choices DESIGN.md calls out and the
 extension the paper explicitly leaves as future work (Section 7.4: balanced
 dispatch on systems with other request/response bandwidth splits).
 :func:`sweep_scale` resolves Fig. 8's locality crossover on a 1k-point grid
-with the adaptive sweep frontier.  The checks follow the convention of
+with the adaptive sweep frontier.  Like the figures, each ablation
+prefetches its whole request matrix before rendering, so ``--jobs N`` fans
+its simulations across the pool.  The checks follow the convention of
 :mod:`repro.bench.experiments`.
 """
 
@@ -12,7 +14,8 @@ import dataclasses
 from typing import List, Sequence
 
 from repro.bench.experiments import ExperimentReport, failed_claims
-from repro.bench.runner import run_config
+from repro.bench.frontier import RunRequest
+from repro.bench.runner import current_settings, prefetch, run_config, run_request
 from repro.bench.sweep import SWEEPS, SweepRunner
 from repro.bench.tables import format_table, geometric_mean
 from repro.core.dispatch import DispatchPolicy
@@ -30,15 +33,17 @@ def ablation_ignore_flag(workloads: Sequence[str] = ("PR", "ATF", "HG"),
     Expectation: disabling the flag hurts (or at best matches) streaming
     workloads and never helps much.
     """
+    flagless = scaled_config(locality_monitor_ignore_flag=False)
+    prefetch(RunRequest.single(name, size, P.LOCALITY_AWARE, config=config)
+             for size in sizes for name in workloads
+             for config in (None, flagless))
     rows = []
     data = {}
     for size in sizes:
         for name in workloads:
             with_flag = run_config(name, size, P.LOCALITY_AWARE)
-            without = run_config(
-                name, size, P.LOCALITY_AWARE,
-                config=scaled_config(locality_monitor_ignore_flag=False),
-            )
+            without = run_config(name, size, P.LOCALITY_AWARE,
+                                 config=flagless)
             ratio = without.cycles / with_flag.cycles
             rows.append([f"{name}-{size}", ratio,
                          f"{100 * with_flag.pim_fraction:.0f}%",
@@ -68,6 +73,10 @@ def ablation_directory_size(entries: Sequence[int] = (64, 256, 2048, 8192),
     distinct blocks onto the same reader-writer lock; the cost should stay
     small until the table gets tiny.
     """
+    configs = {n: scaled_config(pim_directory_entries=n) for n in entries}
+    prefetch(RunRequest.single(name, "large", P.LOCALITY_AWARE, config=config)
+             for name in workloads
+             for config in (None, *configs.values()))
     rows = []
     data = {}
     for n in entries:
@@ -75,7 +84,7 @@ def ablation_directory_size(entries: Sequence[int] = (64, 256, 2048, 8192),
         for name in workloads:
             base = run_config(name, "large", P.LOCALITY_AWARE)
             swept = run_config(name, "large", P.LOCALITY_AWARE,
-                               config=scaled_config(pim_directory_entries=n))
+                               config=configs[n])
             speedups.append(base.cycles / swept.cycles)
         gm = geometric_mean(speedups)
         rows.append([n, gm, f"{n * 13 / 8 / 1024:.2f} KB"])
@@ -111,15 +120,22 @@ def ablation_link_asymmetry(ratios: Sequence[float] = (0.5, 1.0, 2.0),
     direction a workload saturates is the narrower one.
     """
     total = 20.0  # bytes/cycle across both directions
+    configs = {}
+    for ratio in ratios:
+        response = total * ratio / (1.0 + ratio)
+        configs[ratio] = scaled_config(
+            offchip_request_bytes_per_cycle=total - response,
+            offchip_response_bytes_per_cycle=response,
+        )
+    prefetch(RunRequest.single(name, "large", policy, config=config)
+             for config in configs.values() for name in workloads
+             for policy in (P.LOCALITY_AWARE, P.LOCALITY_BALANCED))
     rows = []
     data = {}
     for ratio in ratios:
-        response = total * ratio / (1.0 + ratio)
-        request = total - response
-        config = scaled_config(
-            offchip_request_bytes_per_cycle=request,
-            offchip_response_bytes_per_cycle=response,
-        )
+        config = configs[ratio]
+        request = config.offchip_request_bytes_per_cycle
+        response = config.offchip_response_bytes_per_cycle
         gains = []
         for name in workloads:
             aware = run_config(name, "large", P.LOCALITY_AWARE, config=config)
@@ -155,16 +171,19 @@ def ablation_replacement_policy(policies: Sequence[str] = ("lru", "fifo", "rando
     Expectation: weaker policies cost some performance on reuse-heavy
     workloads but do not change any qualitative conclusion.
     """
+    configs = {policy_name: scaled_config(cache_replacement_policy=policy_name)
+               for policy_name in policies}
+    prefetch(RunRequest.single(name, "medium", P.LOCALITY_AWARE, config=config)
+             for name in workloads
+             for config in (None, *configs.values()))
     rows = []
     data = {}
     for policy_name in policies:
         speedups = []
         for name in workloads:
             base = run_config(name, "medium", P.LOCALITY_AWARE)
-            swept = run_config(
-                name, "medium", P.LOCALITY_AWARE,
-                config=scaled_config(cache_replacement_policy=policy_name),
-            )
+            swept = run_config(name, "medium", P.LOCALITY_AWARE,
+                               config=configs[policy_name])
             speedups.append(base.cycles / swept.cycles)
         gm = geometric_mean(speedups)
         rows.append([policy_name, gm])
@@ -192,21 +211,22 @@ def ablation_warm_start(workloads: Sequence[str] = ("PR", "SC"),
     The paper simulates two billion instructions after the initialization
     phase, so its caches and monitor start warm; this repo emulates that
     state.  Cold starts must matter for small (cache-resident) inputs and
-    wash out for large ones.
+    wash out for large ones.  Each cold run is its warm run's resolved
+    request with ``warm_start=False``: the same seed, cap and trace.
     """
-    from repro.workloads.registry import make_workload
-
+    settings = current_settings()
+    warm = {(name, size): RunRequest.single(
+                name, size, P.LOCALITY_AWARE).resolve(settings)
+            for size in sizes for name in workloads}
+    cold = {key: dataclasses.replace(request, warm_start=False)
+            for key, request in warm.items()}
+    prefetch([*warm.values(), *cold.values()])
     rows = []
     data = {}
     for size in sizes:
         for name in workloads:
-            warm = run_config(name, size, P.LOCALITY_AWARE)
-            from repro.system.system import System
-            system = System(scaled_config(), P.LOCALITY_AWARE)
-            cold = system.run(make_workload(name, size),
-                              max_ops_per_thread=warm.metadata["max_ops_per_thread"],
-                              warm_start=False)
-            ratio = cold.cycles / warm.cycles
+            ratio = (run_request(cold[name, size]).cycles
+                     / run_request(warm[name, size]).cycles)
             rows.append([f"{name}-{size}", ratio])
             data[f"{name}-{size}"] = ratio
     text = format_table(

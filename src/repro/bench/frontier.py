@@ -96,13 +96,17 @@ class RunRequest:
     a multiprogrammed mix (Fig. 9).  ``config=None`` and
     ``max_ops_per_thread=None`` mean "the defaults in effect at execution
     time"; :meth:`resolve` pins them so the request becomes a complete,
-    environment-independent description of the run.
+    environment-independent description of the run.  ``warm_start=False``
+    replays from cold caches (``System.run``'s ``warm_start``); it shapes
+    the replay, not the captured stream, so a cold request shares its warm
+    sibling's trace.
     """
 
     workloads: Tuple[WorkloadSpec, ...]
     policy: DispatchPolicy
     config: Optional[SystemConfig] = None
     max_ops_per_thread: Optional[int] = None
+    warm_start: bool = True
 
     # Construction ------------------------------------------------------
 
@@ -151,8 +155,8 @@ class RunRequest:
         max_ops = (self.max_ops_per_thread
                    if self.max_ops_per_thread is not None
                    else settings.max_ops_per_thread)
-        return RunRequest(workloads=workloads, policy=self.policy,
-                          config=config, max_ops_per_thread=max_ops)
+        return replace(self, workloads=workloads, config=config,
+                       max_ops_per_thread=max_ops)
 
     # Identity ----------------------------------------------------------
 
@@ -160,12 +164,17 @@ class RunRequest:
         """A JSON-safe description (cache metadata, fingerprint input)."""
         if not self.resolved:
             raise ValueError("describe() requires a resolved request")
-        return {
+        description = {
             "workloads": [spec.describe() for spec in self.workloads],
             "policy": self.policy.value,
             "config": self.config.fingerprint(),
             "max_ops_per_thread": self.max_ops_per_thread,
         }
+        if not self.warm_start:
+            # Only a cold start is recorded, so a warm request's
+            # fingerprint does not depend on the field.
+            description["warm_start"] = False
+        return description
 
     def fingerprint(self, salt: str = "") -> str:
         """Content hash of this (resolved) request, mixed with ``salt``.
@@ -224,7 +233,8 @@ def simulate(request: RunRequest,
     runnable = trace if trace is not None else build_workload(request)
     system = System(request.config, request.policy, telemetry=telemetry)
     return system.run(runnable,
-                      max_ops_per_thread=request.max_ops_per_thread)
+                      max_ops_per_thread=request.max_ops_per_thread,
+                      warm_start=request.warm_start)
 
 
 def _bundle_stem(request: RunRequest, workload_name: str,

@@ -8,6 +8,6 @@ back-writeback of a single block (Section 4.3).
 """
 
 from repro.cache.array import SetAssocArray
-from repro.cache.hierarchy import AccessResult, CacheHierarchy
+from repro.cache.hierarchy import CacheHierarchy
 
-__all__ = ["AccessResult", "CacheHierarchy", "SetAssocArray"]
+__all__ = ["CacheHierarchy", "SetAssocArray"]

@@ -17,7 +17,7 @@ The hierarchy exposes ``flush_block`` implementing both back-invalidation
 through which the PMU's locality monitor sees every last-level-cache access.
 """
 
-from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple, List
+from typing import Callable, Dict, Optional, Set, Tuple, List
 
 from repro.cache.array import SetAssocArray
 from repro.mem.hmc import HmcSystem
@@ -41,20 +41,6 @@ from repro.sim.stat_keys import (
 from repro.sim.stats import Stats
 from repro.util.bitops import ilog2
 from repro.xbar.crossbar import Crossbar
-
-#: Hit levels reported by :meth:`CacheHierarchy.access`.
-L1, L2, L3, MEMORY = "l1", "l2", "l3", "mem"
-
-
-class AccessResult(NamedTuple):
-    """Outcome of one load/store: completion time and the level that hit.
-
-    A NamedTuple: one is built per cache access, so construction cost is a
-    hot-path concern (frozen dataclasses cost over twice as much).
-    """
-
-    finish: float
-    level: str
 
 
 class CacheHierarchy:
@@ -222,11 +208,13 @@ class CacheHierarchy:
     # The main access path
     # ------------------------------------------------------------------
 
-    def access(self, core: int, addr: int, is_write: bool, time: float) -> AccessResult:
+    def access(self, core: int, addr: int, is_write: bool, time: float) -> float:
         """Perform a load (``is_write=False``) or store by ``core``.
 
-        Returns the completion time and the level that serviced the access.
-        Store misses are write-allocate.
+        Returns the completion time as a bare float: one access runs per
+        simulated load or store, so it builds no result object.  The
+        per-level hit counters (``l1.hits`` ... ``l3.misses``) record which
+        level serviced it.  Store misses are write-allocate.
         """
         block = addr >> self.block_bits
         slots = self._slots
@@ -246,7 +234,7 @@ class CacheHierarchy:
                 latency += self._promote_to_owner(block, core)
                 if not prior:
                     line_set[block] = True
-            return AccessResult(time + latency, L1)
+            return time + latency
         l1.misses += 1
         # L2 — same inlined probe as the L1 above.
         slots[SLOT_L2_ACCESSES] += 1.0
@@ -282,7 +270,7 @@ class CacheHierarchy:
                     l2.mark_dirty(v_block)
                 else:
                     self._drop_private_if_absent(core, v_block)
-            return AccessResult(time + latency, L2)
+            return time + latency
         l2.misses += 1
         # L3 (via crossbar; the bank acquire skips the BankedResource
         # modulo wrapper)
@@ -321,11 +309,9 @@ class CacheHierarchy:
             if self._lru:
                 line_set.move_to_end(block)
             slots[SLOT_L3_HITS] += 1.0
-            level = L3
             t += self._collect_remote_copy(block, core, is_write)
         else:
             l3.misses += 1
-            level = MEMORY
             slots[SLOT_L3_MISSES] += 1.0
             t = self.hmc.read_block(t, block << self.block_bits)
             self._install_in_l3(block, time)
@@ -378,7 +364,7 @@ class CacheHierarchy:
                     self._drop_private_if_absent(core, v_block)
         else:
             self._fill_private(core, block, dirty=is_write, time=time)
-        return AccessResult(t, level)
+        return t
 
     def _promote_to_owner(self, block: int, core: int) -> float:
         """Give ``core`` exclusive write ownership of ``block``."""

@@ -118,9 +118,8 @@ class PeiExecutor:
 
         # Step 2: PMU — reader/writer lock and execution-location decision.
         pmu = self.pmu
-        grant = pmu.begin_pei(core.core_id, block, op, issue_time)
-        # One tuple unpack instead of repeated NamedTuple attribute reads.
-        entry, decision_time, grant_time, on_host = grant
+        entry, decision_time, grant_time, on_host = pmu.begin_pei(
+            core.core_id, block, op, issue_time)
 
         clean_time: Optional[float] = None
         if on_host:
@@ -193,8 +192,8 @@ class PeiExecutor:
         core.window_acquire()
         if core.time > fetch_time:
             fetch_time = core.time
-        result = self.hierarchy.access(core.core_id, paddr, op.writes, fetch_time)
-        start = result.finish if result.finish > grant_time else grant_time
+        finish = self.hierarchy.access(core.core_id, paddr, op.writes, fetch_time)
+        start = finish if finish > grant_time else grant_time
         # pcu.compute inlined (once per host-side PEI).
         occupancy = op.compute_cycles * pcu._compute_scale
         completion = pcu.compute_logic.acquire(start, occupancy) + occupancy

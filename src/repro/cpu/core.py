@@ -104,8 +104,7 @@ class CoreModel:
             oldest = heapq.heappop(window)
             if oldest > self.time:
                 self.time = oldest
-        finish = self.hierarchy.access(self.core_id, paddr, False,
-                                       self.time).finish
+        finish = self.hierarchy.access(self.core_id, paddr, False, self.time)
         heapq.heappush(window, finish)
         self.last_load_completion = finish
         self.instructions += 1
@@ -123,8 +122,7 @@ class CoreModel:
         # Stores retire through the write buffer; the window bounds how many
         # can be outstanding but the core does not wait for completion.
         heapq.heappush(
-            window,
-            self.hierarchy.access(self.core_id, paddr, True, self.time).finish)
+            window, self.hierarchy.access(self.core_id, paddr, True, self.time))
         self.instructions += 1
         self._slots[SLOT_CORE_STORES] += 1.0
 

@@ -30,7 +30,10 @@ What the plan precomputes, and why each piece is deterministic:
   bools and chain ids, unboxed once instead of per replay op.
 * **Locality-monitor partial tags** — the XOR-fold is a pure function of
   the block number; the plan folds every block of the trace in one
-  vectorized pass and installs the results into the monitor's tag memo.
+  vectorized pass, and replay installs the results into the monitor's tag
+  memo when the policy consults the monitor.  Nothing else in a plan
+  depends on the policy, so every policy replaying a trace on one machine
+  shares its plan.
 
 What stays per-op scalar: every touch of cross-thread shared state.  Loads
 and stores still call ``hierarchy.access`` (coherence, bank contention,
@@ -75,9 +78,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
 __all__ = ["ColumnPlan", "plan_cache_counters", "plan_cache_info",
            "replay", "set_plan_cache_limit"]
 
-#: Bounded plan memo keyed by (trace fingerprint, config fingerprint,
-#: monitor use).  Plans are immutable after build; each process owns its
-#: own cache.
+#: Bounded plan memo keyed by (trace fingerprint, config fingerprint).
+#: Plans are immutable after build; each process owns its own cache.
 _PLAN_CACHE: "OrderedDict[Tuple, Optional[ColumnPlan]]" = OrderedDict()
 _PLAN_CACHE_LIMIT = 8
 
@@ -121,8 +123,8 @@ class ColumnPlan:
         self.final_tlb = final_tlb
         self.tlb_hits = tlb_hits
         self.tlb_misses = tlb_misses
-        #: (block, partial_tag) pairs for the monitor's tag memo (None
-        #: when the policy never consults the monitor).
+        #: (block, partial_tag) pairs for the monitor's tag memo, installed
+        #: only under policies that consult the monitor.
         self.tag_items = tag_items
 
 
@@ -161,18 +163,16 @@ def _expected_mapping(trace, config) -> Optional[Dict[int, int]]:
     """The vpage -> frame map the warm sweep deterministically produces.
 
     Mirrors ``_warm_caches``'s touch order exactly: regions in layout
-    order, one translate per page.  Frames come from the page table's
+    order, every page of each (page-aligned, else ``_warm_caches`` raises)
+    region faulted in turn.  Frames come from the page table's
     multiplicative permutation over the fault sequence number, vectorized
     here (uint64 multiply wraps mod 2**64 exactly like Python's masked
-    product).  Returns None when the layout breaks an assumption (an
-    unaligned region base) — the caller falls back to scalar replay.
+    product).
     """
     page_size = trace.page_size
     page_bits = page_size.bit_length() - 1
     vpages: List[int] = []
     for _name, base, size in trace.regions:
-        if base & (page_size - 1):
-            return None
         first = base >> page_bits
         vpages.extend(range(first, first + (size + page_size - 1) // page_size))
     n_frames = config.physical_frames
@@ -184,8 +184,7 @@ def _expected_mapping(trace, config) -> Optional[Dict[int, int]]:
     return dict(zip(vpages, frames.tolist()))
 
 
-def _build_plan(trace, config, op_table, machine,
-                uses_monitor: bool) -> Optional["ColumnPlan"]:
+def _build_plan(trace, config, op_table, machine) -> Optional["ColumnPlan"]:
     mapping = _expected_mapping(trace, config)
     if mapping is None:
         return None
@@ -298,8 +297,8 @@ def _build_plan(trace, config, op_table, machine,
         tlb_hits.append(hits)
         tlb_misses.append(misses)
 
-    tag_items = None
-    if uses_monitor and blocks:
+    tag_items: List[Tuple[int, int]] = []
+    if blocks:
         # Vectorized XOR-fold of every block's partial tag, installed into
         # the monitor's tag memo at attach time.
         mon = machine.monitor
@@ -318,15 +317,13 @@ def _build_plan(trace, config, op_table, machine,
 
 
 def _plan_for(system, trace, op_table) -> Optional[ColumnPlan]:
-    uses_monitor = system.policy.uses_monitor
-    key = (trace.fingerprint, system.config.fingerprint(), uses_monitor)
+    key = (trace.fingerprint, system.config.fingerprint())
     if key in _PLAN_CACHE:
         _PLAN_CACHE.move_to_end(key)
         _PLAN_STATS["hits"] += 1
         return _PLAN_CACHE[key]
     _PLAN_STATS["misses"] += 1
-    plan = _build_plan(trace, system.config, op_table, system.machine,
-                       uses_monitor)
+    plan = _build_plan(trace, system.config, op_table, system.machine)
     _PLAN_CACHE[key] = plan  # None memoized too: don't retry a bad layout
     while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
         _PLAN_CACHE.popitem(last=False)
@@ -375,7 +372,7 @@ def replay(system, trace, op_table, n_threads: int, batch_window: float,
         return None
 
     _warm(system, trace)
-    if plan.tag_items is not None:
+    if system.policy.uses_monitor:
         machine.monitor._tags.update(plan.tag_items)
 
     _replay_loop(system, trace, plan, n_threads, batch_window)
@@ -487,7 +484,7 @@ def _replay_loop(system: "System", trace, plan, n_threads: int,
                         oldest = heappop(window)
                         if oldest > t:
                             t = oldest
-                    finish = access(cid, p0[i], False, t).finish
+                    finish = access(cid, p0[i], False, t)
                     heappush(window, finish)
                     last_load = finish
                     instr += 1
@@ -522,7 +519,7 @@ def _replay_loop(system: "System", trace, plan, n_threads: int,
                         oldest = heappop(window)
                         if oldest > ctime:
                             ctime = oldest
-                    heappush(window, access(cid, p0[i], True, ctime).finish)
+                    heappush(window, access(cid, p0[i], True, ctime))
                     instr += 1
                     slots[SLOT_CORE_STORES] += 1.0
                     i += 1

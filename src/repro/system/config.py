@@ -18,8 +18,15 @@ sizes.
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from typing import Dict, Tuple
 
 from repro.util.bitops import is_power_of_two
+
+#: ``SystemConfig.fingerprint`` memo, keyed by value: requests resolve a
+#: fresh but equal config per simulation point, so an instance memo would
+#: never hit.  Each field's type joins the key because ``4 == 4.0`` while
+#: the two serialize (and so fingerprint) differently.
+_FINGERPRINTS: Dict[Tuple, str] = {}
 
 
 @dataclass(frozen=True)
@@ -163,10 +170,16 @@ class SystemConfig:
         equal; any field change — including ones added in future versions,
         since the field dict is serialized wholesale — produces a different
         digest.  Used by the benchmark disk cache
-        (:mod:`repro.bench.cache`) to key persisted results.
+        (:mod:`repro.bench.cache`) to key persisted results.  Computed
+        once per distinct config value in a process.
         """
-        payload = json.dumps(asdict(self), sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        key = (self, tuple(map(type, vars(self).values())))
+        digest = _FINGERPRINTS.get(key)
+        if digest is None:
+            payload = json.dumps(asdict(self), sort_keys=True, default=repr)
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            _FINGERPRINTS[key] = digest  # simflow: ignore[RCE005] -- idempotent per-process memo keyed by config value and field types; every process computes the identical digest
+        return digest
 
 
 def scaled_config(**overrides) -> SystemConfig:

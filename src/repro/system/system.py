@@ -221,8 +221,8 @@ class System:
                 raise TraceError(
                     "columnar replay unavailable for this trace/machine "
                     "state (requires numpy, warm_start=True, a cold page "
-                    "table and TLBs, and page-aligned regions covering "
-                    "every traced address)")
+                    "table and TLBs, and regions covering every traced "
+                    "address)")
         if warm_start:
             self._warm_caches(
                 [(base, base + size) for _, base, size in trace.regions])
@@ -351,30 +351,42 @@ class System:
         the measured run.
 
         Spans are region extents, page-aligned at the base (AddressSpace
-        allocations are page-aligned), so each page is faulted once in
-        touch order and its physical blocks are contiguous.  Under LRU only
-        the last L3-capacity of the sweep survives: on empty sets with every
-        block touched once, :meth:`_fill_lru` computes that state directly.
-        Any other machine replays the sweep block by block through the
-        generic insert/observe paths.
+        allocations are page-aligned; an unaligned base raises
+        ``ValueError``), so each span's pages fault in one
+        :meth:`~repro.vm.page_table.PageTable.fault_pages` run in touch
+        order and each page's physical blocks are contiguous.  Under LRU
+        only the last L3-capacity of the sweep survives: on empty sets with
+        every block touched once, :meth:`_fill_lru` computes that state
+        directly.  Any other machine replays the sweep block by block
+        through the generic insert/observe paths.
         """
         machine = self.machine
         l3 = machine.hierarchy.l3
         monitor = machine.monitor if self.policy.uses_monitor else None
-        translate = machine.page_table.translate
+        page_table = machine.page_table
         block_size = self.config.block_size
         block_bits = machine.hierarchy.block_bits
         page_size = self.config.page_size
+        page_bits = page_table.page_bits
+        page_blocks = (page_size + block_size - 1) // block_size
         pages = []  # (first physical block, block count) in touch order
         with machine.stats.suspended():
             for base, end in spans:
-                for page_vaddr in range(base, end, page_size):
-                    page_end = min(page_vaddr + page_size, end)
-                    pages.append((translate(page_vaddr) >> block_bits,
-                                  (page_end - page_vaddr + block_size - 1)
-                                  // block_size))
+                if base % page_size:
+                    raise ValueError(
+                        f"warm-start span base {base:#x} is not aligned to "
+                        f"the {page_size}-byte page")
+                n_pages = -(-(end - base) // page_size)
+                if n_pages <= 0:
+                    continue
+                frames = page_table.fault_pages(base >> page_bits, n_pages)
+                pages.extend([((frame << page_bits) >> block_bits, page_blocks)
+                              for frame in frames])
+                # The last page holds only the span's tail.
+                tail = end - base - (n_pages - 1) * page_size
+                pages[-1] = (pages[-1][0],
+                             (tail + block_size - 1) // block_size)
             if (l3.policy == "lru"
-                    and not any(base % page_size for base, _ in spans)
                     and len({first for first, _ in pages}) == len(pages)
                     and not any(l3.sets)
                     and not (monitor is not None and any(monitor._sets))):

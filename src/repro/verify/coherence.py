@@ -192,28 +192,28 @@ def replay_coherence(
         op = WRITER_OP if step.is_writer else READER_OP
         machine.pmu.policy = (DispatchPolicy.HOST_ONLY if step.on_host
                               else DispatchPolicy.PIM_ONLY)
-        grant = machine.pmu.begin_pei(core, block, op, issue)
-        if grant.on_host is not step.on_host:
+        entry, decision_time, grant_time, on_host = machine.pmu.begin_pei(
+            core, block, op, issue)
+        if on_host is not step.on_host:
             bad("VER014",
                 f"step {i}: forced policy did not pin execution side")
             continue
         clean_time: Optional[float] = None
         if step.on_host:
-            result = machine.hierarchy.access(
+            finish = machine.hierarchy.access(
                 core, machine.hierarchy.block_addr(block),
-                is_write=step.is_writer, time=grant.decision_time)
+                is_write=step.is_writer, time=decision_time)
             golden[block].host_access(is_write=step.is_writer)
-            start = result.finish if result.finish > grant.grant_time \
-                else grant.grant_time
+            start = finish if finish > grant_time else grant_time
             completion = start + step.duration
         else:
             completion, clean_time = _memory_side_step(
-                machine, golden, block, op, step, grant, i, bad)
-        machine.pmu.finish_pei(grant.entry, op, completion)
+                machine, golden, block, op, step, grant_time, i, bad)
+        machine.pmu.finish_pei(entry, op, completion)
         state.events.append(PeiTrace(
             core=core, op=op.mnemonic, block=block, on_host=step.on_host,
-            issue_time=issue, grant_time=grant.grant_time,
-            completion=completion, decision_time=grant.decision_time,
+            issue_time=issue, grant_time=grant_time,
+            completion=completion, decision_time=decision_time,
             clean_time=clean_time,
             clean_invalidate=None if clean_time is None else op.is_writer))
         # VER012: structural invariants must hold after every step.
@@ -230,27 +230,27 @@ def replay_coherence(
     return state.violations
 
 
-def _memory_side_step(machine, golden, block, op, step, grant, i, bad):
+def _memory_side_step(machine, golden, block, op, step, grant_time, i, bad):
     """One memory-side PEI: clean, then compute; check every obligation."""
     hierarchy = machine.hierarchy
     stats: Stats = machine.stats
     expectation = golden[block].expect_clean(op.is_writer)
     before_inv = stats.get("pmu.back_invalidations")
     before_wb = stats.get("pmu.back_writebacks")
-    ready = machine.pmu.clean_block_for_memory(block, op, grant.grant_time)
+    ready = machine.pmu.clean_block_for_memory(block, op, grant_time)
 
     # VER009: clean cost (SAN003 owns "ready inside [grant, completion]").
     clean_floor = hierarchy.l3_latency + hierarchy.crossbar.latency
     if expectation.touches_hierarchy:
-        if ready < grant.grant_time + clean_floor - 1e-9:
+        if ready < grant_time + clean_floor - 1e-9:
             bad("VER009",
                 f"step {i}: block {block:#x} had an on-chip copy but the "
-                f"clean cost only {ready - grant.grant_time:g} (needs at "
+                f"clean cost only {ready - grant_time:g} (needs at "
                 f"least {clean_floor:g})")
-    elif not times_close(ready, grant.grant_time):
+    elif not times_close(ready, grant_time):
         bad("VER009",
             f"step {i}: block {block:#x} was absent yet the clean took "
-            f"{ready - grant.grant_time:g}")
+            f"{ready - grant_time:g}")
 
     # VER010: copy discipline.
     present = hierarchy.present(block)
@@ -287,7 +287,7 @@ def _memory_side_step(machine, golden, block, op, step, grant, i, bad):
                 f"step {i}: clean of block {block:#x} expected +1 on "
                 f"{moved}, saw inv+{delta_inv:g} wb+{delta_wb:g}")
 
-    start = ready if ready > grant.grant_time else grant.grant_time
+    start = ready if ready > grant_time else grant_time
     return start + step.duration, ready
 
 

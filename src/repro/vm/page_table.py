@@ -6,7 +6,7 @@ way a real long-running system's physical memory does, instead of perfectly
 sequentially.
 """
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.util.bitops import ilog2, is_power_of_two
 
@@ -47,6 +47,33 @@ class PageTable:
             self._mapping[vpage] = frame
             self.page_faults += 1
         return (frame << self.page_bits) | (vaddr & (self.page_size - 1))
+
+    def fault_pages(self, first_vpage: int, n_pages: int) -> List[int]:
+        """Frames of ``n_pages`` consecutive virtual pages from ``first_vpage``.
+
+        Exactly :meth:`translate` on each page in ascending order: unmapped
+        pages fault in sequence, mapped ones keep their frames, and running
+        out of frames raises ``MemoryError`` at the same page with the
+        earlier pages mapped.  A run with no page mapped and enough frames
+        left — every warm start on a fresh machine — is allocated in one
+        comprehension instead of one call per page.
+        """
+        if n_pages < 0:
+            raise ValueError(f"page count must be non-negative, got {n_pages}")
+        vpages = range(first_vpage, first_vpage + n_pages)
+        mapping = self._mapping
+        start = self._next_sequence
+        end = start + n_pages
+        if end <= self.n_frames and mapping.keys().isdisjoint(vpages):
+            mask = self.n_frames - 1
+            multiplier = self._MULTIPLIER
+            frames = [(seq * multiplier) & mask for seq in range(start, end)]
+            mapping.update(zip(vpages, frames))
+            self._next_sequence = end
+            self.page_faults += n_pages
+            return frames
+        bits = self.page_bits
+        return [self.translate(vpage << bits) >> bits for vpage in vpages]
 
     @property
     def mapped_pages(self) -> int:

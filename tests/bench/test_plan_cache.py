@@ -122,6 +122,42 @@ class TestLimit:
         assert after["hits"] - before["hits"] == 1
 
 
+class TestOnePlanPerTrace:
+    """The plan key is (trace, config): every policy shares one compile."""
+
+    def test_five_policies_one_miss_four_hits(self):
+        trace = captured_trace()
+        columnar._PLAN_CACHE.clear()
+        before = columnar.plan_cache_counters()
+        for policy in DispatchPolicy:
+            replay(trace, policy)
+        after = columnar.plan_cache_counters()
+        assert len(DispatchPolicy) == 5
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 4
+
+    def test_shared_plan_replays_equal_fresh_compiles(self):
+        """A plan compiled under one policy replays every other policy
+        exactly as a plan compiled for that policy alone."""
+        trace = captured_trace()
+        columnar._PLAN_CACHE.clear()
+        shared = [replay(trace, policy).to_dict() for policy in DispatchPolicy]
+        fresh = []
+        for policy in DispatchPolicy:
+            columnar._PLAN_CACHE.clear()
+            fresh.append(replay(trace, policy).to_dict())
+        assert shared == fresh
+
+    def test_monitor_tags_installed_only_when_consulted(self):
+        trace = captured_trace()
+        host = System(tiny_config(), DispatchPolicy.HOST_ONLY)
+        host.run(trace, engine="columnar")
+        assert not host.machine.monitor._tags
+        aware = System(tiny_config(), DispatchPolicy.LOCALITY_AWARE)
+        aware.run(trace, engine="columnar")
+        assert aware.machine.monitor._tags
+
+
 class TestSettings:
     def test_settings_field_reads_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_PLAN_CACHE", "3")

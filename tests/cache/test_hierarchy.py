@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.hierarchy import L1, L2, L3, MEMORY, CacheHierarchy
+from repro.cache.hierarchy import CacheHierarchy
 from repro.mem.address_map import AddressMap
 from repro.mem.dram import DramTimings
 from repro.mem.hmc import HmcSystem
@@ -44,36 +44,52 @@ def addr(block):
     return block * 64
 
 
+#: The counter each servicing level moves: exactly one moves per access.
+LEVEL_COUNTERS = {"l1": "l1.hits", "l2": "l2.hits", "l3": "l3.hits",
+                  "mem": "l3.misses"}
+
+
+def access_level(h, stats, core, address, is_write, time):
+    """Run one access; return its finish time and the level that served it,
+    read off the per-level hit counters' deltas."""
+    before = {level: stats[key] for level, key in LEVEL_COUNTERS.items()}
+    finish = h.access(core, address, is_write, time)
+    moved = [level for level, key in LEVEL_COUNTERS.items()
+             if stats[key] != before[level]]
+    assert len(moved) == 1, moved
+    return finish, moved[0]
+
+
 class TestBasicPath:
     def test_cold_miss_goes_to_memory(self):
         h, stats = make_hierarchy()
-        result = h.access(0, addr(1), False, 0.0)
-        assert result.level == MEMORY
+        _, level = access_level(h, stats, 0, addr(1), False, 0.0)
+        assert level == "mem"
         assert stats["dram.reads"] == 1
 
     def test_fill_creates_l1_hit(self):
-        h, _ = make_hierarchy()
+        h, stats = make_hierarchy()
         h.access(0, addr(1), False, 0.0)
-        result = h.access(0, addr(1), False, 100.0)
-        assert result.level == L1
-        assert result.finish - 100.0 == pytest.approx(4.0)
+        finish, level = access_level(h, stats, 0, addr(1), False, 100.0)
+        assert level == "l1"
+        assert finish - 100.0 == pytest.approx(4.0)
 
     def test_other_core_hits_l3(self):
-        h, _ = make_hierarchy()
+        h, stats = make_hierarchy()
         h.access(0, addr(1), False, 0.0)
-        result = h.access(1, addr(1), False, 1000.0)
-        assert result.level == L3
+        _, level = access_level(h, stats, 1, addr(1), False, 1000.0)
+        assert level == "l3"
 
     def test_l2_hit_after_l1_eviction(self):
-        h, _ = make_hierarchy()
+        h, stats = make_hierarchy()
         # Fill L1 set 0 beyond capacity: blocks 0, 2, 4 share L1 set 0
         # (2 sets) but spread across L2's 4 sets, so the L1 victim
         # (block 0) survives in the L2.
         h.access(0, addr(0), False, 0.0)
         h.access(0, addr(2), False, 0.0)
         h.access(0, addr(4), False, 0.0)  # evicts block 0 from L1
-        result = h.access(0, addr(0), False, 1000.0)
-        assert result.level == L2
+        _, level = access_level(h, stats, 0, addr(0), False, 1000.0)
+        assert level == "l2"
 
     def test_memory_latency_exceeds_l3(self):
         h, _ = make_hierarchy()
@@ -81,7 +97,7 @@ class TestBasicPath:
         h2, _ = make_hierarchy()
         h2.access(0, addr(1), False, 0.0)
         l3_hit = h2.access(1, addr(1), False, 10000.0)
-        assert (miss.finish - 0.0) > (l3_hit.finish - 10000.0)
+        assert (miss - 0.0) > (l3_hit - 10000.0)
 
 
 class TestCoherence:
@@ -92,22 +108,22 @@ class TestCoherence:
         h.access(0, addr(1), True, 200.0)  # core 0 upgrades
         assert stats["coherence.invalidations"] >= 1
         # Core 1 must re-fetch (no L1/L2 hit possible).
-        result = h.access(1, addr(1), False, 300.0)
-        assert result.level == L3
+        _, level = access_level(h, stats, 1, addr(1), False, 300.0)
+        assert level == "l3"
 
     def test_dirty_copy_serviced_cache_to_cache(self):
         h, stats = make_hierarchy()
         h.access(0, addr(1), True, 0.0)  # core 0 owns dirty
-        result = h.access(1, addr(1), False, 1000.0)
-        assert result.level == L3
+        _, level = access_level(h, stats, 1, addr(1), False, 1000.0)
+        assert level == "l3"
         assert stats["coherence.cache_to_cache"] == 1
 
     def test_read_leaves_previous_owner_clean_copy(self):
-        h, _ = make_hierarchy()
+        h, stats = make_hierarchy()
         h.access(0, addr(1), True, 0.0)
         h.access(1, addr(1), False, 1000.0)
         # Core 0 still hits L1 (downgraded to shared/clean).
-        assert h.access(0, addr(1), False, 2000.0).level == L1
+        assert access_level(h, stats, 0, addr(1), False, 2000.0)[1] == "l1"
         assert not h.l1[0].is_dirty(1)
 
     def test_write_after_remote_dirty_invalidates_owner(self):
@@ -177,10 +193,10 @@ class TestFlushBlock:
         assert stats["dram.writes"] == 0
 
     def test_after_invalidate_next_access_misses(self):
-        h, _ = make_hierarchy()
+        h, stats = make_hierarchy()
         h.access(0, addr(1), False, 0.0)
         h.flush_block(1, invalidate=True, time=100.0)
-        assert h.access(0, addr(1), False, 200.0).level == MEMORY
+        assert access_level(h, stats, 0, addr(1), False, 200.0)[1] == "mem"
 
 
 class TestObserver:

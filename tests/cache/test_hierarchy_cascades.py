@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.cache.hierarchy import L1, L2, L3, MEMORY
-
-from tests.cache.test_hierarchy import addr, make_hierarchy
+from tests.cache.test_hierarchy import access_level, addr, make_hierarchy
 
 
 class TestDirtyCascades:
@@ -48,11 +46,12 @@ class TestDirtyCascades:
 
 class TestSharedReadPath:
     def test_read_sharing_keeps_all_copies(self):
-        h, _ = make_hierarchy()
+        h, stats = make_hierarchy()
         for core in range(4):
             h.access(core, addr(7), False, core * 50.0)
         for core in range(4):
-            assert h.access(core, addr(7), False, 1000.0 + core).level == L1
+            assert access_level(h, stats, core, addr(7), False,
+                                1000.0 + core)[1] == "l1"
 
     def test_sharer_set_tracks_cores(self):
         h, _ = make_hierarchy()
@@ -72,15 +71,15 @@ class TestSharedReadPath:
 
 class TestLatencyOrdering:
     def test_levels_are_monotonically_slower(self):
-        h, _ = make_hierarchy()
+        h, stats = make_hierarchy()
         h.access(0, addr(1), False, 0.0)
-        l1 = h.access(0, addr(1), False, 1000.0)
-        assert l1.level == L1
-        h2, _ = make_hierarchy()
+        l1, level = access_level(h, stats, 0, addr(1), False, 1000.0)
+        assert level == "l1"
+        h2, stats2 = make_hierarchy()
         h2.access(1, addr(1), False, 0.0)
-        l3 = h2.access(0, addr(1), False, 1000.0)
-        assert l3.level == L3
-        h3, _ = make_hierarchy()
-        mem = h3.access(0, addr(1), False, 1000.0)
-        assert mem.level == MEMORY
-        assert (l1.finish - 1000.0) < (l3.finish - 1000.0) < (mem.finish - 1000.0)
+        l3, level = access_level(h2, stats2, 0, addr(1), False, 1000.0)
+        assert level == "l3"
+        h3, stats3 = make_hierarchy()
+        mem, level = access_level(h3, stats3, 0, addr(1), False, 1000.0)
+        assert level == "mem"
+        assert (l1 - 1000.0) < (l3 - 1000.0) < (mem - 1000.0)

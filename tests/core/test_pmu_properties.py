@@ -24,11 +24,12 @@ def test_pmu_grants_are_causal_and_atomic(events):
     spans = []
     for core, block, op_idx, hold in events:
         op = OPS[op_idx]
-        grant = pmu.begin_pei(core, block, op, time)
-        assert grant.grant_time >= grant.decision_time >= time
-        completion = grant.grant_time + hold
-        pmu.finish_pei(grant.entry, op, completion)
-        spans.append((grant.entry, op.is_writer, grant.grant_time, completion))
+        entry, decision_time, grant_time, _ = pmu.begin_pei(core, block, op,
+                                                            time)
+        assert grant_time >= decision_time >= time
+        completion = grant_time + hold
+        pmu.finish_pei(entry, op, completion)
+        spans.append((entry, op.is_writer, grant_time, completion))
         time += 1.0
     for i, (e1, w1, g1, c1) in enumerate(spans):
         for e2, w2, g2, c2 in spans[i + 1:]:
@@ -45,8 +46,8 @@ def test_dispatch_counts_are_conserved(blocks, policy):
     machine = build_machine(tiny_config(), policy)
     time = 0.0
     for block in blocks:
-        grant = machine.pmu.begin_pei(0, block, FP_ADD, time)
-        machine.pmu.finish_pei(grant.entry, FP_ADD, grant.grant_time + 10.0)
+        entry, _, grant_time, _ = machine.pmu.begin_pei(0, block, FP_ADD, time)
+        machine.pmu.finish_pei(entry, FP_ADD, grant_time + 10.0)
         time += 5.0
     total = (machine.stats["pei.host_dispatched"]
              + machine.stats["pei.mem_dispatched"])
@@ -68,9 +69,9 @@ def test_fence_time_monotone_and_covering(blocks):
     max_completion = 0.0
     last_fence = 0.0
     for block in blocks:
-        grant = pmu.begin_pei(0, block, FP_ADD, time)
-        completion = grant.grant_time + 25.0
-        pmu.finish_pei(grant.entry, FP_ADD, completion)
+        entry, _, grant_time, _ = pmu.begin_pei(0, block, FP_ADD, time)
+        completion = grant_time + 25.0
+        pmu.finish_pei(entry, FP_ADD, completion)
         max_completion = max(max_completion, completion)
         fence = pmu.fence(time)
         assert fence >= max_completion

@@ -13,6 +13,7 @@ per family keeps the matrix cheap while covering the three stream shapes
 analytics probes).
 """
 
+import copy
 import dataclasses
 import json
 
@@ -150,3 +151,16 @@ def test_unknown_engine_rejected(captured):
     name, trace = captured
     with pytest.raises(ValueError):
         System(tiny_config()).run(trace, engine="warp")
+
+
+@pytest.mark.parametrize("engine", REPLAY_ENGINES)
+def test_unaligned_region_rejected(captured, engine):
+    """Warm start faults whole pages per region, so a region whose base
+    is not page-aligned is refused by either engine, not approximated."""
+    name, trace = captured
+    shifted = copy.copy(trace)
+    _, base, size = trace.regions[0]
+    shifted.regions = [("shifted", base + 64, size)] + trace.regions[1:]
+    shifted.fingerprint = trace.fingerprint + "-shifted"
+    with pytest.raises(ValueError, match="not aligned"):
+        System(tiny_config()).run(shifted, engine=engine)

@@ -30,8 +30,9 @@ def test_decision_before_issue_fires_san004(monkeypatch):
     original = Pmu.begin_pei
 
     def early_decision(self, core_port, block, op, time):
-        grant = original(self, core_port, block, op, time)
-        return grant._replace(decision_time=time - 1.0)
+        entry, _, grant_time, on_host = original(self, core_port, block, op,
+                                                 time)
+        return entry, time - 1.0, grant_time, on_host
 
     monkeypatch.setattr(Pmu, "begin_pei", early_decision)
     assert "SAN004" in codes(replay(WRITER))

@@ -64,3 +64,49 @@ class TestPageTable:
         frames = [pt.translate(i * 4096) >> 12 for i in range(16)]
         deltas = {b - a for a, b in zip(frames, frames[1:])}
         assert deltas != {1}
+
+
+def table_state(pt):
+    return (list(pt._mapping.items()), pt._next_sequence, pt.page_faults)
+
+
+def fault_by_translate(pt, first, n_pages):
+    """The reference: one ``translate`` per page, in ascending order."""
+    bits = pt.page_bits
+    return [pt.translate(vpage << bits) >> bits
+            for vpage in range(first, first + n_pages)]
+
+
+class TestFaultPages:
+    """``fault_pages`` is per-page ``translate`` in one call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_frames=st.sampled_from((4, 16, 64)),
+           premapped=st.lists(st.integers(0, 40), max_size=12),
+           runs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 24)),
+                         min_size=1, max_size=5))
+    def test_matches_per_page_translate(self, n_frames, premapped, runs):
+        """Pre-mapped pages, overlapping runs and frame exhaustion: the
+        same frames, sequence numbers, fault count and MemoryError page."""
+        bulk = PageTable(page_size=256, n_frames=n_frames)
+        reference = PageTable(page_size=256, n_frames=n_frames)
+        for vpage in premapped:
+            try:
+                bulk.translate(vpage << 8)
+                reference.translate(vpage << 8)
+            except MemoryError:
+                break
+        for first, n_pages in runs:
+            try:
+                expected = fault_by_translate(reference, first, n_pages)
+            except MemoryError:
+                with pytest.raises(MemoryError):
+                    bulk.fault_pages(first, n_pages)
+                assert table_state(bulk) == table_state(reference)
+                break
+            assert bulk.fault_pages(first, n_pages) == expected
+            assert table_state(bulk) == table_state(reference)
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError):
+            PageTable().fault_pages(0, -1)
