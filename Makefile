@@ -27,7 +27,7 @@ flow:
 	PYTHONPATH=src python -m repro.analysis flow src/repro
 
 # Seeded-defect self-validation: each SIM, FLW and RCE pass must catch
-# every mutant planted for its codes, or the target fails (~70 s).
+# every mutant planted for its codes, or the target fails (~45 s).
 flow-mutants:
 	PYTHONPATH=src python -m repro.analysis flow-mutants src/repro
 
@@ -78,14 +78,19 @@ dashboard:
 # program functions by name (System._warm_caches, columnar._warm,
 # _build_plan, _replay_loop, ...) and clears module caches by name
 # (columnar._PLAN_CACHE, generators._SUITE_CACHE), so a rename in src/
-# breaks the benchmark.  Fails unless the run's last line reports
-# "correct": true (~25 s).
+# breaks the benchmark.  The untraced eval-figs pass is the path the
+# benchmark's end-to-end numbers come from (the simulate tap, the paced
+# targets and the program-import subprocess).  Fails unless each run's
+# last line reports "correct": true (~70 s on a 2-vCPU VM).
+PERFBENCH_CORRECT = python3 -c "import json, sys; sys.exit(0 if json.load(sys.stdin).get('correct') is True else 'perfbench-smoke: the run did not report correct: true')"
 perfbench-smoke:
 	mkdir -p .perfbench-out
 	python3 perfbench/run.py --workload sweep-grid --seed 1 --trace 1 \
 		| tee .perfbench-out/smoke.log
-	tail -n 1 .perfbench-out/smoke.log | python3 -c \
-		"import json, sys; sys.exit(0 if json.load(sys.stdin).get('correct') is True else 'perfbench-smoke: the run did not report correct: true')"
+	tail -n 1 .perfbench-out/smoke.log | $(PERFBENCH_CORRECT)
+	python3 perfbench/run.py --workload eval-figs --seed 1 --trace 0 \
+		--seconds 1 --ops 200 | tee .perfbench-out/smoke-untraced.log
+	tail -n 1 .perfbench-out/smoke-untraced.log | $(PERFBENCH_CORRECT)
 
 # Adaptive-sweep smoke check: a cold sweep simulates and checkpoints, a
 # --fresh warm sweep must replay entirely from the disk cache (zero

@@ -30,8 +30,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import (Finding, apply_baseline, load_baseline,
                                      write_baseline)
-from repro.analysis.source import (HYGIENE_CODE, SYNTAX_CODE, Violation,
-                                   apply_waivers, parse_project)
+from repro.analysis.source import (HYGIENE_CODE, SYNTAX_CODE, Project,
+                                   Violation, apply_waivers, parse_project)
 from repro.analysis.flow.fingerprint import run_fingerprint_pass
 from repro.analysis.flow.lint import run_lint_pass
 from repro.analysis.flow.model import ProjectModel
@@ -163,6 +163,7 @@ def run_flow(
     select: Optional[Iterable[str]] = None,
     baseline: Optional[Path] = None,
     overrides: Optional[Dict[str, str]] = None,
+    parsed: Optional[Project] = None,
 ) -> FlowReport:
     """Run the flow passes over every Python file under ``paths``.
 
@@ -171,9 +172,11 @@ def run_flow(
     accepted-findings file; matches are suppressed, stale entries reported.
     ``overrides`` substitutes in-memory source text by rel-path suffix —
     the seeded-defect mutants run through this without touching the tree.
+    ``parsed`` is an earlier parse of ``paths`` whose modules are reused
+    for every file ``overrides`` leaves alone.
     """
     project, syntax_errors = parse_project([Path(p) for p in paths],
-                                           overrides=overrides)
+                                           overrides=overrides, parsed=parsed)
     model = ProjectModel(project)
 
     selected = (set(code.upper() for code in select)

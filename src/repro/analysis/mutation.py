@@ -5,16 +5,17 @@ simflow validates itself by seeding: each :class:`Mutant` patches one
 realistic defect into an *in-memory* copy of the tree (the files on disk
 are never touched — ``parse_project``'s ``overrides`` hook substitutes the
 source text) and the analyzer must produce a finding the pristine tree
-does not have.  This module owns the mutant record, the source
-collection, and the kill-judging loop; the caller supplies the mutant
-catalogue (FLW and RCE mutants alike) and the ``run`` function.
+does not have.  The tree is parsed once: every run reuses that parse for
+the files its mutant leaves alone.  This module owns the mutant record,
+the source collection, and the kill-judging loop; the caller supplies the
+mutant catalogue (FLW and RCE mutants alike) and the ``run`` function.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.source import collect_files
+from repro.analysis.source import collect_files, parse_project
 
 __all__ = ["Mutant", "MutantResult", "collect_sources", "run_seeded_mutants"]
 
@@ -52,9 +53,10 @@ def run_seeded_mutants(
 ):
     """Seed each defect in memory and require the analyzer to catch it.
 
-    ``run_fn(paths, select=..., baseline=..., overrides=...)`` must return
-    a report with a ``findings`` list of keyed findings
-    (:class:`~repro.analysis.baseline.Finding`).  The pristine tree runs
+    ``run_fn(paths, select=..., baseline=..., overrides=..., parsed=...)``
+    must return a report with a ``findings`` list of keyed findings
+    (:class:`~repro.analysis.baseline.Finding`); ``parsed`` is the one
+    parse of ``paths`` every run shares.  The pristine tree runs
     every rule once; each mutated tree runs only ``select=[mutant.code]``,
     so no mutant pays for the other pass families.  A mutant is *killed*
     when the mutated tree produces at least one finding with the mutant's
@@ -69,12 +71,13 @@ def run_seeded_mutants(
     # Seed every mutant before the first run: a drifted anchor anywhere in
     # the catalogue fails in the time of one source read.
     seeded = [(mutant, _seed(mutant, sources)) for mutant in mutants]
-    pristine = run_fn(paths, baseline=baseline)
+    parsed, _ = parse_project([Path(p) for p in paths])
+    pristine = run_fn(paths, baseline=baseline, parsed=parsed)
     pristine_keys = {f.key() for f in pristine.findings}
     results: List[MutantResult] = []
     for mutant, overrides in seeded:
         mutated = run_fn(paths, select=[mutant.code], baseline=baseline,
-                         overrides=overrides)
+                         overrides=overrides, parsed=parsed)
         new = [str(f) for f in mutated.findings
                if f.code == mutant.code and f.key() not in pristine_keys]
         results.append(MutantResult(mutant=mutant, killed=bool(new),

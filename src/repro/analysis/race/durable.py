@@ -4,7 +4,9 @@ Cache entries, trajectory records, telemetry bundles and ledger streams
 are read back by later runs, by ``history`` and by the dashboard — a
 process killed mid-write (or two processes writing at once) must never
 leave a torn file behind.  The repo's contract is structural: durable
-writers in ``bench/`` and ``obs/`` route through :mod:`repro.util.fsio`.
+writers in ``bench/`` and ``obs/`` route through :mod:`repro.util.fsio`
+(``atomic_write_bytes``/``atomic_write_text``/``atomic_write_json`` and
+``append_jsonl``).
 
 * **RCE003** — a direct ``open(path, "w"/"x"/"+")`` (or ``.write_text``)
   in a bench/obs module: a crash between truncate and final flush leaves
@@ -31,7 +33,8 @@ _DURABLE_SEGMENTS = ("bench", "obs")
 
 #: Functions allowed to call open() for writing: the fsio primitives.
 _SANCTIONED_DEFS = frozenset({
-    "atomic_write_text", "atomic_write_json", "append_jsonl",
+    "atomic_write_bytes", "atomic_write_text", "atomic_write_json",
+    "append_jsonl",
 })
 
 

@@ -232,6 +232,7 @@ def collect_files(paths: Iterable[Path]) -> List[Tuple[Path, str]]:
 def parse_project(
     paths: Iterable[Path],
     overrides: Optional[Dict[str, str]] = None,
+    parsed: Optional[Project] = None,
 ) -> Tuple[Project, List[Violation]]:
     """Parse every file under ``paths`` into a Project.
 
@@ -239,16 +240,27 @@ def parse_project(
 
     ``overrides`` maps a relative-path suffix to replacement source text —
     the in-memory mutation hook the seeded-defect self-validation uses to
-    analyze a patched tree without copying files.
+    analyze a patched tree without copying files.  ``parsed`` is an
+    earlier parse of the same roots: each file no override replaces is
+    taken from it as is (no pass writes to a module or its tree), so a
+    mutated tree re-parses only the files it edits.
     """
+    reuse = ({str(m.path): m for m in parsed.modules}
+             if parsed is not None else {})
     modules = []
     errors = []
     for file, rel in collect_files([Path(p) for p in paths]):
-        source = file.read_text(encoding="utf-8")
+        source = None
         if overrides:
             for suffix, text in overrides.items():
                 if rel.endswith(suffix):
                     source = text
+        if source is None:
+            module = reuse.get(str(file))
+            if module is not None:
+                modules.append(module)
+                continue
+            source = file.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(file))
         except SyntaxError as exc:

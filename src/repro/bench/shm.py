@@ -21,28 +21,23 @@ explicitly:
 * Segment names are unique per (runner pid, publish counter), so two
   concurrent sweeps on one machine can never collide or cross-attach.
 
-The payload format is self-contained bytes (length-prefixed JSON metadata
-followed by the per-thread op arrays), not pickle: a worker from a
-different code version fails loudly on the schema tag instead of silently
-unpickling stale class layouts.
+The payload format is the trace's own binary form
+(:meth:`~repro.cpu.trace.CompiledTrace.to_bytes`, which the trace store
+also writes to disk), not pickle: a worker from a different code version
+fails loudly on the schema tag instead of silently unpickling stale class
+layouts.
 """
 
 import itertools
-import json
 import os
-import struct
-from array import array
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.trace import TRACE_SCHEMA, CompiledTrace, TraceError
+from repro.cpu.trace import CompiledTrace, TraceError
 
 __all__ = ["TraceHandle", "attach_trace", "decode_counters",
            "publish_traces", "unlink_segments"]
-
-#: 8-byte little-endian length prefix in front of the JSON metadata block.
-_HEADER = struct.Struct("<Q")
 
 #: Per-process publish counter; with the pid it makes segment names unique.
 _counter = itertools.count()
@@ -73,73 +68,6 @@ class TraceHandle:
 
 
 # ----------------------------------------------------------------------
-# Encoding
-# ----------------------------------------------------------------------
-
-
-def _encode(trace: CompiledTrace) -> bytes:
-    """Serialize a trace: length-prefixed JSON metadata + raw array bytes.
-
-    Per thread the blob holds the kinds byte-array followed by the four
-    8-byte operand arrays; the metadata carries every scalar field plus the
-    per-thread op counts the decoder needs to slice the blob back apart.
-    """
-    meta = {
-        "schema": TRACE_SCHEMA,
-        "workload": trace.workload_name,
-        "n_threads": trace.n_threads,
-        "max_ops_per_thread": trace.max_ops_per_thread,
-        "page_size": trace.page_size,
-        "footprint": trace.footprint,
-        "regions": [list(r) for r in trace.regions],
-        "barrier_groups": trace.barrier_groups,
-        "op_mnemonics": trace.op_mnemonics,
-        "fingerprint": trace.fingerprint,
-        "counts": [len(k) for k in trace.kinds],
-    }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    parts = [_HEADER.pack(len(meta_bytes)), meta_bytes]
-    for tid in range(trace.n_threads):
-        parts.append(trace.kinds[tid].tobytes())
-        for column in (trace.a0, trace.a1, trace.a2, trace.a3):
-            parts.append(column[tid].tobytes())
-    return b"".join(parts)
-
-
-def _decode(data: bytes) -> CompiledTrace:
-    (meta_len,) = _HEADER.unpack_from(data)
-    meta = json.loads(data[_HEADER.size:_HEADER.size + meta_len])
-    schema = meta.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise TraceError(f"unknown trace schema {schema!r} in shared "
-                         f"memory segment")
-    offset = _HEADER.size + meta_len
-    kinds, a0, a1, a2, a3 = [], [], [], [], []
-    for n in meta["counts"]:
-        k = array("b")
-        k.frombytes(data[offset:offset + n])
-        offset += n
-        kinds.append(k)
-        for column in (a0, a1, a2, a3):
-            a = array("q")
-            a.frombytes(data[offset:offset + 8 * n])
-            offset += 8 * n
-            column.append(a)
-    return CompiledTrace(
-        workload_name=meta["workload"],
-        n_threads=meta["n_threads"],
-        max_ops_per_thread=meta["max_ops_per_thread"],
-        page_size=meta["page_size"],
-        footprint=meta["footprint"],
-        regions=[tuple(r) for r in meta["regions"]],
-        barrier_groups=meta["barrier_groups"],
-        op_mnemonics=meta["op_mnemonics"],
-        kinds=kinds, a0=a0, a1=a1, a2=a2, a3=a3,
-        fingerprint=meta["fingerprint"],
-    )
-
-
-# ----------------------------------------------------------------------
 # Runner side: publish and unlink
 # ----------------------------------------------------------------------
 
@@ -164,7 +92,7 @@ def publish_traces(
                 continue
             handle = by_id.get(id(trace))
             if handle is None:
-                data = _encode(trace)
+                data = trace.to_bytes()
                 name = (f"repro-trace-{os.getpid()}-{next(_counter)}-"
                         f"{trace.fingerprint[:8]}")
                 segment = shared_memory.SharedMemory(
@@ -243,7 +171,7 @@ def attach_trace(handle: TraceHandle) -> CompiledTrace:
             f"batch runner owns segment lifetime and unlinks on exit; a "
             f"worker outliving its batch cannot re-attach") from exc
     try:
-        trace = _decode(bytes(segment.buf[:handle.size]))
+        trace = CompiledTrace.from_bytes(bytes(segment.buf[:handle.size]))
     finally:
         segment.close()
     if trace.fingerprint != handle.fingerprint:

@@ -15,7 +15,9 @@ Two layers, mirroring :class:`~repro.bench.cache.BenchCache`:
   each workload once even with the result cache disabled; and
 * an optional **disk cache** under ``<root>/v-<salt>/``, sharing the result
   cache's code-version salt and atomic-write machinery, so repeated suite
-  invocations skip the functional runs entirely.
+  invocations skip the functional runs entirely.  Each entry is the
+  trace's binary form (:meth:`~repro.cpu.trace.CompiledTrace.to_bytes`,
+  the shared-memory transport's format too) in ``<key>.trace``.
 
 The trace key (:func:`trace_request_key`) deliberately excludes the
 dispatch policy and every config field except the two that shape the
@@ -25,13 +27,13 @@ PCU parameters, link widths — only affects *timing*, which replay
 recomputes.
 """
 
-import json
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.bench.cache import atomic_write_json, code_version_salt
+from repro.bench.cache import code_version_salt
 from repro.cpu.trace import CompiledTrace, TraceError, capture_trace, trace_fingerprint
 from repro.obs.events import NULL_LEDGER
+from repro.util.fsio import atomic_write_bytes
 
 __all__ = ["TraceStore", "trace_request_key"]
 
@@ -77,7 +79,7 @@ class TraceStore:
     def path_for(self, key: str) -> Path:
         if self.root is None:
             raise ValueError("trace store has no disk root")
-        return self.root / f"v-{self.salt}" / key[:2] / f"{key}.trace.json"
+        return self.root / f"v-{self.salt}" / key[:2] / f"{key}.trace"
 
     # ------------------------------------------------------------------
 
@@ -117,7 +119,7 @@ class TraceStore:
         self.captures += 1
         self._memo[key] = trace
         if self.root is not None:
-            atomic_write_json(self.path_for(key), trace.to_payload())
+            atomic_write_bytes(self.path_for(key), trace.to_bytes())
         if self.ledger.enabled:
             self.ledger.emit("trace_capture",
                              fingerprint=request.event_fingerprint())
@@ -126,10 +128,8 @@ class TraceStore:
     @staticmethod
     def _load(path: Path) -> Optional[CompiledTrace]:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return CompiledTrace.from_payload(payload)
-        except (OSError, json.JSONDecodeError, TraceError, KeyError):
+            return CompiledTrace.from_bytes(path.read_bytes())
+        except (OSError, TraceError):
             # Absent, torn, or from an incompatible schema: re-capture.
             return None
 

@@ -21,8 +21,8 @@ REPLACEMENT_POLICIES = ("lru", "fifo", "random")
 class SetAssocArray:
     """Tags-only set-associative cache model."""
 
-    __slots__ = ("n_sets", "n_ways", "sets", "hits", "misses", "evictions",
-                 "policy", "_victim_seed", "_set_mask")
+    __slots__ = ("n_sets", "n_ways", "sets", "policy", "_victim_seed",
+                 "_set_mask")
 
     def __init__(self, n_sets: int, n_ways: int, policy: str = "lru"):
         if not is_power_of_two(n_sets):
@@ -38,9 +38,6 @@ class SetAssocArray:
         self._set_mask = n_sets - 1
         self.policy = policy
         self.sets: List[OrderedDict] = [OrderedDict() for _ in range(n_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         # xorshift state for deterministic "random" victim selection.
         self._victim_seed = 0x9E3779B9
 
@@ -59,11 +56,9 @@ class SetAssocArray:
         # showed up with six-digit call counts in engine profiles.
         line_set = self.sets[block & self._set_mask]
         if block in line_set:
-            self.hits += 1
             if promote and self.policy == "lru":
                 line_set.move_to_end(block)
             return True
-        self.misses += 1
         return False
 
     def _next_victim_index(self, n_valid: int) -> int:
@@ -76,7 +71,7 @@ class SetAssocArray:
         return x % n_valid
 
     def contains(self, block: int) -> bool:
-        """Presence probe with no LRU or statistics side effects."""
+        """Presence probe with no LRU side effects."""
         return block in self._set_of(block)
 
     def insert(self, block: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
@@ -101,7 +96,6 @@ class SetAssocArray:
                 victim = (victim_block, line_set.pop(victim_block))
             else:  # lru and fifo both evict the oldest entry
                 victim = line_set.popitem(last=False)
-            self.evictions += 1
         line_set[block] = dirty
         return victim
 
@@ -109,22 +103,20 @@ class SetAssocArray:
                       ) -> Tuple[bool, Optional[Tuple[int, bool]]]:
         """Combined lookup-or-install with a single set resolution.
 
-        On hit: counts the hit, promotes (LRU), folds in ``dirty``, and
-        returns ``(True, None)``.  On miss: counts the miss, installs the
-        block (evicting if the set is full) and returns ``(False, victim)``.
+        On hit: promotes (LRU), folds in ``dirty``, and returns
+        ``(True, None)``.  On miss: installs the block (evicting if the set
+        is full) and returns ``(False, victim)``.
         Equivalent to ``lookup(block)`` followed by ``insert(block, dirty)``
         but with one ``_set_of`` resolution and no double membership probe.
         """
         line_set = self.sets[block & self._set_mask]
         prior = line_set.get(block)
         if prior is not None:
-            self.hits += 1
             if dirty and not prior:
                 line_set[block] = dirty
             if self.policy == "lru":
                 line_set.move_to_end(block)
             return True, None
-        self.misses += 1
         victim = None
         if len(line_set) >= self.n_ways:
             if self.policy == "random":
@@ -133,7 +125,6 @@ class SetAssocArray:
                 victim = (victim_block, line_set.pop(victim_block))
             else:
                 victim = line_set.popitem(last=False)
-            self.evictions += 1
         line_set[block] = dirty
         return False, victim
 

@@ -225,7 +225,6 @@ class CacheHierarchy:
         line_set = l1.sets[block & l1._set_mask]
         prior = line_set.get(block)
         if prior is not None:
-            l1.hits += 1
             if self._lru:
                 line_set.move_to_end(block)
             slots[SLOT_L1_HITS] += 1.0
@@ -235,13 +234,11 @@ class CacheHierarchy:
                 if not prior:
                     line_set[block] = True
             return time + latency
-        l1.misses += 1
         # L2 — same inlined probe as the L1 above.
         slots[SLOT_L2_ACCESSES] += 1.0
         l2 = self.l2[core]
         line_set = l2.sets[block & l2._set_mask]
         if block in line_set:
-            l2.hits += 1
             if self._lru:
                 line_set.move_to_end(block)
             slots[SLOT_L2_HITS] += 1.0
@@ -251,13 +248,11 @@ class CacheHierarchy:
             # The L1 missed above, so this is always an install; the dirty
             # bit is set here directly (no separate mark_dirty probe).
             # lookup_insert inlined on its (deterministic) miss path.
-            l1.misses += 1
             if self._lru:
                 line_set = l1.sets[block & l1._set_mask]
                 victim = None
                 if len(line_set) >= l1.n_ways:
                     victim = line_set.popitem(last=False)
-                    l1.evictions += 1
                 line_set[block] = is_write
             else:
                 victim = l1.insert(block, dirty=is_write)
@@ -271,7 +266,6 @@ class CacheHierarchy:
                 else:
                     self._drop_private_if_absent(core, v_block)
             return time + latency
-        l2.misses += 1
         # L3 (via crossbar; the bank acquire skips the BankedResource
         # modulo wrapper)
         # Crossbar.traverse inlined, request direction (16 B control).
@@ -283,8 +277,6 @@ class CacheHierarchy:
             link.clock = time
         t = time + link.backlog + occupancy + self._xbar_latency
         link.backlog += occupancy
-        link.busy_cycles += occupancy
-        link.served += 1
         link.bytes_transferred += 16
         # Bank acquire (Resource.acquire inlined; skips the BankedResource
         # modulo wrapper).
@@ -297,7 +289,6 @@ class CacheHierarchy:
         t = t + bank.backlog
         bank.backlog += bank_occ
         bank.busy_cycles += bank_occ
-        bank.served += 1
         t += self.l3_latency
         slots[SLOT_L3_ACCESSES] += 1.0
         if self.l3_observer is not None:
@@ -305,13 +296,11 @@ class CacheHierarchy:
         l3 = self.l3
         line_set = l3.sets[block & l3._set_mask]
         if block in line_set:
-            l3.hits += 1
             if self._lru:
                 line_set.move_to_end(block)
             slots[SLOT_L3_HITS] += 1.0
             t += self._collect_remote_copy(block, core, is_write)
         else:
-            l3.misses += 1
             slots[SLOT_L3_MISSES] += 1.0
             t = self.hmc.read_block(t, block << self.block_bits)
             self._install_in_l3(block, time)
@@ -328,8 +317,6 @@ class CacheHierarchy:
             link.clock = t
         start = t + link.backlog
         link.backlog += occupancy
-        link.busy_cycles += occupancy
-        link.served += 1
         link.bytes_transferred += nbytes
         t = start + occupancy + self._xbar_latency
         self._add_sharer(block, core)
@@ -337,21 +324,17 @@ class CacheHierarchy:
         # private levels missed above, so each lookup_insert would take its
         # deterministic miss/install path — done here without the calls.
         if self._lru:
-            l2.misses += 1
             line_set = l2.sets[block & l2._set_mask]
             victim = None
             if len(line_set) >= l2.n_ways:
                 victim = line_set.popitem(last=False)
-                l2.evictions += 1
             line_set[block] = False
             if victim is not None:
                 self._retire_private_victim(core, victim, time)
-            l1.misses += 1
             line_set = l1.sets[block & l1._set_mask]
             victim = None
             if len(line_set) >= l1.n_ways:
                 victim = line_set.popitem(last=False)
-                l1.evictions += 1
             line_set[block] = is_write
             if victim is not None:
                 v_block, v_dirty = victim

@@ -197,7 +197,6 @@ class PeiExecutor:
         # pcu.compute inlined (once per host-side PEI).
         occupancy = op.compute_cycles * pcu._compute_scale
         completion = pcu.compute_logic.acquire(start, occupancy) + occupancy
-        pcu.executed += 1
         core.window_release(completion)
         return completion
 
@@ -225,8 +224,6 @@ class PeiExecutor:
         operands_ready = (time + link.backlog + occupancy
                           + self._xbar_latency)
         link.backlog += occupancy
-        link.busy_cycles += occupancy
-        link.served += 1
         link.bytes_transferred += nbytes
         t = ready if ready > operands_ready else operands_ready
         # Step 5: the PMU packetizes the PIM operation and ships it.
@@ -243,7 +240,6 @@ class PeiExecutor:
         # vpcu.compute inlined (once per memory-side PEI).
         occupancy = op.compute_cycles * vpcu._compute_scale
         t = vpcu.compute_logic.acquire(t, occupancy) + occupancy
-        vpcu.executed += 1
         if op.writes:
             # The write back into DRAM is posted: the vault's controller
             # schedules a PEI's accesses as an inseparable group (Section
@@ -265,8 +261,6 @@ class PeiExecutor:
             link.clock = t
         completion = t + link.backlog + occupancy + self._xbar_latency
         link.backlog += occupancy
-        link.busy_cycles += occupancy
-        link.served += 1
         link.bytes_transferred += nbytes
         return completion, ready
 

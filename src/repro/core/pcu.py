@@ -61,7 +61,7 @@ class Pcu:
     """One PEI Computation Unit (host-side per core, memory-side per vault)."""
 
     __slots__ = ("name", "clock", "issue_width", "operand_buffer",
-                 "compute_logic", "executed", "_compute_scale")
+                 "compute_logic", "_compute_scale")
 
     def __init__(
         self,
@@ -80,7 +80,6 @@ class Pcu:
         # Host-cycles-per-device-cycle over the issue width, precomputed:
         # compute() runs once per PEI.
         self._compute_scale = clock.cycles(1.0) / issue_width
-        self.executed = 0
 
     def compute(self, arrival: float, op: PimOp) -> float:
         """Run ``op`` on the computation logic; return the completion time.
@@ -89,6 +88,4 @@ class Pcu:
         PCU's clock domain and divided by the issue width (Fig. 11b's knob).
         """
         occupancy = op.compute_cycles * self._compute_scale
-        start = self.compute_logic.acquire(arrival, occupancy)
-        self.executed += 1
-        return start + occupancy
+        return self.compute_logic.acquire(arrival, occupancy) + occupancy

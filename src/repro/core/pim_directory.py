@@ -69,7 +69,6 @@ class PimDirectory:
         # Global completion horizon of all in-flight/completed writer PEIs —
         # the time a pfence issued now would return (Section 3.2).
         self._fence_horizon = 0.0
-        self._pei_horizon = 0.0
 
     # ------------------------------------------------------------------
     # Lock protocol
@@ -121,8 +120,6 @@ class PimDirectory:
         else:
             if completion > self._readers_max.get(entry, 0.0):
                 self._readers_max[entry] = completion
-        if completion > self._pei_horizon:
-            self._pei_horizon = completion
 
     # ------------------------------------------------------------------
     # pfence support
@@ -138,8 +135,13 @@ class PimDirectory:
         return horizon + (0.0 if self.ideal else self.latency)
 
     def quiesce_time(self, time: float) -> float:
-        """When *all* in-flight PEIs (readers included) have completed."""
-        return max(self._pei_horizon, time)
+        """When *all* in-flight PEIs (readers included) have completed.
+
+        Every release raises its own entry's completion maximum, so the
+        latest completion of any PEI is the largest of those maxima.
+        """
+        return max([time, *self._writer_free.values(),
+                    *self._readers_max.values()])
 
     # ------------------------------------------------------------------
 

@@ -76,6 +76,9 @@ class Pmu:
         self._always_host = policy in (DispatchPolicy.HOST_ONLY,
                                        DispatchPolicy.IDEAL_HOST)
         self._balanced = policy.is_balanced
+        if self._balanced:
+            # Balanced dispatch reads the channel's averaged flit counters.
+            self.channel.track_flits = True
 
     # ------------------------------------------------------------------
     # PEI admission (steps 2 of Figs. 4 and 5)
@@ -114,8 +117,6 @@ class Pmu:
             link.clock = time
         t = time + link.backlog + occupancy + self._xbar_latency
         link.backlog += occupancy
-        link.busy_cycles += occupancy
-        link.served += 1
         link.bytes_transferred += 16
         entry, grant = self.directory.acquire(block, op.writes, t)
         decision = t + self.directory.latency

@@ -18,6 +18,8 @@ identical stream.
 
 import hashlib
 import json
+import struct
+import sys
 from array import array
 from collections import defaultdict, deque
 from typing import Dict, List, Optional, Tuple
@@ -143,7 +145,13 @@ class Barrier:
 # ----------------------------------------------------------------------
 
 #: Schema tag for serialized traces.
-TRACE_SCHEMA = "repro.cpu.trace/1"
+TRACE_SCHEMA = "repro.cpu.trace/2"
+
+#: 8-byte little-endian length prefix in front of the JSON metadata block.
+_HEADER = struct.Struct("<Q")
+
+#: Bytes per op in the binary form: one kind byte plus four 8-byte operands.
+_OP_BYTES = 1 + 4 * 8
 
 
 class TraceError(ValueError):
@@ -214,11 +222,19 @@ class CompiledTrace:
         return (f"CompiledTrace({self.workload_name!r}, "
                 f"threads={self.n_threads}, ops={self.n_ops})")
 
-    # Serialization (JSON-safe, for the bench trace cache) -------------
+    # Serialization (the trace store and the shared-memory transport) ----
 
-    def to_payload(self) -> Dict:
-        return {
+    def to_bytes(self) -> bytes:
+        """The binary form: length-prefixed JSON metadata + raw arrays.
+
+        Per thread the blob holds the kinds byte array followed by the four
+        8-byte operand arrays, in the host's byte order (recorded in the
+        metadata); the metadata carries every scalar field plus the
+        per-thread op counts :meth:`from_bytes` slices the arrays apart by.
+        """
+        meta = {
             "schema": TRACE_SCHEMA,
+            "byteorder": sys.byteorder,
             "workload": self.workload_name,
             "n_threads": self.n_threads,
             "max_ops_per_thread": self.max_ops_per_thread,
@@ -227,35 +243,70 @@ class CompiledTrace:
             "regions": [list(r) for r in self.regions],
             "barrier_groups": self.barrier_groups,
             "op_mnemonics": self.op_mnemonics,
-            "kinds": [k.tolist() for k in self.kinds],
-            "a0": [a.tolist() for a in self.a0],
-            "a1": [a.tolist() for a in self.a1],
-            "a2": [a.tolist() for a in self.a2],
-            "a3": [a.tolist() for a in self.a3],
             "fingerprint": self.fingerprint,
+            "counts": [len(k) for k in self.kinds],
         }
+        meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+        parts = [_HEADER.pack(len(meta_bytes)), meta_bytes]
+        for tid in range(self.n_threads):
+            parts.append(self.kinds[tid].tobytes())
+            for column in (self.a0, self.a1, self.a2, self.a3):
+                parts.append(column[tid].tobytes())
+        return b"".join(parts)
 
     @classmethod
-    def from_payload(cls, payload: Dict) -> "CompiledTrace":
-        schema = payload.get("schema")
-        if schema != TRACE_SCHEMA:
-            raise TraceError(f"unknown trace schema {schema!r}")
-        return cls(
-            workload_name=payload["workload"],
-            n_threads=payload["n_threads"],
-            max_ops_per_thread=payload["max_ops_per_thread"],
-            page_size=payload["page_size"],
-            footprint=payload["footprint"],
-            regions=[tuple(r) for r in payload["regions"]],
-            barrier_groups=payload["barrier_groups"],
-            op_mnemonics=payload["op_mnemonics"],
-            kinds=[array("b", k) for k in payload["kinds"]],
-            a0=[array("q", a) for a in payload["a0"]],
-            a1=[array("q", a) for a in payload["a1"]],
-            a2=[array("q", a) for a in payload["a2"]],
-            a3=[array("q", a) for a in payload["a3"]],
-            fingerprint=payload["fingerprint"],
-        )
+    def from_bytes(cls, data) -> "CompiledTrace":
+        """Decode :meth:`to_bytes` output (any bytes-like object).
+
+        A short, torn or foreign blob (another schema or byte order)
+        raises :class:`TraceError`, so a reader can fall back to a fresh
+        capture.
+        """
+        data = memoryview(data)
+        try:
+            (meta_len,) = _HEADER.unpack_from(data)
+            meta = json.loads(bytes(data[_HEADER.size:_HEADER.size + meta_len]))
+            schema = meta.get("schema")
+        except (struct.error, ValueError, AttributeError) as exc:
+            raise TraceError(f"unreadable trace blob: {exc}") from exc
+        if schema != TRACE_SCHEMA or meta.get("byteorder") != sys.byteorder:
+            raise TraceError(f"unknown trace schema {schema!r} "
+                             f"({meta.get('byteorder')}-endian)")
+        offset = _HEADER.size + meta_len
+        try:
+            counts = meta["counts"]
+            expected = offset + _OP_BYTES * sum(counts)
+        except (KeyError, TypeError) as exc:
+            raise TraceError(f"trace metadata lacks op counts: {exc}") from exc
+        if len(data) != expected:
+            raise TraceError(f"trace blob holds {len(data)} bytes, its "
+                             f"metadata describes {expected}")
+        kinds, a0, a1, a2, a3 = [], [], [], [], []
+        for n in counts:
+            k = array("b")
+            k.frombytes(data[offset:offset + n])
+            offset += n
+            kinds.append(k)
+            for column in (a0, a1, a2, a3):
+                a = array("q")
+                a.frombytes(data[offset:offset + 8 * n])
+                offset += 8 * n
+                column.append(a)
+        try:
+            return cls(
+                workload_name=meta["workload"],
+                n_threads=meta["n_threads"],
+                max_ops_per_thread=meta["max_ops_per_thread"],
+                page_size=meta["page_size"],
+                footprint=meta["footprint"],
+                regions=[tuple(r) for r in meta["regions"]],
+                barrier_groups=meta["barrier_groups"],
+                op_mnemonics=meta["op_mnemonics"],
+                kinds=kinds, a0=a0, a1=a1, a2=a2, a3=a3,
+                fingerprint=meta["fingerprint"],
+            )
+        except KeyError as exc:
+            raise TraceError(f"trace metadata lacks {exc}") from exc
 
 
 def trace_fingerprint(key: Dict) -> str:

@@ -9,7 +9,6 @@ activate) without per-cycle scheduling.
 from dataclasses import dataclass
 
 from repro.sim.clock import ClockDomain
-from repro.sim.resource import Resource
 
 
 @dataclass(frozen=True)
@@ -64,13 +63,20 @@ class DramTimings:
 
 
 class DramBank:
-    """One DRAM bank: a serialized resource with an open row register."""
+    """One DRAM bank: a serialized resource with an open row register.
 
-    __slots__ = ("timings", "resource", "open_row", "row_hits", "row_misses", "row_conflicts")
+    The bank is its own fluid-backlog queue (``clock``/``backlog``, as in
+    :class:`~repro.sim.resource.Resource`): a machine holds thousands of
+    banks, so each carries no separate resource object.
+    """
 
-    def __init__(self, name: str, timings: DramTimings):
+    __slots__ = ("timings", "clock", "backlog", "open_row", "row_hits",
+                 "row_misses", "row_conflicts")
+
+    def __init__(self, timings: DramTimings):
         self.timings = timings
-        self.resource = Resource(name)
+        self.clock = 0.0
+        self.backlog = 0.0
         self.open_row = None
         self.row_hits = 0
         self.row_misses = 0
@@ -97,15 +103,12 @@ class DramBank:
         self.open_row = row
         # Resource.acquire inlined: every DRAM access serializes here.
         occupancy = latency + t.burst
-        r = self.resource
-        if arrival > r.clock:
-            gap = arrival - r.clock
-            r.backlog = r.backlog - gap if r.backlog > gap else 0.0
-            r.clock = arrival
-        start = arrival + r.backlog
-        r.backlog += occupancy
-        r.busy_cycles += occupancy
-        r.served += 1
+        if arrival > self.clock:
+            gap = arrival - self.clock
+            self.backlog = self.backlog - gap if self.backlog > gap else 0.0
+            self.clock = arrival
+        start = arrival + self.backlog
+        self.backlog += occupancy
         return start + occupancy
 
     @property
@@ -113,7 +116,8 @@ class DramBank:
         return self.row_hits + self.row_misses + self.row_conflicts
 
     def reset(self) -> None:
-        self.resource.reset()
+        self.clock = 0.0
+        self.backlog = 0.0
         self.open_row = None
         self.row_hits = 0
         self.row_misses = 0

@@ -5,7 +5,8 @@ cost model: a read consumes 16 bytes of request bandwidth and 80 bytes of
 response bandwidth; a write consumes 80 bytes of request bandwidth.  We model
 each direction as an independent BandwidthLink and pad payloads to the flit
 granularity.  The channel also maintains the two exponentially-averaged flit
-counters (C_req, C_res) that balanced dispatch reads.
+counters (C_req, C_res) that balanced dispatch reads, while a reader of them
+is wired in (``track_flits``).
 """
 
 from repro.obs.hooks import NULL_OBS
@@ -82,6 +83,11 @@ class OffChipChannel:
         self.serdes_latency = serdes_latency
         self.req_flits = EmaFlitCounter(ema_period)
         self.res_flits = EmaFlitCounter(ema_period)
+        # Only balanced dispatch and the telemetry sampler read the flit
+        # counters: the PMU (balanced policy) and Telemetry.attach switch
+        # tracking on before the first packet, and every other run sends
+        # its packets without touching the counters.
+        self.track_flits = False
         # Telemetry sink (null object unless a Telemetry is attached).
         self.obs = NULL_OBS
 
@@ -116,7 +122,8 @@ class OffChipChannel:
             self.obs.observe("queue.offchip_request_backlog",
                              self.request.peek(arrival) - arrival)
         finish = self.request.transfer(arrival, nbytes)
-        self.req_flits.add(finish, nbytes / self.flit_bytes)
+        if self.track_flits:
+            self.req_flits.add(finish, nbytes / self.flit_bytes)
         return finish + self.serdes_latency
 
     def send_response_from(self, arrival: float, payload_bytes: int,
@@ -129,7 +136,8 @@ class OffChipChannel:
             self.obs.observe("queue.offchip_response_backlog",
                              self.response.peek(arrival) - arrival)
         finish = self.response.transfer(arrival, nbytes)
-        self.res_flits.add(finish, nbytes / self.flit_bytes)
+        if self.track_flits:
+            self.res_flits.add(finish, nbytes / self.flit_bytes)
         return finish + self.serdes_latency
 
     @property

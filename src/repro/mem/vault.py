@@ -27,8 +27,7 @@ class Vault:
     ):
         self.index = index
         self.banks: List[DramBank] = [
-            DramBank(f"vault{index}.bank{b}", timings) for b in range(banks_per_vault)
-        ]
+            DramBank(timings) for _ in range(banks_per_vault)]
         self.tsv = BandwidthLink(f"vault{index}.tsv", tsv_bytes_per_cycle)
         self.controller_latency = controller_latency
         # Attached by the system builder when PEIs are enabled; the vault's

@@ -93,9 +93,14 @@ class Telemetry(hooks.NullObs):
     # Lifecycle (driven by System) --------------------------------------
 
     def attach(self, machine) -> None:
-        """Wire this sink into every instrumented layer of ``machine``."""
+        """Wire this sink into every instrumented layer of ``machine``.
+
+        The sampler's ``offchip_*_flits_ema`` gauges read the channel's
+        averaged flit counters, so the channel tracks them from here on.
+        """
         self._machine = machine
         hooks.attach(machine, self)
+        machine.hmc.channel.track_flits = True
 
     def on_progress(self, machine, now: float) -> None:
         """Engine-loop hook: sample any interval boundaries passed."""

@@ -2,8 +2,8 @@
 
 The reproduction uses a *resource-occupancy* timing model rather than a
 cycle-stepped one: every shared hardware resource (a DRAM bank, a link
-direction, a crossbar port, a PCU's computation logic) is represented by a
-:class:`~repro.sim.resource.Resource` that serializes work items.  A request's
+direction, a crossbar port, a PCU's computation logic) is a fluid-backlog
+queue (:mod:`repro.sim.resource`) that serializes work items.  A request's
 end-to-end latency is the composition of the occupancies it acquires along its
 path, so bandwidth saturation and queueing delay emerge without per-cycle
 event processing.  Time is a float measured in host-core cycles (4 GHz).

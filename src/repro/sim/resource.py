@@ -16,40 +16,25 @@ DRAM banks and PCU compute logic — without per-cycle simulation.
 """
 
 
-class Resource:
-    """A fixed-rate resource with fluid-backlog queueing."""
+class FluidQueue:
+    """The fluid backlog every occupancy model shares.
 
-    __slots__ = ("name", "clock", "backlog", "busy_cycles", "served")
+    Subclasses add the acquisition method and a ``busy_cycles`` reading
+    for :meth:`utilization`.
+    """
 
-    def __init__(self, name: str = "resource"):
+    __slots__ = ("name", "clock", "backlog")
+
+    def __init__(self, name: str):
         self.name = name
         self.clock = 0.0  # latest arrival time observed
         self.backlog = 0.0  # queued work (cycles) as of `clock`
-        self.busy_cycles = 0.0
-        self.served = 0
 
     def _drain_to(self, arrival: float) -> None:
         if arrival > self.clock:
             gap = arrival - self.clock
             self.backlog = self.backlog - gap if self.backlog > gap else 0.0
             self.clock = arrival
-
-    def acquire(self, arrival: float, occupancy: float) -> float:
-        """Acquire the resource; return the *start* time of service.
-
-        The caller's completion time is ``start + occupancy`` (plus any
-        additional pipeline latency the caller wants to add on top).
-        """
-        # _drain_to, inlined: acquire runs several times per simulated op.
-        if arrival > self.clock:
-            gap = arrival - self.clock
-            self.backlog = self.backlog - gap if self.backlog > gap else 0.0
-            self.clock = arrival
-        start = arrival + self.backlog
-        self.backlog += occupancy
-        self.busy_cycles += occupancy
-        self.served += 1
-        return start
 
     def peek(self, arrival: float) -> float:
         """Return when service *would* start, without acquiring."""
@@ -68,17 +53,45 @@ class Resource:
     def reset(self) -> None:
         self.clock = 0.0
         self.backlog = 0.0
+
+
+class Resource(FluidQueue):
+    """A fixed-rate resource with fluid-backlog queueing."""
+
+    __slots__ = ("busy_cycles",)
+
+    def __init__(self, name: str = "resource"):
+        super().__init__(name)
         self.busy_cycles = 0.0
-        self.served = 0
+
+    def acquire(self, arrival: float, occupancy: float) -> float:
+        """Acquire the resource; return the *start* time of service.
+
+        The caller's completion time is ``start + occupancy`` (plus any
+        additional pipeline latency the caller wants to add on top).
+        """
+        # _drain_to, inlined: acquire runs several times per simulated op.
+        if arrival > self.clock:
+            gap = arrival - self.clock
+            self.backlog = self.backlog - gap if self.backlog > gap else 0.0
+            self.clock = arrival
+        start = arrival + self.backlog
+        self.backlog += occupancy
+        self.busy_cycles += occupancy
+        return start
+
+    def reset(self) -> None:
+        super().reset()
+        self.busy_cycles = 0.0
 
 
-class BandwidthLink(Resource):
+class BandwidthLink(FluidQueue):
     """A resource whose occupancy is derived from a byte count and a rate.
 
     ``bytes_per_cycle`` is expressed in host-core cycles; a transfer of
     ``nbytes`` holds the link for ``nbytes / bytes_per_cycle`` cycles.
-    The link also accumulates a byte counter used by the off-chip traffic
-    experiments (Fig. 7) and by balanced dispatch (Section 7.4).
+    The link accumulates only a byte counter, used by the off-chip traffic
+    experiments (Fig. 7); its busy time is derived from it.
     """
 
     __slots__ = ("bytes_per_cycle", "bytes_transferred")
@@ -90,9 +103,15 @@ class BandwidthLink(Resource):
         self.bytes_per_cycle = bytes_per_cycle
         self.bytes_transferred = 0
 
+    @property
+    def busy_cycles(self) -> float:
+        """Cycles spent transferring: every byte holds the link for
+        ``1 / bytes_per_cycle`` cycles."""
+        return self.bytes_transferred / self.bytes_per_cycle
+
     def transfer(self, arrival: float, nbytes: int) -> float:
         """Send ``nbytes`` over the link; return the *finish* time."""
-        # Resource.acquire, inlined: every off-chip packet and crossbar
+        # FluidQueue._drain_to, inlined: every off-chip packet and crossbar
         # traversal lands here, so the extra frame is measurable.
         occupancy = nbytes / self.bytes_per_cycle
         if arrival > self.clock:
@@ -101,8 +120,6 @@ class BandwidthLink(Resource):
             self.clock = arrival
         start = arrival + self.backlog
         self.backlog += occupancy
-        self.busy_cycles += occupancy
-        self.served += 1
         self.bytes_transferred += nbytes
         return start + occupancy
 

@@ -20,8 +20,8 @@ What the plan precomputes, and why each piece is deterministic:
   table's frame permutation is fixed by the region layout (frames are
   handed out by a deterministic multiplicative permutation in warm-sweep
   touch order).  The whole per-op (paddr, walk-latency) sequence is
-  therefore a plan-time constant; the live TLB's final state and hit/miss
-  totals are restored when replay drains.
+  therefore a plan-time constant; the live TLB's final state is restored
+  when replay drains.
 * **Compute time deltas** — ``insts / issue_width`` per op, vectorized
   (IEEE-754 double division matches Python's int/int true division
   bit-for-bit).  The per-op accumulation order and the per-op horizon
@@ -99,11 +99,11 @@ class ColumnPlan:
     __slots__ = (
         "lengths", "span_kinds", "span_ends",
         "p0", "p1", "p2", "p3", "p4",
-        "final_tlb", "tlb_hits", "tlb_misses", "tag_items",
+        "final_tlb", "tag_items",
     )
 
     def __init__(self, lengths, span_kinds, span_ends, p0, p1, p2, p3, p4,
-                 final_tlb, tlb_hits, tlb_misses, tag_items):
+                 final_tlb, tag_items):
         self.lengths = lengths
         #: Per thread: the kind of each uniform-kind span / its end index.
         self.span_kinds = span_kinds
@@ -118,11 +118,9 @@ class ColumnPlan:
         self.p2 = p2
         self.p3 = p3
         self.p4 = p4
-        #: Per thread: the TLB's final (vpage, frame) LRU order + totals,
-        #: restored after replay so machine state matches scalar replay.
+        #: Per thread: the TLB's final (vpage, frame) LRU order, restored
+        #: after replay so machine state matches scalar replay.
         self.final_tlb = final_tlb
-        self.tlb_hits = tlb_hits
-        self.tlb_misses = tlb_misses
         #: (block, partial_tag) pairs for the monitor's tag memo, installed
         #: only under policies that consult the monitor.
         self.tag_items = tag_items
@@ -205,8 +203,6 @@ def _build_plan(trace, config, op_table, machine) -> Optional["ColumnPlan"]:
     p3_all: List[list] = []
     p4_all: List[list] = []
     final_tlb: List[List[Tuple[int, int]]] = []
-    tlb_hits: List[int] = []
-    tlb_misses: List[int] = []
     blocks: set = set()
 
     for tid in range(n_threads):
@@ -264,15 +260,12 @@ def _build_plan(trace, config, op_table, machine) -> Optional["ColumnPlan"]:
         cache: OrderedDict = OrderedDict()
         cache_get = cache.get
         cache_move = cache.move_to_end
-        hits = misses = 0
         for pos, vaddr in zip(mem_idx, vaddrs):
             vpage = vaddr >> page_bits
             frame = cache_get(vpage)
             if frame is not None:
                 cache_move(vpage)
-                hits += 1
             else:
-                misses += 1
                 frame = mapping.get(vpage)
                 if frame is None:
                     # Address outside the captured regions: first-touch
@@ -294,8 +287,6 @@ def _build_plan(trace, config, op_table, machine) -> Optional["ColumnPlan"]:
         p3_all.append(p3)
         p4_all.append(p4)
         final_tlb.append(list(cache.items()))
-        tlb_hits.append(hits)
-        tlb_misses.append(misses)
 
     tag_items: List[Tuple[int, int]] = []
     if blocks:
@@ -313,7 +304,7 @@ def _build_plan(trace, config, op_table, machine) -> Optional["ColumnPlan"]:
 
     return ColumnPlan(lengths, span_kinds_all, span_ends_all,
                       p0_all, p1_all, p2_all, p3_all, p4_all,
-                      final_tlb, tlb_hits, tlb_misses, tag_items)
+                      final_tlb, tag_items)
 
 
 def _plan_for(system, trace, op_table) -> Optional[ColumnPlan]:
@@ -383,8 +374,6 @@ def replay(system, trace, op_table, n_threads: int, batch_window: float,
         cache = tlb._cache
         for vpage, frame in plan.final_tlb[tid]:
             cache[vpage] = frame
-        tlb.hits += plan.tlb_hits[tid]
-        tlb.misses += plan.tlb_misses[tid]
 
     return system._collect(trace.workload_name, trace.footprint,
                            n_threads, effective_cap)

@@ -405,9 +405,9 @@ class System:
         """Install the LRU sweep's final state, walking the touches backwards.
 
         Each set keeps its ``ways`` most recently touched distinct keys
-        (LRU's stack property); the walk stops once every set is full, and
-        the skipped insertions count as L3 evictions.  Requires every block
-        of ``pages`` distinct and the L3 and monitor sets empty.
+        (LRU's stack property); the walk stops once every set is full.
+        Requires every block of ``pages`` distinct and the L3 and monitor
+        sets empty.
         """
         l3 = self.machine.hierarchy.l3
         l3_mask, l3_ways = l3._set_mask, l3.n_ways
@@ -444,12 +444,9 @@ class System:
                                 m_open -= 1
             if not l3_open and not m_open:
                 break
-        kept = 0
         for line_set, keep in zip(l3.sets, l3_keep):
             for block in reversed(keep):
                 line_set[block] = False
-            kept += len(keep)
-        l3.evictions += sum(count for _, count in pages) - kept
         if monitor is not None:
             for line_set, seen in zip(monitor._sets, m_keep):
                 for tag in reversed(seen):

@@ -6,10 +6,11 @@ run-ledger streams — is written by processes that can crash mid-write and,
 on the parallel frontier, by several processes at once.  Two primitives
 cover both hazards:
 
-* :func:`atomic_write_text` / :func:`atomic_write_json` — temp-file +
-  ``os.replace`` publication.  Readers either see the complete old file or
-  the complete new file, never a torn intermediate; concurrent writers
-  race to publish whole files, not bytes.
+* :func:`atomic_write_bytes` / :func:`atomic_write_text` /
+  :func:`atomic_write_json` — temp-file + ``os.replace`` publication.
+  Readers either see the complete old file or the complete new file,
+  never a torn intermediate; concurrent writers race to publish whole
+  files, not bytes.
 * :func:`append_jsonl` — append a batch of records to a shared JSONL
   stream with **one** ``O_APPEND`` ``write()`` per call.  Buffered
   ``open(path, "a")`` appends flush in arbitrary chunks, so two processes
@@ -30,7 +31,8 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterable
 
-__all__ = ["append_jsonl", "atomic_write_json", "atomic_write_text"]
+__all__ = ["append_jsonl", "atomic_write_bytes", "atomic_write_json",
+           "atomic_write_text"]
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -44,8 +46,8 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[written:]
 
 
-def atomic_write_text(path, text: str, encoding: str = "utf-8") -> Path:
-    """Publish ``text`` at ``path`` via temp-file + ``os.replace``.
+def atomic_write_bytes(path, data: bytes) -> Path:
+    """Publish ``data`` at ``path`` via temp-file + ``os.replace``.
 
     The temp file lands in ``path``'s directory so the final rename never
     crosses a filesystem boundary; any failure unlinks the temp file, so
@@ -56,7 +58,7 @@ def atomic_write_text(path, text: str, encoding: str = "utf-8") -> Path:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         try:
-            _write_all(fd, text.encode(encoding))
+            _write_all(fd, data)
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -67,6 +69,11 @@ def atomic_write_text(path, text: str, encoding: str = "utf-8") -> Path:
             pass
         raise
     return path
+
+
+def atomic_write_text(path, text: str, encoding: str = "utf-8") -> Path:
+    """Publish ``text`` at ``path`` atomically (see :func:`atomic_write_bytes`)."""
+    return atomic_write_bytes(path, text.encode(encoding))
 
 
 def atomic_write_json(path, payload: Dict, indent=None,

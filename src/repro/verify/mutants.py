@@ -132,8 +132,6 @@ def _mutant_release_skips_fence_horizon():
         else:
             if completion > self._readers_max.get(entry, 0.0):
                 self._readers_max[entry] = completion
-        if completion > self._pei_horizon:
-            self._pei_horizon = completion
 
     return _swap(PimDirectory, "release", release)
 

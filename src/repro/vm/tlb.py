@@ -14,8 +14,8 @@ from repro.vm.page_table import PageTable
 class Tlb:
     """Fully-associative LRU TLB in front of a shared page table."""
 
-    __slots__ = ("page_table", "entries", "_cache", "walk_latency", "hits",
-                 "misses", "_page_bits", "_page_mask", "_mapping")
+    __slots__ = ("page_table", "entries", "_cache", "walk_latency",
+                 "_page_bits", "_page_mask", "_mapping")
 
     def __init__(self, page_table: PageTable, entries: int = 64, walk_latency: float = 100.0):
         if entries <= 0:
@@ -32,8 +32,6 @@ class Tlb:
         # already-mapped fast path in translate() (the dict is created once
         # in PageTable.__init__ and never replaced).
         self._mapping = page_table._mapping
-        self.hits = 0
-        self.misses = 0
 
     def translate(self, vaddr: int) -> "tuple[int, float]":
         """Return ``(physical_address, extra_latency)`` for ``vaddr``."""
@@ -43,9 +41,7 @@ class Tlb:
         frame = cache.get(vpage)
         if frame is not None:
             cache.move_to_end(vpage)
-            self.hits += 1
             return (frame << page_bits) | (vaddr & self._page_mask), 0.0
-        self.misses += 1
         # PageTable.translate inlined for already-mapped pages; only a
         # first touch (fault) goes through the page table itself.
         frame = self._mapping.get(vpage)

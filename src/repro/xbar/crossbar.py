@@ -36,8 +36,6 @@ class Crossbar:
             link.clock = arrival
         start = arrival + link.backlog
         link.backlog += occupancy
-        link.busy_cycles += occupancy
-        link.served += 1
         link.bytes_transferred += nbytes
         return start + occupancy + self.latency
 

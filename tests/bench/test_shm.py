@@ -23,7 +23,7 @@ from repro.bench.shm import (
     unlink_segments,
 )
 from repro.core.dispatch import DispatchPolicy
-from repro.cpu.trace import TraceError, capture_trace
+from repro.cpu.trace import CompiledTrace, TraceError, capture_trace
 from repro.system.config import tiny_config
 
 TINY = tiny_config()
@@ -51,14 +51,14 @@ def canon(result):
 
 class TestRoundTrip:
     def test_encode_decode_identical(self, trace):
-        restored = shm._decode(shm._encode(trace))
-        assert restored.to_payload() == trace.to_payload()
+        restored = CompiledTrace.from_bytes(trace.to_bytes())
+        assert restored.to_bytes() == trace.to_bytes()
 
     def test_publish_attach_round_trip(self, trace):
         handles, segments = publish_traces([trace])
         try:
             restored = attach_trace(handles[0])
-            assert restored.to_payload() == trace.to_payload()
+            assert restored.to_bytes() == trace.to_bytes()
         finally:
             unlink_segments(segments)
 

@@ -175,6 +175,19 @@ class TestDiskRoundTrip:
         assert fresh.get_or_capture(request) is not None
         assert fresh.counters()["captures"] == 1
 
+    def test_truncated_binary_entry_recaptures(self, tmp_path):
+        request = request_for(DispatchPolicy.HOST_ONLY)
+        store = TraceStore(tmp_path)
+        trace = store.get_or_capture(request)
+        path = store.path_for(store.key(request))
+        path.write_bytes(path.read_bytes()[:-9])
+        fresh = TraceStore(tmp_path)
+        recaptured = fresh.get_or_capture(request)
+        assert fresh.counters()["captures"] == 1
+        assert recaptured.to_bytes() == trace.to_bytes()
+        # The recapture republished a whole entry.
+        assert TraceStore(tmp_path).get_or_capture(request) is not None
+
 
 class TestRunnerIntegration:
     def test_sweep_captures_once_per_workload(self, isolated_runner):

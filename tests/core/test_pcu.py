@@ -141,12 +141,6 @@ class TestPcu:
         wide = Pcu("w", ClockDomain(4.0, 4.0), issue_width=2)
         assert wide.compute(0.0, EUCLIDEAN_DIST) < narrow.compute(0.0, EUCLIDEAN_DIST)
 
-    def test_executed_counter(self):
-        pcu = Pcu("p", ClockDomain(4.0, 4.0))
-        pcu.compute(0.0, FP_ADD)
-        pcu.compute(10.0, FP_ADD)
-        assert pcu.executed == 2
-
     def test_rejects_bad_issue_width(self):
         with pytest.raises(ValueError):
             Pcu("p", ClockDomain(4.0, 4.0), issue_width=0)

@@ -172,6 +172,25 @@ class TestFence:
         d = PimDirectory(latency=0.0, handoff_penalty=0.0)
         assert d.fence_time(42.0) == 42.0
 
+    @given(st.sampled_from([1, 16, 2048]), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 2**20), st.booleans(),
+                              st.floats(0.0, 1e6), st.floats(0.0, 1e4)),
+                    max_size=40),
+           st.floats(0.0, 2e6))
+    def test_quiesce_is_latest_completion(self, entries, ideal, peis, t):
+        """quiesce_time(t) is the max of t and every released completion,
+        whatever the entry aliasing and reader/writer mix."""
+        d = PimDirectory(entries=entries, ideal=ideal)
+        completions = []
+        for block, is_writer, issue, duration in peis:
+            if entries == 1 and not ideal:
+                # A one-entry table has no fold (acquire raises).
+                break
+            entry, grant = d.acquire(block, is_writer, issue)
+            d.release(entry, is_writer, grant + duration)
+            completions.append(grant + duration)
+        assert d.quiesce_time(t) == max([t] + completions)
+
 
 class TestStorage:
     def test_section61_storage_cost(self):

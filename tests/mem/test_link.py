@@ -71,10 +71,18 @@ class TestEmaFlitCounter:
 
     def test_channel_counters_updated(self):
         channel = OffChipChannel(10.0, 10.0, ema_period=1e9)
+        channel.track_flits = True
         channel.send_request(0.0, 0)  # 16 B = 1 flit
         channel.send_response(0.0, 64)  # 80 B = 5 flits
         assert channel.req_flits.read(1.0) == pytest.approx(1.0)
         assert channel.res_flits.read(1.0) == pytest.approx(5.0)
+
+    def test_untracked_channel_leaves_counters_alone(self):
+        channel = OffChipChannel(10.0, 10.0, ema_period=1e9)
+        channel.send_request(0.0, 0)
+        channel.send_response(0.0, 64)
+        assert channel.req_flits.value == channel.res_flits.value == 0.0
+        assert channel.req_flits._epoch == channel.res_flits._epoch == 0.0
 
 
 class TestReset:

@@ -43,7 +43,6 @@ class TestResource:
         r.acquire(0.0, 3.0)
         r.acquire(0.0, 4.0)
         assert r.busy_cycles == 7.0
-        assert r.served == 2
 
     def test_utilization(self):
         r = Resource()
@@ -137,6 +136,15 @@ class TestBandwidthLink:
         finish = link.transfer(0.0, 30)  # queues behind the first transfer
         assert finish == pytest.approx(80.0)
         assert link.bytes_transferred == 80
+
+    def test_busy_cycles_derived_from_bytes(self):
+        link = BandwidthLink("l", 4.0)
+        link.transfer(0.0, 100)
+        link.transfer(3.0, 60)
+        assert link.busy_cycles == link.bytes_transferred / link.bytes_per_cycle
+        assert link.busy_cycles == 40.0
+        link.reset()
+        assert link.busy_cycles == 0.0
 
     def test_utilization_matches_bytes_over_rate(self):
         link = BandwidthLink("l", 4.0)

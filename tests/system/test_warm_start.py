@@ -108,7 +108,7 @@ def warm_state(system):
     page_table = machine.page_table
     return {
         "l3_sets": [list(s.items()) for s in l3.sets],
-        "l3_counters": (l3.evictions, l3.hits, l3.misses, l3._victim_seed),
+        "l3_victim_seed": l3._victim_seed,
         "monitor_sets": [list(s.items()) for s in machine.monitor._sets],
         "mapping": list(page_table._mapping.items()),
         "paging": (page_table._next_sequence, page_table.page_faults),

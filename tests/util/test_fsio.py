@@ -5,13 +5,20 @@ import os
 
 import pytest
 
-from repro.util.fsio import append_jsonl, atomic_write_json, atomic_write_text
+from repro.util.fsio import (append_jsonl, atomic_write_bytes,
+                             atomic_write_json, atomic_write_text)
 
 
 class TestAtomicWrite:
     def test_text_round_trip(self, tmp_path):
         path = atomic_write_text(tmp_path / "a" / "b.txt", "hello\n")
         assert path.read_text(encoding="utf-8") == "hello\n"
+
+    def test_bytes_round_trip(self, tmp_path):
+        blob = bytes(range(256)) * 3
+        path = atomic_write_bytes(tmp_path / "a" / "b.bin", blob)
+        assert path.read_bytes() == blob
+        assert [p.name for p in path.parent.iterdir()] == ["b.bin"]
 
     def test_json_round_trip(self, tmp_path):
         path = atomic_write_json(tmp_path / "r.json", {"b": 1, "a": 2})
