@@ -27,7 +27,8 @@ flow:
 	PYTHONPATH=src python -m repro.analysis flow src/repro
 
 # Seeded-defect self-validation: each SIM, FLW and RCE pass must catch
-# every mutant planted for its codes, or the target fails (~45 s).
+# every mutant planted for its codes, or the target fails (~27 s median
+# on a 2-vCPU VM).
 flow-mutants:
 	PYTHONPATH=src python -m repro.analysis flow-mutants src/repro
 
@@ -37,7 +38,7 @@ sanitize:
 
 # Bounded protocol verification: exhaustive interleaving exploration judged
 # by simsan and the golden model, full-machine coherence pass, and the
-# seeded-mutant self-validation (44 s median on a 2-vCPU VM; see
+# seeded-mutant self-validation (35 s median on a 2-vCPU VM; see
 # docs/verification.md).
 verify:
 	PYTHONPATH=src python -m repro.verify all

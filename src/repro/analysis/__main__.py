@@ -55,11 +55,9 @@ from repro.analysis.flow.report import (
 )
 from repro.analysis.simsan import CHECKS, sanitize_tracer
 from repro.analysis.telemetry import (
+    ARTIFACT_CHECKS,
+    artifact_check,
     check_bundle_dir,
-    check_chrome_trace,
-    check_events_jsonl,
-    check_interval_jsonl,
-    check_run_bundle,
     format_problems,
 )
 
@@ -324,22 +322,14 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
             except FileNotFoundError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        elif path.name.endswith(".intervals.jsonl"):
-            results[str(path)] = check_interval_jsonl(path)
-        elif path.name.endswith(".trace.json"):
-            results[str(path)] = check_chrome_trace(path)
-        elif path.name.endswith(".run.json"):
-            results[str(path)] = check_run_bundle(path)
-        elif (path.name.endswith(".events.jsonl")
-              or (path.name.startswith("EVENTS_")
-                  and path.name.endswith(".jsonl"))):
-            results[str(path)] = check_events_jsonl(path)
-        else:
+            continue
+        check = artifact_check(path)
+        if check is None:
             print(f"error: unrecognized telemetry artifact: {path} "
-                  f"(expected *.intervals.jsonl, *.trace.json, *.run.json, "
-                  f"EVENTS_*.jsonl or *.events.jsonl)",
+                  f"(expected one of {', '.join(ARTIFACT_CHECKS)})",
                   file=sys.stderr)
             return 2
+        results[str(path)] = check(path)
     print(format_problems(results))
     return 1 if any(results.values()) else 0
 

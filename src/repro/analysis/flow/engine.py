@@ -18,10 +18,12 @@ Waivers are for findings that are *correct but intended* (a settings field
 that shapes the request set); the baseline is for *debt* — real findings
 accepted at adoption time and burned down over later PRs.
 
-Every pass family reads the one parsed project and :class:`ProjectModel`;
-derived structures (the hot set, the RCE families' worker-slice context)
-are built on first use through :meth:`ProjectModel.derived`, so a
-``select`` that skips a family never pays for what only it needs.
+Every pass family reads the one parsed project.  The SIM lint pass reads
+the parse alone; the FLW and RCE families read :class:`ProjectModel`,
+which is built only when one of them runs, and derived structures (the
+hot set, the RCE families' worker-slice context) are built on first use
+through :meth:`ProjectModel.derived`, so a ``select`` that skips a family
+never pays for what only it needs.
 """
 
 from dataclasses import dataclass, field
@@ -126,10 +128,11 @@ FLOW_CODES: Dict[str, Tuple[str, str]] = {
                "consumer reads as zero"),
 }
 
-#: Which pass implements which codes (drives --select pass skipping).
-_PASSES = (
-    (run_lint_pass, ("SIM001", "SIM003", "SIM004", "SIM005", "SIM006",
-                     "SIM007")),
+#: The codes of the lint pass, which reads the parse alone.
+_LINT_CODES = ("SIM001", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007")
+
+#: Which model pass implements which codes (drives --select pass skipping).
+_MODEL_PASSES = (
     (run_fingerprint_pass, ("FLW001", "FLW002", "FLW003")),
     (run_units_pass, ("FLW004", "FLW005", "FLW006")),
     (run_purity_pass, ("FLW007", "FLW008", "FLW009")),
@@ -147,8 +150,9 @@ class FlowReport:
     findings: List[Finding] = field(default_factory=list)
     baselined: int = 0
     modules: int = 0
-    functions: int = 0
-    hot_functions: int = 0
+    #: Model sizes (None when only the lint pass ran: no model was built).
+    functions: Optional[int] = None
+    hot_functions: Optional[int] = None
     #: Size of the RCE families' worker slice (None when no RCE code ran).
     worker_functions: Optional[int] = None
     select: Optional[Tuple[str, ...]] = None
@@ -177,15 +181,18 @@ def run_flow(
     """
     project, syntax_errors = parse_project([Path(p) for p in paths],
                                            overrides=overrides, parsed=parsed)
-    model = ProjectModel(project)
-
     selected = (set(code.upper() for code in select)
                 if select is not None else set(FLOW_CODES))
     raw: List[Violation] = list(syntax_errors)
-    for pass_fn, codes in _PASSES:
-        if not selected.intersection(codes):
-            continue
-        raw.extend(v for v in pass_fn(model) if v.code in selected)
+    if selected.intersection(_LINT_CODES):
+        raw.extend(v for v in run_lint_pass(project) if v.code in selected)
+    passes = [pass_fn for pass_fn, codes in _MODEL_PASSES
+              if selected.intersection(codes)]
+    model: Optional[ProjectModel] = None
+    if passes:
+        model = ProjectModel(project)
+        for pass_fn in passes:
+            raw.extend(v for v in pass_fn(model) if v.code in selected)
 
     survivors = apply_waivers(project, raw, selected)
 
@@ -207,9 +214,9 @@ def run_flow(
         findings=findings,
         baselined=baselined,
         modules=len(project.modules),
-        functions=len(model.functions),
-        hot_functions=len(model.derived(hot_set)),
+        functions=len(model.functions) if model else None,
+        hot_functions=len(model.derived(hot_set)) if model else None,
         worker_functions=(len(model.derived(build_context).worker_slice)
-                          if rce_selected else None),
+                          if model and rce_selected else None),
         select=tuple(sorted(selected)) if select is not None else None,
     )

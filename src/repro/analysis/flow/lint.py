@@ -5,9 +5,9 @@ implicitly: replayable simulated time (no wall-clock reads, no float
 equality on timestamps), Table 2's physical units declared only in the
 parameter tables, and complete Table 1 ISA and stats-key registries.
 These rules check each module on its own, over the parse simflow already
-holds: the pass walks every module once and hands each node to the rules
-registered for its type (``@_rule``), so a rule costs a dict lookup per
-node, not another walk.  SIM006 and SIM007 first read their registry
+holds and without its call graph: the pass walks every module once and
+hands each node to the rules registered for its type (``@_rule``), so a
+rule costs a dict lookup per node, not another walk.  SIM006 and SIM007 first read their registry
 module (``core/isa.py``, ``sim/stat_keys.py``); a tree without it leaves
 the rule silent.  The catalogue is ``FLOW_CODES`` in
 :mod:`repro.analysis.flow.engine`.
@@ -17,8 +17,8 @@ import ast
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Set,
                     Tuple, Type, Union)
 
-from repro.analysis.source import Module, Violation, dotted_name, terminal_identifier
-from repro.analysis.flow.model import ProjectModel
+from repro.analysis.source import (Module, Project, Violation, dotted_name,
+                                   terminal_identifier)
 
 __all__ = ["run_lint_pass"]
 
@@ -85,8 +85,7 @@ def _rule(*node_types: Type[ast.AST]) -> Callable[[Rule], Rule]:
     return register
 
 
-def run_lint_pass(model: ProjectModel) -> List[Violation]:
-    project = model.project
+def run_lint_pass(project: Project) -> List[Violation]:
     isa = project.find(_ISA)
     intrinsics = project.find(_INTRINSICS)
     registered = _registered_ops(isa) if isa is not None else None

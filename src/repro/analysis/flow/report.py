@@ -4,8 +4,9 @@ The SARIF document is the minimal valid subset GitHub code scanning
 ingests: one run, one driver with the SIM, FLW and RCE rule catalogue, one
 result per finding with a physical location.  ``rel`` paths (relative to
 the analyzed root) are used as artifact URIs so the document is
-machine-independent.  The scope line names the hot set and, when an RCE
-rule ran, the worker slice.
+machine-independent.  The scope line names the function count and hot
+set when a model pass ran (a SIM-only run builds no model; JSON reports
+``null``) and, when an RCE rule ran, the worker slice.
 """
 
 import json
@@ -24,8 +25,10 @@ def format_report(report: FlowReport) -> str:
     """Human-readable result block: one line per finding, then a verdict."""
     lines = [str(finding) for finding in report.findings]
     base = (f" ({report.baselined} baselined)" if report.baselined else "")
-    scope = (f"{report.modules} modules, {report.functions} functions, "
-             f"hot set {report.hot_functions}")
+    scope = f"{report.modules} modules"
+    if report.functions is not None:
+        scope += (f", {report.functions} functions, "
+                  f"hot set {report.hot_functions}")
     if report.worker_functions is not None:
         scope += f", worker slice {report.worker_functions}"
     if report.clean:

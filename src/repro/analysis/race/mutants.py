@@ -5,12 +5,13 @@ the exact sites the real tree hardened — a callback smuggled into a
 payload, the trajectory write reverted to truncate-then-write, a worker
 counting runs in a module global — and simflow must kill it (produce a
 finding with the mutant's code that the pristine tree does not have).
-Anchors are exact source snippets; if the tree drifts, the gauntlet
-raises instead of silently testing nothing.  The frontier mutants anchor
-on names — the ``pool.submit(_execute_payload, payload)`` call and the
-``_execute_payload`` signature — never on the payload tuple's shape, so a
-change to what the payload carries leaves them standing.  The catalogue
-runs with the FLW mutants through
+Anchors are exact source snippets, each found exactly once in its file;
+if the tree drifts, the gauntlet raises instead of silently testing
+nothing.  The frontier mutants anchor on names — the
+``pool.submit(_execute_payload, payload)`` call and the
+``_execute_payload`` signature — or on the one branch they edit, never on
+the payload tuple's shape, so a change to what the payload carries leaves
+them standing.  The catalogue runs with the FLW mutants through
 :func:`repro.analysis.flow.mutants.run_mutants`.
 """
 
@@ -128,8 +129,10 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
                     "submission index",
         edits=((
             "bench/frontier.py",
-            "                envelopes[i] = envelope\n",
-            "                envelopes.append(envelope)\n",
+            "                                on_payload(i, envelope)\n"
+            "                            envelopes[i] = envelope\n",
+            "                                on_payload(i, envelope)\n"
+            "                            envelopes.append(envelope)\n",
         ),),
     ),
     Mutant(

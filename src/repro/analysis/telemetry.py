@@ -15,7 +15,7 @@ Used by ``python -m repro.analysis telemetry <dir-or-files...>``.
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 # The schema tables live with their producers so the checker can never
 # drift from them; repro.obs.events and repro.obs.sampler are stdlib-only,
@@ -24,6 +24,8 @@ from repro.obs.events import ENVELOPE_FIELDS, EVENT_FIELDS, EVENT_SCHEMA
 from repro.obs.sampler import DELTA_COUNTERS
 
 __all__ = [
+    "ARTIFACT_CHECKS",
+    "artifact_check",
     "check_interval_jsonl",
     "check_chrome_trace",
     "check_run_bundle",
@@ -251,6 +253,22 @@ def check_events_jsonl(path) -> List[str]:
     return problems
 
 
+#: The telemetry artifact kinds: file-name pattern -> checker.
+ARTIFACT_CHECKS: Dict[str, Callable[[Path], List[str]]] = {
+    "*.intervals.jsonl": check_interval_jsonl,
+    "*.trace.json": check_chrome_trace,
+    "*.run.json": check_run_bundle,
+    "EVENTS_*.jsonl": check_events_jsonl,
+    "*.events.jsonl": check_events_jsonl,
+}
+
+
+def artifact_check(path) -> Optional[Callable[[Path], List[str]]]:
+    """The checker of the first pattern ``path``'s name matches, if any."""
+    return next((check for pattern, check in ARTIFACT_CHECKS.items()
+                 if Path(path).match(pattern)), None)
+
+
 def check_bundle_dir(directory) -> Dict[str, List[str]]:
     """Validate every telemetry artifact under ``directory``.
 
@@ -260,25 +278,15 @@ def check_bundle_dir(directory) -> Dict[str, List[str]]:
     nothing should fail loudly, not vacuously pass).
     """
     directory = Path(directory)
-    checks = {
-        "*.intervals.jsonl": check_interval_jsonl,
-        "*.trace.json": check_chrome_trace,
-        "*.run.json": check_run_bundle,
-        "EVENTS_*.jsonl": check_events_jsonl,
-        "*.events.jsonl": check_events_jsonl,
-    }
     results: Dict[str, List[str]] = {}
-    found = 0
-    for pattern, check in checks.items():
+    for pattern, check in ARTIFACT_CHECKS.items():
         for file in sorted(directory.glob(pattern)):
-            if str(file) in results:
-                continue   # a file can match both event patterns
-            found += 1
-            results[str(file)] = check(file)
-    if not found:
+            if str(file) not in results:   # a file can match both event patterns
+                results[str(file)] = check(file)
+    if not results:
         raise FileNotFoundError(
-            f"no telemetry artifacts (*.intervals.jsonl / *.trace.json / "
-            f"*.run.json / *events*.jsonl) under {directory}")
+            f"no telemetry artifacts ({' / '.join(ARTIFACT_CHECKS)}) "
+            f"under {directory}")
     return results
 
 

@@ -18,7 +18,8 @@ Three cooperating pieces (see ``docs/verification.md``):
   golden cache state (VER009–VER014) and judging the events with simsan.
 
 :mod:`repro.verify.mutants` seeds known protocol defects into the simulator
-and requires the above to kill every one — the harness validates itself.
+— each a one-line edit of its own source, in simflow's mutant record — and
+requires the above to kill every one: the harness validates itself.
 
 Run ``python -m repro.verify all`` (or ``make verify``) for the whole
 sweep; ``explore``, ``coherence`` and ``mutants`` run the pieces
@@ -35,7 +36,11 @@ from repro.verify.explorer import (
     replay,
 )
 from repro.verify.golden import GoldenCacheState, GoldenDirectory, GoldenError
-from repro.verify.mutants import MUTANTS, MutantReport, run_mutants
+from repro.verify.mutants import (
+    DIRECTORY_MUTANTS,
+    MACHINE_MUTANTS,
+    run_mutants,
+)
 from repro.verify.schedule import (
     DirectoryCase,
     ExploreBounds,
@@ -47,14 +52,14 @@ from repro.verify.schedule import (
 
 __all__ = [
     "CoherenceBounds",
+    "DIRECTORY_MUTANTS",
     "DirectoryCase",
     "ExploreBounds",
     "ExploreReport",
     "GoldenCacheState",
     "GoldenDirectory",
     "GoldenError",
-    "MUTANTS",
-    "MutantReport",
+    "MACHINE_MUTANTS",
     "Schedule",
     "Violation",
     "count_schedules",

@@ -63,20 +63,25 @@ def _elapsed_since(start: float) -> float:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
-        description="Bounded protocol checker for the PEI architecture.")
+        description="Bounded protocol checker for the PEI architecture.",
+        epilog="The bound options shape explore; coherence reads only "
+        "--max-peis, and mutants sweep at their own fixed kill bounds.")
     parser.add_argument("command",
                         choices=("explore", "coherence", "mutants", "all"),
                         help="which pass to run")
     parser.add_argument("--max-peis", type=int, default=4,
-                        help="longest PEI/pfence sequence to enumerate")
+                        help="longest PEI/pfence sequence to enumerate "
+                        "(explore; coherence caps it at 3)")
     parser.add_argument("--durations", type=float, nargs="+",
                         default=[3.0, 11.0],
-                        help="lock occupancies to combine")
+                        help="lock occupancies to combine (explore only)")
     parser.add_argument("--strides", type=float, nargs="+",
                         default=[0.0, 7.0],
-                        help="issue spacings to combine")
+                        help="issue spacings to combine (explore only; "
+                        "coherence keeps its own (0, 31))")
     parser.add_argument("--no-fences", action="store_true",
-                        help="drop pfence from the step alphabet")
+                        help="drop pfence from the step alphabet "
+                        "(explore only)")
     args = parser.parse_args(argv)
 
     ok = True
@@ -98,12 +103,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command in ("mutants", "all"):
         t0 = _now()
-        mutant_report = run_mutants()
-        print(f"[mutants] {mutant_report.summary()} "
-              f"in {_elapsed_since(t0):.1f}s")
-        for outcome in mutant_report.outcomes:
-            print(f"  {outcome.describe()}")
-        ok = mutant_report.ok and ok
+        results = run_mutants()
+        killed = sum(result.killed for result in results)
+        passed = killed == len(results)
+        print(f"[mutants] {'PASS' if passed else 'FAIL'}: {killed}/"
+              f"{len(results)} mutants killed in {_elapsed_since(t0):.1f}s")
+        for result in results:
+            mutant, codes = result.mutant, ", ".join(result.new_findings)
+            verdict = ("KILLED  " if result.killed
+                       else f"SURVIVED (needs {mutant.code})")
+            print(f"  {verdict} {mutant.name}: {mutant.description} "
+                  f"by {codes or 'nothing'}")
+        ok = passed and ok
 
     print(f"verify: {'PASS' if ok else 'FAIL'} "
           f"(total {_elapsed_since(start):.1f}s)")

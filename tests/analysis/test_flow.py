@@ -394,6 +394,19 @@ class TestMutants:
         with pytest.raises(ValueError):
             run_mutants([REPO_SRC], mutants=[bogus])
 
+    def test_ambiguous_anchor_fails_loudly(self):
+        from repro.analysis.mutation import Mutant, _seed
+        twice = Mutant(name="twice", code="SIM003", description="",
+                       edits=(("mod.py", "x = 1\n", "x = 2\n"),))
+        with pytest.raises(ValueError, match="occurs 2 times"):
+            _seed(twice, {"pkg/mod.py": "x = 1\ny = x\nx = 1\n"})
+
+    def test_every_anchor_names_one_site(self):
+        from repro.analysis.mutation import _seed, collect_sources
+        sources = collect_sources([REPO_SRC])
+        for mutant in MUTANTS:
+            _seed(mutant, sources)  # raises on a drifted or ambiguous anchor
+
     def test_drifted_last_anchor_fails_before_any_run(self):
         """Every anchor is checked up front, so a drifted one at the end
         of the catalogue costs no analyzer run."""

@@ -7,7 +7,8 @@ the ``simlint`` tool these rules came from; ``test_flow.py::TestRealTree``
 holds the real tree clean under every rule at once.
 """
 
-from repro.analysis.flow import FLOW_CODES, format_report, run_flow
+from repro.analysis.flow import FLOW_CODES, engine, format_report, run_flow
+from repro.analysis.flow.report import findings_to_json
 
 SIM_CODES = ["SIM001", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007"]
 
@@ -350,6 +351,24 @@ class TestDriver:
         target.write_text("x = 1\n")
         text = format_report(run_flow([tmp_path], select=SIM_CODES))
         assert text.startswith("simflow: clean")
+
+    def test_sim_only_run_builds_no_model(self, tmp_path, monkeypatch):
+        (tmp_path / "mod.py").write_text("import time\nx = time.time()\n")
+        full = run_flow([tmp_path])
+        assert "functions, hot set" in format_report(full)
+        built = []
+        model = engine.ProjectModel
+        monkeypatch.setattr(engine, "ProjectModel",
+                            lambda project: built.append(project)
+                            or model(project))
+        sim = run_flow([tmp_path], select=SIM_CODES)
+        assert built == []
+        assert codes(sim.findings) == ["SIM001"]
+        assert ([str(f) for f in sim.findings]
+                == [str(f) for f in full.findings if f.code in SIM_CODES])
+        assert sim.functions is None and sim.hot_functions is None
+        assert format_report(sim).endswith("[1 modules]")
+        assert findings_to_json(sim)["summary"]["functions"] is None
 
     def test_rule_registry_is_complete(self):
         assert {c for c in FLOW_CODES if c.startswith("SIM")} == set(SIM_CODES)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.analysis import telemetry
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.telemetry import (
+    ARTIFACT_CHECKS,
     check_bundle_dir,
     check_chrome_trace,
     check_interval_jsonl,
@@ -232,3 +234,17 @@ class TestAnalysisTelemetryCli:
         path = tmp_path / "something.txt"
         path.write_text("x")
         assert analysis_main(["telemetry", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert all(pattern in err for pattern in ARTIFACT_CHECKS)
+
+    @pytest.mark.parametrize("pattern", list(ARTIFACT_CHECKS))
+    def test_single_file_goes_to_its_patterns_checker(self, pattern,
+                                                      tmp_path, monkeypatch):
+        # One table serves directories and single files alike.
+        path = tmp_path / pattern.replace("*", "x")
+        path.write_text("")
+        seen = []
+        monkeypatch.setitem(telemetry.ARTIFACT_CHECKS, pattern,
+                            lambda file: seen.append(file) or [])
+        assert analysis_main(["telemetry", str(path)]) == 0
+        assert seen == [path]
