@@ -50,10 +50,14 @@ determinism:
 
 # Telemetry smoke: run a small benchmark with full observability,
 # schema-check the bundles it wrote and render each one with the report
-# CLI (see docs/observability.md).
+# CLI (see docs/observability.md).  It starts from an empty directory and
+# skips the result cache, so every run simulates and writes its bundle and
+# the check never reads an earlier run's files (captured traces still
+# serve from the cache).
 telemetry:
+	rm -rf telemetry-out
 	REPRO_BENCH_OPS=1500 PYTHONPATH=src \
-		python -m repro.bench run fig10 --telemetry telemetry-out
+		python -m repro.bench run fig10 --no-cache --telemetry telemetry-out
 	PYTHONPATH=src python -m repro.analysis telemetry telemetry-out
 	@for bundle in telemetry-out/*.run.json; do \
 		PYTHONPATH=src python -m repro.obs report "$$bundle" || exit 1; \

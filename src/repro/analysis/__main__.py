@@ -316,6 +316,10 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     results: Dict[str, List[str]] = {}
     for raw in args.paths:
         path = Path(raw)
+        if not path.exists():
+            print(f"error: {path}: no such file or directory",
+                  file=sys.stderr)
+            return 2
         if path.is_dir():
             try:
                 results.update(check_bundle_dir(path))

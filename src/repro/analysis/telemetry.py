@@ -15,13 +15,15 @@ Used by ``python -m repro.analysis telemetry <dir-or-files...>``.
 import json
 import math
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 # The schema tables live with their producers so the checker can never
-# drift from them; repro.obs.events and repro.obs.sampler are stdlib-only,
-# keeping this module's no-simulator guarantee intact.
+# drift from them; repro.obs.events, repro.obs.sampler and
+# repro.sim.stat_keys are stdlib-only, keeping this module's no-simulator
+# guarantee intact.
 from repro.obs.events import ENVELOPE_FIELDS, EVENT_FIELDS, EVENT_SCHEMA
 from repro.obs.sampler import DELTA_COUNTERS
+from repro.sim.stat_keys import is_declared
 
 __all__ = [
     "ARTIFACT_CHECKS",
@@ -42,11 +44,19 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _undeclared(where: str, names) -> List[str]:
+    """One problem per stats key the stat-key registry does not declare."""
+    return [f"{where}: stats key {name!r} is not declared in "
+            f"repro.sim.stat_keys"
+            for name in names if not is_declared(name)]
+
+
 def check_interval_jsonl(path) -> List[str]:
     """Problems found in an ``.intervals.jsonl`` time series (empty = ok)."""
     path = Path(path)
     problems: List[str] = []
     records: List[Dict] = []
+    keys_seen: Set[str] = set()
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -74,6 +84,10 @@ def check_interval_jsonl(path) -> List[str]:
                         f"{path}:{lineno}: stats[{name!r}] is not a finite "
                         f"number")
                     break
+            # Each key is checked once, on the record it first appears in.
+            problems.extend(_undeclared(f"{path}:{lineno}",
+                                        sorted(stats.keys() - keys_seen)))
+            keys_seen.update(stats)
         elif "stats" in record:
             problems.append(f"{path}:{lineno}: stats is not an object")
     if problems:
@@ -174,6 +188,8 @@ def check_run_bundle(path) -> List[str]:
     result = payload.get("result")
     if result is not None and not isinstance(result, dict):
         problems.append(f"{path}: result is not an object")
+    elif isinstance(result, dict) and isinstance(result.get("stats"), dict):
+        problems.extend(_undeclared(f"{path}: result", result["stats"]))
     return problems
 
 

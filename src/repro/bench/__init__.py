@@ -1,6 +1,6 @@
 """Experiment harness regenerating every table and figure of the paper."""
 
-from repro.bench.frontier import RunRequest, WorkloadSpec, run_batch
+from repro.bench.frontier import RunRequest, WorkloadSpec
 from repro.bench.runner import (
     BenchSettings,
     current_settings,
@@ -8,7 +8,6 @@ from repro.bench.runner import (
     run_config,
     run_multiprog,
     run_request,
-    run_workload,
 )
 from repro.bench.tables import format_series, format_table, geometric_mean
 
@@ -21,9 +20,7 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "prefetch",
-    "run_batch",
     "run_config",
     "run_multiprog",
     "run_request",
-    "run_workload",
 ]

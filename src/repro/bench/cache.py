@@ -31,12 +31,9 @@ from typing import Dict, Optional
 import repro
 from repro.obs.events import NULL_LEDGER
 from repro.system.result import RunResult
-# Re-exported: the bench layer's historical home for the atomic-publish
-# helper; the implementation lives with its sibling primitives in util.
 from repro.util.fsio import atomic_write_json
 
-__all__ = ["BenchCache", "DEFAULT_CACHE_DIR", "atomic_write_json",
-           "code_version_salt"]
+__all__ = ["BenchCache", "DEFAULT_CACHE_DIR", "code_version_salt"]
 
 #: Default cache location, relative to the invocation directory.
 DEFAULT_CACHE_DIR = ".bench_cache"

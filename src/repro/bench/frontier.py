@@ -7,8 +7,8 @@ deterministic description of one simulation point (workload spec(s), dispatch
 policy, machine config, operation cap).  Figure scripts build their whole
 frontier of requests up front and submit the batch; the backend then
 
-* executes independent points across processes (:func:`run_batch` with
-  ``jobs > 1`` uses a ``ProcessPoolExecutor``), and
+* executes independent points across processes (:func:`execute_batch`
+  with ``jobs > 1`` uses a ``ProcessPoolExecutor``), and
 * merges results deterministically — results come back keyed in request
   order, and because every request pins its seeds and caps, parallel
   execution is bit-identical to serial execution (``make determinism``
@@ -49,7 +49,6 @@ __all__ = [
     "WorkloadSpec",
     "build_workload",
     "execute_batch",
-    "run_batch",
     "simulate",
 ]
 
@@ -237,50 +236,13 @@ def simulate(request: RunRequest,
                       warm_start=request.warm_start)
 
 
-def _bundle_stem(request: RunRequest, workload_name: str,
-                 unique: bool) -> str:
-    # A fingerprint prefix keeps concurrent workers sweeping the same
-    # (workload, policy) across sizes/configs from overwriting bundles;
-    # serial execution keeps the short legacy stems.
-    if unique:
-        return bundle_stem(workload_name, request.policy.value,
-                           request.fingerprint()[:10])
-    return bundle_stem(workload_name, request.policy.value)
-
-
-def _apply_plan_cache_limit(limit: Optional[int]) -> None:
-    """Rebound the columnar plan cache in this process (None = leave it).
-
-    Deferred import: the columnar engine (and numpy) must stay off the
-    import path until a replay actually needs it.
-    """
-    if limit is None:
-        return
-    from repro.system import columnar
-
-    columnar.set_plan_cache_limit(limit)
-
-
-def _plan_cache_delta(result: RunResult) -> Dict[str, int]:
-    """The plan-cache hit/miss/eviction delta a replay recorded.
-
-    Zeroes for scalar replays — the transient
-    ``_plan_cache`` metadata entry only exists when the columnar engine
-    ran (it is excluded from ``to_dict()``, so it must be read off the
-    live result before serialization).
-    """
-    delta = result.metadata.get("_plan_cache")
-    if not isinstance(delta, dict):
-        return {"hits": 0, "misses": 0, "evictions": 0}
-    return {key: int(value) for key, value in delta.items()}
-
-
 def _execute_payload(payload) -> Dict:
     """Process-pool worker: simulate one request, return its envelope.
 
-    Top-level (picklable) and fed everything through the payload, so it is
-    correct under both the fork and spawn start methods.  Returns plain
-    data the parent re-hydrates — never the live object graph::
+    Top-level (picklable) and fed everything through the payload —
+    ``(request, telemetry_dir, trace)`` — so it is correct under both the
+    fork and spawn start methods.  Returns plain data the parent
+    re-hydrates — never the live object graph::
 
         {"result":    RunResult.to_dict(),
          "events":    [bare run-ledger events: dispatch, start, end],
@@ -295,19 +257,23 @@ def _execute_payload(payload) -> Dict:
     :mod:`repro.obs.events` and :mod:`repro.obs.aggregate`.  The
     ``plan_cache`` and ``trace_decode`` deltas are the per-run cost of
     scheduling: what this run paid in ColumnPlan compiles and shared-memory
-    trace decodes (see :func:`execute_batch`'s affinity schedule).
+    trace decodes (see :func:`execute_batch`'s affinity schedule).  Both
+    are taken here, around the step that pays them, so the result carries
+    no harness state.  Bundle stems end in a request-fingerprint prefix:
+    runs of one (workload, policy) never overwrite each other's bundles.
     """
-    (request, telemetry_dir, telemetry_interval, unique_stem, trace,
-     plan_limit) = payload
-    _apply_plan_cache_limit(plan_limit)
+    # Deferred import: the columnar engine (and numpy) stays off the
+    # import path until a worker actually simulates.
+    from repro.system import columnar
+
+    request, telemetry_dir, trace = payload
     decode_before = decode_counters()
     if isinstance(trace, TraceHandle):
         # Parallel batches ship traces as shared-memory handles; attach and
         # decode once per worker process (attach_trace memoizes by name).
         trace = attach_trace(trace)
     decode_after = decode_counters()
-    telemetry = (Telemetry(interval=telemetry_interval)
-                 if telemetry_dir is not None else None)
+    telemetry = Telemetry() if telemetry_dir is not None else None
     pid = os.getpid()
     fp = request.event_fingerprint()
     events = [
@@ -315,16 +281,19 @@ def _execute_payload(payload) -> Dict:
                      label=request.label(), worker=pid),
         worker_event("simulate_start", fingerprint=fp, worker=pid),
     ]
+    plan_before = columnar.plan_cache_counters()
     t0 = time.perf_counter()  # simflow: ignore[SIM001] -- harness wall time for ledger events; never feeds simulated time
     result = simulate(request, telemetry=telemetry, trace=trace)
     dur = time.perf_counter() - t0  # simflow: ignore[SIM001] -- harness wall time for ledger events; never feeds simulated time
+    plan_after = columnar.plan_cache_counters()
     events.append(worker_event(
         "simulate_end", fingerprint=fp, worker=pid, dur_s=dur,
         cycles=float(result.cycles), instructions=int(result.instructions)))
     snapshot = None
     if telemetry is not None:
         telemetry.write(Path(telemetry_dir),
-                        _bundle_stem(request, result.workload, unique_stem),
+                        bundle_stem(result.workload, request.policy.value,
+                                    request.fingerprint()[:10]),
                         result=result)
         snapshot = {"metrics": telemetry.metrics.to_dict()}
     return {
@@ -333,7 +302,8 @@ def _execute_payload(payload) -> Dict:
         "worker": {
             "pid": pid,
             "dur_s": dur,
-            "plan_cache": _plan_cache_delta(result),
+            "plan_cache": {key: plan_after[key] - plan_before[key]
+                           for key in plan_after},
             "trace_decode": {key: decode_after[key] - decode_before[key]
                              for key in decode_after},
         },
@@ -385,20 +355,28 @@ def execute_batch(
     requests: Sequence[RunRequest],
     jobs: int = 1,
     telemetry_dir: Optional[Path] = None,
-    telemetry_interval: float = 10_000.0,
     traces: Optional[Sequence] = None,
     on_payload: Optional[Callable[[int, Dict], None]] = None,
     schedule: str = "fifo",
-    plan_cache_limit: Optional[int] = None,
 ) -> List[Dict]:
     """Execute resolved requests, returning worker envelopes request-order.
 
-    The engine room of :func:`run_batch` — same execution semantics, but
-    the full worker envelopes (result + run-ledger events + telemetry
-    snapshot, see :func:`_execute_payload`) come back instead of bare
-    results.  ``on_payload(index, envelope)`` fires as each point
-    *completes* — out of request order under ``jobs > 1`` — which is what
-    drives live progress; the returned list is always in request order.
+    Each envelope holds the result's ``to_dict()`` form plus its run-ledger
+    events and telemetry snapshot (see :func:`_execute_payload`); callers
+    rehydrate results with ``RunResult.from_dict(envelope["result"])``.
+    Results come back in request order regardless of completion order, and
+    each simulation runs on a fresh machine seeded entirely by its request,
+    so a parallel batch is bit-identical to a serial loop (asserted by
+    ``tests/bench/test_frontier.py``).  With ``jobs <= 1`` or a single
+    request the batch runs in-process.  ``on_payload(index, envelope)``
+    fires as each point *completes* — out of request order under
+    ``jobs > 1`` — which is what drives live progress.
+
+    ``traces`` (aligned with ``requests``; None entries allowed) carries
+    pre-captured CompiledTraces: those points replay instead of re-running
+    the functional workload.  Parallel batches ship each unique trace to
+    workers once through a shared-memory segment (:mod:`repro.bench.shm`)
+    instead of pickling it into every payload.
 
     ``schedule`` picks the parallel dispatch strategy:
 
@@ -413,9 +391,6 @@ def execute_batch(
     simulation runs on a fresh machine seeded only by its request); the
     schedule only moves harness cost, which the per-run ``plan_cache`` /
     ``trace_decode`` worker accounting makes visible.
-    ``plan_cache_limit`` rebounds the columnar plan cache in every
-    executing process (None keeps the default) — a memory/recompile trade
-    that never changes results.
     """
     if schedule not in ("fifo", "affinity"):
         raise ValueError(f"unknown schedule {schedule!r}; "
@@ -433,9 +408,7 @@ def execute_batch(
     if not parallel:
         envelopes = []
         for i, (request, trace) in enumerate(zip(requests, traces)):
-            envelope = _execute_payload(
-                (request, tdir, telemetry_interval, parallel, trace,
-                 plan_cache_limit))
+            envelope = _execute_payload((request, tdir, trace))
             if on_payload is not None:
                 on_payload(i, envelope)
             envelopes.append(envelope)
@@ -445,8 +418,7 @@ def execute_batch(
     # owns segment lifetime — unlinked in the finally whether the pool
     # drains normally or a worker dies.
     handles, segments = publish_traces(traces)
-    payloads = [(request, tdir, telemetry_interval, parallel, handle,
-                 plan_cache_limit)
+    payloads = [(request, tdir, handle)
                 for request, handle in zip(requests, handles)]
     workers = min(jobs, len(requests))
     envelopes = [None] * len(payloads)
@@ -480,38 +452,3 @@ def execute_batch(
         unlink_segments(segments)
     return envelopes
 
-
-def run_batch(
-    requests: Sequence[RunRequest],
-    jobs: int = 1,
-    telemetry_dir: Optional[Path] = None,
-    telemetry_interval: float = 10_000.0,
-    traces: Optional[Sequence] = None,
-    schedule: str = "fifo",
-    plan_cache_limit: Optional[int] = None,
-) -> List[RunResult]:
-    """Execute resolved requests, fanning across ``jobs`` processes.
-
-    Results are returned in request order regardless of completion order,
-    and each simulation runs on a fresh machine seeded entirely by its
-    request — so the merged results are bit-identical to a serial loop
-    (asserted by ``tests/bench/test_frontier.py``).  With ``jobs <= 1`` or a
-    single request the batch runs in-process.  Every result — serial or
-    parallel — is rehydrated from its ``to_dict()`` form, so both modes
-    return the identical representation.
-
-    ``traces`` (aligned with ``requests``; None entries allowed) carries
-    pre-captured CompiledTraces: those points replay instead of re-running
-    the functional workload.  A figure's whole sweep pays one capture in
-    the parent, and parallel batches ship each unique trace to workers
-    once through a shared-memory segment (:mod:`repro.bench.shm`) instead
-    of pickling it into every payload.
-
-    Callers that also want the per-request run-ledger events and worker
-    telemetry snapshots use :func:`execute_batch` instead.
-    """
-    envelopes = execute_batch(
-        requests, jobs=jobs, telemetry_dir=telemetry_dir,
-        telemetry_interval=telemetry_interval, traces=traces,
-        schedule=schedule, plan_cache_limit=plan_cache_limit)
-    return [RunResult.from_dict(e["result"]) for e in envelopes]

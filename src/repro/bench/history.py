@@ -35,7 +35,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.cache import atomic_write_json
+from repro.util.fsio import atomic_write_json
 
 __all__ = ["BenchTrajectory", "format_observability", "format_sweep",
            "load_records", "new_runid"]
@@ -148,44 +148,54 @@ def load_records(history_dir) -> List[Tuple[Path, Dict]]:
     return records
 
 
+def _rate(hits: float, total: float) -> float:
+    return hits / total if total else 0.0
+
+
 def format_observability(record: Dict) -> List[str]:
     """Human-readable lines for a record's frontier-observability block.
 
-    Empty list when the record predates the block (schema stays /1 — the
-    block is additive) or was written with observability fully disabled.
+    The cache, trace and plan-cache lines and the simulated ops/s come
+    from the record's ``totals``, where every frontier schema keeps them
+    (``repro.obs.frontier/2`` restated them in the block); latency,
+    workers and ledger counts come from the block itself.  Empty list when
+    the record predates the block (schema stays /1 — the block is
+    additive) or was written with observability fully disabled.
     """
     obs = record.get("observability") or {}
     if not obs:
         return []
+    totals = record.get("totals") or {}
     lines: List[str] = []
-    cache = obs.get("cache")
-    if cache:
+    if totals:
+        memo = totals.get("memo_hits", 0)
+        disk = totals.get("disk_hits", 0)
+        sims = totals.get("simulations", 0)
         lines.append(
-            f"  cache: {cache['hit_rate']:.0%} hit rate "
-            f"({cache['memo_hits']} memo + {cache['disk_hits']} disk, "
-            f"{cache['simulations']} simulated)")
-    traces = obs.get("traces")
-    if traces:
-        lines.append(f"  traces: {traces['captures']} captured, "
-                     f"{traces['hits']} replayed "
-                     f"({traces['hit_rate']:.0%} hit rate)")
-    plan = obs.get("plan_cache")
-    if plan and (plan.get("hits") or plan.get("misses")):
+            f"  cache: {_rate(memo + disk, memo + disk + sims):.0%} hit rate "
+            f"({memo} memo + {disk} disk, {sims} simulated)")
+        captures = totals.get("trace_captures", 0)
+        replays = totals.get("trace_hits", 0)
+        lines.append(f"  traces: {captures} captured, {replays} replayed "
+                     f"({_rate(replays, captures + replays):.0%} hit rate)")
+    hits = totals.get("plan_hits", 0.0)
+    misses = totals.get("plan_misses", 0.0)
+    if hits or misses:
         lines.append(
-            f"  plan cache: {plan['hits']:.0f} hits, "
-            f"{plan['misses']:.0f} compiles, "
-            f"{plan.get('evictions', 0.0):.0f} evictions "
-            f"({plan['hit_rate']:.0%} hit rate); "
-            f"trace decodes {plan.get('trace_decodes', 0.0):.0f} "
-            f"(+{plan.get('trace_decode_hits', 0.0):.0f} memoized)")
+            f"  plan cache: {hits:.0f} hits, {misses:.0f} compiles, "
+            f"{totals.get('plan_evictions', 0.0):.0f} evictions "
+            f"({_rate(hits, hits + misses):.0%} hit rate); "
+            f"trace decodes {totals.get('trace_decodes', 0.0):.0f} "
+            f"(+{totals.get('trace_decode_hits', 0.0):.0f} memoized)")
     latency = obs.get("simulate_latency_s")
     if latency and latency.get("count"):
         lines.append(
             f"  simulate latency: p50 {latency['p50']:.3f}s "
             f"p95 {latency['p95']:.3f}s max {latency['max']:.3f}s "
             f"({latency['count']} runs)")
-    if obs.get("sim_ops_per_second"):
-        lines.append(f"  simulated ops/s: {obs['sim_ops_per_second']:,.0f}")
+    if totals.get("sim_ops_per_second"):
+        lines.append(
+            f"  simulated ops/s: {totals['sim_ops_per_second']:,.0f}")
     workers = obs.get("workers") or {}
     if workers:
         # JSON round-trips pid keys as *strings*; sort numerically so pid

@@ -27,9 +27,9 @@ Environment knobs (for quick or exhaustive regeneration):
 Telemetry: :func:`enable_telemetry` makes every *simulated* (i.e. uncached)
 run write a full observability bundle (interval JSONL, Chrome trace, run
 summary) into the given directory — this is what ``python -m repro.bench
-run <exp> --telemetry`` switches on.  Parallel workers suffix their bundle
-stems with a request-fingerprint prefix so concurrent sweeps of the same
-(workload, policy) never overwrite each other.
+run <exp> --telemetry`` switches on.  Every bundle stem ends in a
+request-fingerprint prefix, so runs of the same (workload, policy) at other
+sizes or configs never overwrite each other.
 """
 
 import os
@@ -45,11 +45,8 @@ from repro.bench.traces import TraceStore
 from repro.core.dispatch import DispatchPolicy
 from repro.obs.aggregate import FrontierAggregator
 from repro.obs.events import NULL_LEDGER, RunLedger
-from repro.obs.telemetry import Telemetry, bundle_stem
-from repro.system.config import SystemConfig, scaled_config
+from repro.system.config import SystemConfig
 from repro.system.result import RunResult
-from repro.system.system import System
-from repro.workloads.base import Workload
 
 
 def _env_int(name: str, default: int) -> int:
@@ -71,12 +68,6 @@ class BenchSettings:
         default_factory=lambda: _env_int("REPRO_BENCH_MIXES", 24))
     seed: int = field(
         default_factory=lambda: _env_int("REPRO_BENCH_SEED", 42))
-    #: ColumnPlan cache entries per process (``REPRO_BENCH_PLAN_CACHE``).
-    #: A harness memory/recompile trade only — results are bound-independent
-    #: (tests/bench/test_plan_cache.py), so resolve() deliberately does NOT
-    #: pin it into request fingerprints.
-    plan_cache_limit: int = field(
-        default_factory=lambda: _env_int("REPRO_BENCH_PLAN_CACHE", 8))
 
 
 def current_settings() -> BenchSettings:
@@ -106,7 +97,6 @@ _TRACE_STORE = TraceStore()
 
 #: When set, simulated (uncached) runs write telemetry bundles here.
 _TELEMETRY_DIR: Optional[Path] = None
-_TELEMETRY_INTERVAL = 10_000.0
 
 #: Run ledger (see :mod:`repro.obs.events`).  NULL_LEDGER by default, so
 #: nothing in the request lifecycle pays for event emission until
@@ -180,8 +170,8 @@ def accounting() -> RunnerAccounting:
 
 
 def reset_accounting() -> None:
-    """Fresh counters *and* a fresh frontier aggregator (they pair up:
-    :func:`frontier_summary` derives its rates from both)."""
+    """Fresh counters *and* a fresh frontier aggregator, so a session's
+    record counts only its own work."""
     global _ACCOUNTING, _AGGREGATOR
     _ACCOUNTING = RunnerAccounting()
     _AGGREGATOR = FrontierAggregator()
@@ -195,12 +185,12 @@ def frontier_aggregator() -> FrontierAggregator:
 def frontier_summary() -> Dict:
     """Frontier-level observability digest for this runner session.
 
-    Cache/trace hit rates and simulated ops/s come from the accounting
-    counters; simulate-latency quantiles, per-worker utilization, and any
-    merged worker telemetry come from the aggregator.  Embedded in every
-    ``BENCH_<runid>.json`` trajectory record.
+    Simulate-latency quantiles, per-worker utilization and any merged
+    worker telemetry, from the aggregator.  Embedded in every
+    ``BENCH_<runid>.json`` trajectory record, whose ``totals`` carry the
+    accounting counters.
     """
-    return _AGGREGATOR.summary(accounting=_ACCOUNTING.snapshot())
+    return _AGGREGATOR.summary()
 
 
 def enable_run_ledger(listener=None) -> RunLedger:
@@ -257,10 +247,6 @@ def set_schedule(schedule: str) -> str:
     return _SCHEDULE
 
 
-def get_schedule() -> str:
-    return _SCHEDULE
-
-
 def enable_disk_cache(root=DEFAULT_CACHE_DIR,
                       salt: Optional[str] = None) -> BenchCache:
     """Persist every result to (and serve hits from) ``root``."""
@@ -304,11 +290,10 @@ def trace_store() -> TraceStore:
     return _TRACE_STORE
 
 
-def enable_telemetry(out_dir, interval: float = 10_000.0) -> Path:
+def enable_telemetry(out_dir) -> Path:
     """Write a telemetry bundle for every subsequent simulated run."""
-    global _TELEMETRY_DIR, _TELEMETRY_INTERVAL
+    global _TELEMETRY_DIR
     _TELEMETRY_DIR = Path(out_dir)
-    _TELEMETRY_INTERVAL = interval
     return _TELEMETRY_DIR
 
 
@@ -360,11 +345,9 @@ def _execute(requests: Sequence[RunRequest]) -> List[RunResult]:
             requests,
             jobs=_JOBS,
             telemetry_dir=_TELEMETRY_DIR,
-            telemetry_interval=_TELEMETRY_INTERVAL,
             traces=traces,
             on_payload=on_payload,
             schedule=_SCHEDULE,
-            plan_cache_limit=current_settings().plan_cache_limit,  # simflow: ignore[FLW003] -- cache bound shapes host memory use only; results are bound-independent (tests/bench/test_plan_cache.py), so it must NOT be pinned into request fingerprints
         )
     except Exception as exc:
         ledger.emit("failure", fingerprint="batch", error=repr(exc))
@@ -461,36 +444,6 @@ def prefetch(requests: Iterable[RunRequest]) -> int:
 # ----------------------------------------------------------------------
 # Public entry points used by the experiment definitions
 # ----------------------------------------------------------------------
-
-
-def run_workload(
-    workload: Workload,
-    policy: DispatchPolicy,
-    config: Optional[SystemConfig] = None,
-    max_ops_per_thread: Optional[int] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> RunResult:
-    """Run an already-constructed workload on a fresh system (uncached).
-
-    The escape hatch for workload objects that are not expressible as a
-    :class:`RunRequest`; results are neither memoized nor persisted.  An
-    explicitly passed ``telemetry`` is attached but not written to disk
-    (the caller owns it); with :func:`enable_telemetry` active and no
-    explicit telemetry, a bundle is created and written automatically.
-    """
-    auto_telemetry = telemetry is None and _TELEMETRY_DIR is not None
-    if auto_telemetry:
-        telemetry = Telemetry(interval=_TELEMETRY_INTERVAL)
-    system = System(config if config is not None else scaled_config(), policy,
-                    telemetry=telemetry)
-    if max_ops_per_thread is None:
-        max_ops_per_thread = current_settings().max_ops_per_thread
-    result = system.run(workload, max_ops_per_thread=max_ops_per_thread)
-    if auto_telemetry:
-        telemetry.write(_TELEMETRY_DIR,
-                        bundle_stem(workload.name, policy.value),
-                        result=result)
-    return result
 
 
 def run_config(

@@ -1,6 +1,6 @@
 """Shared-memory trace transport for the parallel frontier.
 
-``run_batch(jobs > 1)`` used to pickle each :class:`CompiledTrace` into
+``execute_batch(jobs > 1)`` used to pickle each :class:`CompiledTrace` into
 every worker payload: a sweep of N points over one workload shipped the
 same multi-megabyte arrays N times through the ProcessPoolExecutor pipe.
 This module publishes each *unique* trace once into a

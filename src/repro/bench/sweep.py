@@ -44,11 +44,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench import runner
-from repro.bench.cache import atomic_write_json, code_version_salt
+from repro.bench.cache import code_version_salt
 from repro.bench.frontier import RunRequest
 from repro.core.dispatch import DispatchPolicy
 from repro.system.config import scaled_config, tiny_config
 from repro.system.result import RunResult
+from repro.util.fsio import atomic_write_json
 from repro.util.rng import derive_seed
 
 __all__ = [

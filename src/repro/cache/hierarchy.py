@@ -279,16 +279,14 @@ class CacheHierarchy:
         link.backlog += occupancy
         link.bytes_transferred += 16
         # Bank acquire (Resource.acquire inlined; skips the BankedResource
-        # modulo wrapper).
+        # modulo wrapper, and the bank's busy time, which nothing reads).
         bank = self._l3_bank_list[block % self._n_l3_banks]
-        bank_occ = self.l3_bank_occupancy
         if t > bank.clock:
             gap = t - bank.clock
             bank.backlog = bank.backlog - gap if bank.backlog > gap else 0.0
             bank.clock = t
         t = t + bank.backlog
-        bank.backlog += bank_occ
-        bank.busy_cycles += bank_occ
+        bank.backlog += self.l3_bank_occupancy
         t += self.l3_latency
         slots[SLOT_L3_ACCESSES] += 1.0
         if self.l3_observer is not None:

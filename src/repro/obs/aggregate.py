@@ -11,16 +11,17 @@ re-hydrates and merges them:
   ``to_dict`` form — histogram buckets included, so merged quantiles are
   exact bucket-wise merges, not averages of averages;
 * :class:`FrontierAggregator` accumulates everything across batches into a
-  frontier-level summary — cache and trace hit rates, per-worker
-  utilization, p50/p95 simulate latency, simulated ops/s — which the
-  runner embeds in every ``BENCH_<runid>.json`` trajectory record and
-  ``python -m repro.bench history`` surfaces.
+  frontier-level summary — per-worker utilization, p50/p95 simulate
+  latency, merged worker metrics — which the runner embeds in every
+  ``BENCH_<runid>.json`` trajectory record and ``python -m repro.bench
+  history`` surfaces.  The record's cache, trace and plan-cache counts
+  and simulated ops/s live once, in its ``totals`` block.
 
 Everything here runs in the parent at batch granularity (a handful of dict
 merges per simulation), far from the engine hot loop.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.obs.metrics import DEFAULT_GROWTH, Histogram, MetricRegistry
 
@@ -31,7 +32,9 @@ __all__ = [
 ]
 
 #: Version tag on the frontier summary embedded in trajectory records.
-FRONTIER_SCHEMA = "repro.obs.frontier/2"
+#: /3 dropped the ``cache``, ``traces``, ``plan_cache`` and
+#: ``sim_ops_per_second`` blocks, which restated the record's ``totals``.
+FRONTIER_SCHEMA = "repro.obs.frontier/3"
 
 
 def registry_from_dict(payload: Dict) -> MetricRegistry:
@@ -108,14 +111,8 @@ class FrontierAggregator:
 
     # Summary -----------------------------------------------------------
 
-    def summary(self, accounting: Optional[Dict[str, float]] = None) -> Dict:
-        """The frontier-level digest embedded in trajectory records.
-
-        ``accounting`` is a :meth:`~repro.bench.runner.RunnerAccounting.
-        snapshot` dict; when given, cache/trace hit rates and simulated
-        ops/s are derived from it (the aggregator itself only sees executed
-        payloads, never memo or disk hits).
-        """
+    def summary(self) -> Dict:
+        """The frontier-level digest embedded in trajectory records."""
         latency = self.simulate_seconds
         out: Dict = {
             "schema": FRONTIER_SCHEMA,
@@ -130,13 +127,6 @@ class FrontierAggregator:
             },
             "workers": self._worker_summary(),
         }
-        if accounting is not None:
-            out["cache"] = self._cache_summary(accounting)
-            out["traces"] = self._trace_summary(accounting)
-            out["plan_cache"] = self._plan_summary(accounting)
-            wall = accounting.get("sim_wall_seconds", 0.0)
-            insts = accounting.get("instructions", 0.0)
-            out["sim_ops_per_second"] = insts / wall if wall > 0 else 0.0
         if len(self.metrics):
             out["metrics"] = self.metrics.to_dict()
         return out
@@ -149,47 +139,3 @@ class FrontierAggregator:
             entry["utilization"] = (entry["busy_s"] / wall) if wall > 0 else 0.0
             out[str(pid)] = entry
         return out
-
-    @staticmethod
-    def _cache_summary(accounting: Dict[str, float]) -> Dict[str, float]:
-        memo = accounting.get("memo_hits", 0.0)
-        disk = accounting.get("disk_hits", 0.0)
-        sims = accounting.get("simulations", 0.0)
-        served = memo + disk + sims
-        return {
-            "memo_hits": memo,
-            "disk_hits": disk,
-            "simulations": sims,
-            "hit_rate": (memo + disk) / served if served else 0.0,
-        }
-
-    @staticmethod
-    def _trace_summary(accounting: Dict[str, float]) -> Dict[str, float]:
-        captures = accounting.get("trace_captures", 0.0)
-        hits = accounting.get("trace_hits", 0.0)
-        total = captures + hits
-        return {
-            "captures": captures,
-            "hits": hits,
-            "hit_rate": hits / total if total else 0.0,
-        }
-
-    @staticmethod
-    def _plan_summary(accounting: Dict[str, float]) -> Dict[str, float]:
-        """ColumnPlan compiles vs reuses across all executed runs.
-
-        Affinity scheduling's whole point: sibling configs that land on the
-        same worker turn plan misses (compiles) into hits, and shared-memory
-        trace decodes into decode-memo hits.
-        """
-        hits = accounting.get("plan_hits", 0.0)
-        misses = accounting.get("plan_misses", 0.0)
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "evictions": accounting.get("plan_evictions", 0.0),
-            "hit_rate": hits / total if total else 0.0,
-            "trace_decodes": accounting.get("trace_decodes", 0.0),
-            "trace_decode_hits": accounting.get("trace_decode_hits", 0.0),
-        }

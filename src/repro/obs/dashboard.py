@@ -155,18 +155,24 @@ svg text {{ fill: var(--muted); font-size: 10px; }}
 """.strip()
 
 
+def _served(totals: Dict) -> float:
+    """Requests a record's totals served: memo + disk hits + simulations."""
+    return (totals.get("memo_hits", 0) + totals.get("disk_hits", 0)
+            + totals.get("simulations", 0))
+
+
+def _hit_rate(totals: Dict) -> float:
+    served = _served(totals)
+    return (served - totals.get("simulations", 0)) / served if served else 0.0
+
+
 def _stat_tiles(record: Dict) -> str:
-    obs = record.get("observability") or {}
     totals = record.get("totals") or {}
-    cache = obs.get("cache") or {}
-    served = (cache.get("memo_hits", 0) + cache.get("disk_hits", 0)
-              + cache.get("simulations", 0))
     tiles = [
-        (f"{served:,.0f}", "requests served"),
-        (f"{cache.get('hit_rate', 0.0):.0%}", "cache hit rate"),
-        (f"{cache.get('simulations', totals.get('simulations', 0)):,.0f}",
-         "simulations"),
-        (f"{_fmt(obs.get('sim_ops_per_second', totals.get('sim_ops_per_second', 0.0)))}",
+        (f"{_served(totals):,.0f}", "requests served"),
+        (f"{_hit_rate(totals):.0%}", "cache hit rate"),
+        (f"{totals.get('simulations', 0):,.0f}", "simulations"),
+        (f"{_fmt(totals.get('sim_ops_per_second', 0.0))}",
          "simulated ops/s"),
         (f"{totals.get('wall_seconds', 0.0):,.1f}s", "suite wall time"),
     ]
@@ -363,14 +369,12 @@ def _records_table(records: List[Dict]) -> str:
     rows = []
     for record in records:
         totals = record.get("totals") or {}
-        obs = record.get("observability") or {}
-        cache = obs.get("cache") or {}
         rows.append(
             "<tr>"
             f"<td>{_esc(record.get('runid', record.get('_file', '?')))}</td>"
             f"<td class='num'>{record.get('jobs', 1)}</td>"
             f"<td class='num'>{totals.get('simulations', 0):,.0f}</td>"
-            f"<td class='num'>{cache.get('hit_rate', 0.0):.0%}</td>"
+            f"<td class='num'>{_hit_rate(totals):.0%}</td>"
             f"<td class='num'>{totals.get('wall_seconds', 0.0):,.2f}</td>"
             f"<td class='num'>"
             f"{_fmt(totals.get('sim_ops_per_second', 0.0))}</td>"

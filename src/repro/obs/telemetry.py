@@ -42,9 +42,9 @@ def bundle_stem(*parts: str) -> str:
 
     Every non-empty part is sanitized and joined with ``_``; callers that
     may write several bundles of the same (workload, policy) into one
-    directory — parallel benchmark workers sweeping sizes or configs —
-    append a discriminator part (e.g. a request-fingerprint prefix) so
-    bundles never overwrite each other across processes.
+    directory append a discriminator part, as the benchmark frontier
+    appends a request-fingerprint prefix to every bundle, so bundles never
+    overwrite each other.
     """
     cleaned = [re.sub(r"[^A-Za-z0-9._-]+", "-", p).lower()
                for p in parts if p]

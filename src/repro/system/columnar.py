@@ -75,8 +75,7 @@ from repro.vm.page_table import PageTable
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.system.system import System
 
-__all__ = ["ColumnPlan", "plan_cache_counters", "plan_cache_info",
-           "replay", "set_plan_cache_limit"]
+__all__ = ["ColumnPlan", "plan_cache_counters", "replay"]
 
 #: Bounded plan memo keyed by (trace fingerprint, config fingerprint).
 #: Plans are immutable after build; each process owns its own cache.
@@ -84,12 +83,11 @@ _PLAN_CACHE: "OrderedDict[Tuple, Optional[ColumnPlan]]" = OrderedDict()
 _PLAN_CACHE_LIMIT = 8
 
 #: Lifetime hit/miss/eviction counters for this process's plan cache.
-#: ``System.run`` snapshots them around a replay and reports the delta to
-#: the bench frontier; the counters themselves only ever grow.  The bound
-#: and the counters shape host memory use and harness observability,
-#: never simulation results — replay is bit-identical
-#: whether a plan came from the cache or a fresh compile
-#: (tests/bench/test_plan_cache.py).
+#: The bench frontier snapshots them around each simulation and ships the
+#: delta home; the counters themselves only ever grow.  The bound and the
+#: counters shape host memory use and harness observability, never
+#: simulation results — replay is bit-identical whether a plan came from
+#: the cache or a fresh compile (tests/bench/test_plan_cache.py).
 _PLAN_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
@@ -126,30 +124,9 @@ class ColumnPlan:
         self.tag_items = tag_items
 
 
-def plan_cache_info() -> Dict[str, int]:
-    """Introspection for tests: cached plan count and capacity."""
-    return {"size": len(_PLAN_CACHE), "limit": _PLAN_CACHE_LIMIT}
-
-
 def plan_cache_counters() -> Dict[str, int]:
     """Lifetime plan-cache hits/misses/evictions for this process."""
     return dict(_PLAN_STATS)
-
-
-def set_plan_cache_limit(limit: int) -> int:
-    """Rebound the plan cache (evicting LRU entries past the new bound).
-
-    The bound only trades host memory against plan recompiles; results are
-    identical under any bound because a recompiled plan is deterministic.
-    """
-    global _PLAN_CACHE_LIMIT
-    if limit < 1:
-        raise ValueError(f"plan cache limit must be >= 1, got {limit}")
-    _PLAN_CACHE_LIMIT = limit
-    while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
-        _PLAN_CACHE.popitem(last=False)
-        _PLAN_STATS["evictions"] += 1
-    return _PLAN_CACHE_LIMIT
 
 
 # ----------------------------------------------------------------------

@@ -148,10 +148,6 @@ class SystemConfig:
         return self.n_hmcs * self.vaults_per_hmc
 
     @property
-    def total_dram_banks(self) -> int:
-        return self.total_vaults * self.banks_per_vault
-
-    @property
     def total_operand_buffers(self) -> int:
         """All operand-buffer entries (Section 6.1 footnote: 576 by default
         at paper scale: 16 host PCUs x 4 + 128 memory PCUs x 4)."""

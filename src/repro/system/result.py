@@ -107,16 +107,10 @@ class RunResult:
 
         Metadata entries keep JSON-representable structure (scalars plus
         nested lists/dicts of scalars); entries with no JSON form are
-        dropped rather than serialized lossily.  Keys starting with ``_``
-        are harness-transient annotations (e.g. the plan-cache delta a
-        replay observed) that depend on scheduling history, not on the
-        simulated run — they are excluded so serialized results stay
-        bit-identical across serial/parallel runs and replay engines.
+        dropped rather than serialized lossily.
         """
         metadata = {}
         for key, value in self.metadata.items():
-            if key.startswith("_"):
-                continue
             safe = _jsonify_metadata(value)
             if safe is not _DROP:
                 metadata[key] = safe

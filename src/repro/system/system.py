@@ -204,18 +204,9 @@ class System:
             # numpy-free consumers (repro.analysis, repro.verify) import
             # System — the columnar engine must stay off their import path.
             from repro.system import columnar
-            plan_before = columnar.plan_cache_counters()
             result = columnar.replay(self, trace, op_table, n_threads,
                                      batch_window, warm_start, effective_cap)
             if result is not None:
-                # Transient (underscore-prefixed, dropped by to_dict):
-                # whether this run's ColumnPlan was cached depends on what
-                # the process replayed before, so the delta is scheduling
-                # observability, never part of the result proper.
-                plan_after = columnar.plan_cache_counters()
-                result.metadata["_plan_cache"] = {
-                    key: plan_after[key] - plan_before[key]
-                    for key in plan_after}
                 return result
             if engine == "columnar":
                 raise TraceError(

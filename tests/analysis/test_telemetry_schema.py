@@ -109,6 +109,28 @@ class TestCheckIntervalJsonl:
         path = write_jsonl(tmp_path / "a.intervals.jsonl", [record])
         assert any("finite" in p for p in check_interval_jsonl(path))
 
+    def test_undeclared_stat_key_flagged(self, tmp_path):
+        """The stat-key registry is the schema: a key it does not declare
+        is a problem in an interval series (reported once, where it first
+        appears) and in a bundle's result."""
+        path = write_jsonl(tmp_path / "a.intervals.jsonl", [
+            interval_record(0, 1.0),
+            interval_record(1, 2.0, **{"pei.host_dispatch": 1.0}),
+            interval_record(2, 3.0, final=True,
+                            **{"pei.host_dispatch": 2.0}),
+        ])
+        assert check_interval_jsonl(path) == [
+            f"{path}:2: stats key 'pei.host_dispatch' is not declared in "
+            f"repro.sim.stat_keys"]
+        bundle = tmp_path / "a.run.json"
+        bundle.write_text(json.dumps({
+            "result": {"stats": {"pei.issued": 3.0,
+                                 "pei.host_dispatch": 1.0}},
+            "telemetry": {"metrics": {}}}))
+        assert check_run_bundle(bundle) == [
+            f"{bundle}: result: stats key 'pei.host_dispatch' is not "
+            f"declared in repro.sim.stat_keys"]
+
 
 class TestCheckChromeTrace:
     def test_good_trace_passes(self, tmp_path):
@@ -229,6 +251,12 @@ class TestAnalysisTelemetryCli:
     def test_empty_directory_errors(self, tmp_path, capsys):
         assert analysis_main(["telemetry", str(tmp_path)]) == 2
         assert "no telemetry artifacts" in capsys.readouterr().err
+
+    def test_missing_path_errors(self, tmp_path, capsys):
+        missing = tmp_path / "telemetry-out"
+        assert analysis_main(["telemetry", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {missing}: no such file or directory\n")
 
     def test_unknown_suffix_errors(self, tmp_path, capsys):
         path = tmp_path / "something.txt"

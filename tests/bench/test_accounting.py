@@ -111,7 +111,6 @@ class TestBatchAccounting:
         assert summary["batches"] == 1
         assert sum(w["payloads"] for w in summary["workers"].values()) \
             == len(requests)
-        assert summary["cache"]["simulations"] == len(requests)
 
     def test_ledger_defaults_to_null(self):
         assert runner.run_ledger() is NULL_LEDGER

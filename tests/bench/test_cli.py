@@ -146,9 +146,11 @@ class TestRunCommand:
                      "--history-dir", str(history)]) == 0
         [record] = history.glob("BENCH_*.json")
         obs = json.loads(record.read_text())["observability"]
-        assert obs["schema"] == "repro.obs.frontier/2"
+        assert obs["schema"] == "repro.obs.frontier/3"
         assert "simulate_latency_s" in obs
-        assert "cache" in obs
+        # Each count is recorded once, in the record's totals.
+        assert not {"cache", "traces", "plan_cache",
+                    "sim_ops_per_second"} & set(obs)
         # No --events flag: the ledger stayed off and counts are absent.
         assert "events" not in obs
 
@@ -247,10 +249,10 @@ class TestHistoryCommand:
         for runid, hits in (("20260101T000000-1", 1),
                             ("20260102T000000-1", 7)):
             payload = {
-                "runid": runid, "jobs": 1, "totals": {"simulations": 0},
-                "observability": {"cache": {
-                    "hit_rate": 1.0, "memo_hits": hits, "disk_hits": 0,
-                    "simulations": 0}},
+                "runid": runid, "jobs": 1,
+                "totals": {"simulations": 0, "memo_hits": hits,
+                           "disk_hits": 0},
+                "observability": {"schema": "repro.obs.frontier/3"},
                 "sweep": {"name": f"grid-{hits}", "evaluated": hits,
                           "grid_points": 16}}
             (tmp_path / f"BENCH_{runid}.json").write_text(json.dumps(payload))
@@ -317,8 +319,9 @@ class TestSweepCommand:
         assert len(records) == 2
         warm = json.loads(records[-1].read_text())
         assert warm["sweep"]["simulated"] == 0
-        # The warm session's frontier block counts only its own work.
-        assert warm["observability"]["cache"]["simulations"] == 0
+        # The warm session's record counts only its own work.
+        assert warm["totals"]["simulations"] == 0
+        assert warm["observability"]["simulate_latency_s"]["count"] == 0
         assert warm["sweep"]["evaluated"] > 0
         assert warm["sweep"]["points_per_second"] > 0
         assert main(["history", "--history-dir", str(history),

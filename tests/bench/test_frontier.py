@@ -7,13 +7,20 @@ from repro.bench.frontier import (
     RunRequest,
     WorkloadSpec,
     build_workload,
-    run_batch,
+    execute_batch,
     simulate,
 )
 from repro.core.dispatch import DispatchPolicy
 from repro.system.config import tiny_config
+from repro.system.result import RunResult
 
 TINY = tiny_config()
+
+
+def batch_results(requests, **kwargs):
+    """The batch's results, rehydrated from their worker envelopes."""
+    return [RunResult.from_dict(envelope["result"])
+            for envelope in execute_batch(requests, **kwargs)]
 
 
 def tiny_request(policy=DispatchPolicy.LOCALITY_AWARE, n_values=2000):
@@ -127,11 +134,11 @@ class TestRunBatch:
     def test_rejects_unresolved(self):
         request = RunRequest.single("HG", "small", DispatchPolicy.HOST_ONLY)
         with pytest.raises(ValueError, match="unresolved"):
-            run_batch([request])
+            batch_results([request])
 
     def test_serial_matches_simulate(self):
         request = tiny_request()
-        [batched] = run_batch([request], jobs=1)
+        [batched] = batch_results([request], jobs=1)
         direct = simulate(request)
         assert batched.to_dict() == direct.to_dict()
 
@@ -140,24 +147,23 @@ class TestRunBatch:
         requests = [tiny_request(policy=DispatchPolicy.HOST_ONLY),
                     tiny_request(policy=DispatchPolicy.LOCALITY_AWARE),
                     tiny_rp_request()]
-        serial = run_batch(requests, jobs=1)
-        parallel = run_batch(requests, jobs=2)
+        serial = batch_results(requests, jobs=1)
+        parallel = batch_results(requests, jobs=2)
         assert [r.to_dict() for r in serial] == \
                [r.to_dict() for r in parallel]
 
     def test_parallel_preserves_request_order(self):
         requests = [tiny_rp_request(), tiny_request()]
-        results = run_batch(requests, jobs=2)
+        results = batch_results(requests, jobs=2)
         assert [r.workload for r in results] == ["RP", "HG"]
 
     def test_parallel_telemetry_bundles(self, tmp_path):
         requests = [tiny_request(policy=DispatchPolicy.HOST_ONLY),
                     tiny_request(policy=DispatchPolicy.LOCALITY_AWARE)]
-        run_batch(requests, jobs=2, telemetry_dir=tmp_path,
-                  telemetry_interval=1_000.0)
+        execute_batch(requests, jobs=2, telemetry_dir=tmp_path)
         stems = {p.name.split(".")[0] for p in tmp_path.iterdir()}
-        # One fingerprint-suffixed stem per request, three files per stem.
-        assert len(stems) == 2
+        # One <workload>_<policy>_<fingerprint[:10]> stem per request, three
+        # files per stem: the serial batch's format.
+        assert stems == {f"hg_{r.policy.value}_{r.fingerprint()[:10]}"
+                         for r in requests}
         assert len(list(tmp_path.iterdir())) == 6
-        for stem in stems:
-            assert stem.startswith("hg_")

@@ -124,13 +124,13 @@ class TestTrajectoryObservability:
         trajectory.observability = runner.frontier_summary()
         payload = trajectory.payload()
         obs = payload["observability"]
-        assert obs["schema"] == "repro.obs.frontier/2"
-        assert obs["cache"]["simulations"] == len(POLICIES)
+        assert obs["schema"] == "repro.obs.frontier/3"
         assert obs["simulate_latency_s"]["count"] == len(POLICIES)
 
     def test_format_observability_lines(self):
         run_suite()
-        record = {"observability": runner.frontier_summary()}
+        record = {"observability": runner.frontier_summary(),
+                  "totals": runner.accounting().snapshot()}
         record["observability"]["events"] = {"memo_hit": 2}
         lines = format_observability(record)
         text = "\n".join(lines)

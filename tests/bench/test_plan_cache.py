@@ -1,18 +1,17 @@
-"""Tests for the columnar plan-cache accounting and configurable bound.
+"""Tests for the columnar plan cache: its accounting and its bound.
 
 The ColumnPlan cache is pure harness state: its bound and its hit/miss
 history shape host memory use and compile time, never simulated results.
-These tests pin both halves of that contract — the counters surface
-through transient (underscore-prefixed) result metadata and the runner
-accounting, and results are bit-identical under any bound.
+These tests pin both halves of that contract — the frontier reports the
+counters' per-run delta in its worker envelope (never in the result), and
+results are bit-identical under any bound.
 """
 
 import pytest
 
 pytest.importorskip("numpy")
 
-from repro.bench import runner
-from repro.bench.frontier import RunRequest, simulate
+from repro.bench.frontier import RunRequest, execute_batch, simulate
 from repro.core.dispatch import DispatchPolicy
 from repro.cpu.trace import capture_trace
 from repro.system import columnar
@@ -25,7 +24,6 @@ from repro.workloads.registry import make_workload
 @pytest.fixture(autouse=True)
 def restore_plan_cache():
     yield
-    columnar.set_plan_cache_limit(8)
     columnar._PLAN_CACHE.clear()
 
 
@@ -39,6 +37,13 @@ def captured_trace(n_values=2000, max_ops=300, seed=7):
                          max_ops_per_thread=max_ops,
                          key={"workload": "HG", "seed": seed,
                               "n_values": n_values})
+
+
+def request_for_trace():
+    # The frontier request that captured_trace()'s defaults stand for.
+    return RunRequest.single(
+        "HG", "small", DispatchPolicy.HOST_ONLY, config=tiny_config(),
+        max_ops_per_thread=300, seed=7, n_values=2000)
 
 
 def replay(trace, policy=DispatchPolicy.HOST_ONLY):
@@ -64,48 +69,53 @@ class TestCounters:
         assert columnar.plan_cache_counters()["hits"] != counters["hits"]
 
     def test_result_carries_transient_delta(self):
+        """The run's delta travels beside its result, in the frontier's
+        worker envelope: taken around the envelope's own simulate() call,
+        so two serial batches on one trace report a miss, then a hit."""
         trace = captured_trace()
-        result = replay(trace)
-        delta = result.metadata["_plan_cache"]
-        assert set(delta) == {"hits", "misses", "evictions"}
-        assert delta["hits"] + delta["misses"] == 1
+        columnar._PLAN_CACHE.clear()
+        envelopes = [execute_batch([request_for_trace()], traces=[trace])[0]
+                     for _ in range(2)]
+        deltas = [e["worker"]["plan_cache"] for e in envelopes]
+        for delta in deltas:
+            assert set(delta) == {"hits", "misses", "evictions"}
+            assert delta["hits"] + delta["misses"] == 1
+        assert deltas == [{"hits": 0, "misses": 1, "evictions": 0},
+                          {"hits": 1, "misses": 0, "evictions": 0}]
 
     def test_transient_metadata_excluded_from_dict(self):
+        """The delta is harness state: neither the serialized result nor the
+        model's own result holds it, only the run's own facts."""
         trace = captured_trace()
-        result = replay(trace)
-        assert "_plan_cache" in result.metadata
-        payload = result.to_dict()
-        assert "_plan_cache" not in payload["metadata"]
-        assert not any(key.startswith("_") for key in payload["metadata"])
-        # Round-tripping therefore drops it too.
+        envelope = execute_batch([request_for_trace()], traces=[trace])[0]
+        payload = envelope["result"]
+        run_facts = {"n_threads", "max_ops_per_thread", "footprint_bytes",
+                     "config_l3_size"}
+        assert set(payload["metadata"]) == run_facts
+        # Round-tripping therefore carries it nowhere either.
         rebuilt = RunResult.from_dict(payload)
-        assert "_plan_cache" not in rebuilt.metadata
+        assert set(rebuilt.metadata) == run_facts
+        assert rebuilt.to_dict() == payload
+        assert set(replay(trace).metadata) == run_facts
 
 
 class TestLimit:
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            columnar.set_plan_cache_limit(0)
-
-    def test_lowering_evicts(self):
+    def test_lowering_evicts(self, monkeypatch):
+        monkeypatch.setattr(columnar, "_PLAN_CACHE_LIMIT", 1)
         columnar._PLAN_CACHE.clear()
-        traces = [captured_trace(seed=s) for s in (11, 12, 13)]
-        for trace in traces:
-            replay(trace)
-        assert len(columnar._PLAN_CACHE) == 3
         before = columnar.plan_cache_counters()
-        columnar.set_plan_cache_limit(1)
+        for seed in (11, 12, 13):
+            replay(captured_trace(seed=seed))
         assert len(columnar._PLAN_CACHE) == 1
         after = columnar.plan_cache_counters()
         assert after["evictions"] == before["evictions"] + 2
 
-    def test_limit_one_thrashes_but_results_identical(self):
+    def test_limit_one_thrashes_but_results_identical(self, monkeypatch):
         """The bound is a memory/recompile trade: never a results change."""
         traces = [captured_trace(seed=s) for s in (11, 12)]
-        columnar.set_plan_cache_limit(8)
         columnar._PLAN_CACHE.clear()
         wide = [replay(t).to_dict() for t in traces + traces]
-        columnar.set_plan_cache_limit(1)
+        monkeypatch.setattr(columnar, "_PLAN_CACHE_LIMIT", 1)
         columnar._PLAN_CACHE.clear()
         narrow = [replay(t).to_dict() for t in traces + traces]
         assert wide == narrow
@@ -158,34 +168,9 @@ class TestOnePlanPerTrace:
         assert aware.machine.monitor._tags
 
 
-class TestSettings:
-    def test_settings_field_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_PLAN_CACHE", "3")
-        assert runner.current_settings().plan_cache_limit == 3
-
-    def test_bound_not_in_request_fingerprint(self, monkeypatch):
-        """The bound must never key caches: results are bound-independent."""
-        request = RunRequest.single(
-            "HG", "small", DispatchPolicy.HOST_ONLY, n_values=2000)
-        monkeypatch.setenv("REPRO_BENCH_PLAN_CACHE", "2")
-        a = request.resolve(runner.current_settings()).fingerprint()
-        monkeypatch.setenv("REPRO_BENCH_PLAN_CACHE", "8")
-        b = request.resolve(runner.current_settings()).fingerprint()
-        assert a == b
-
-    def test_serial_batch_applies_limit(self):
-        from repro.bench.frontier import execute_batch
-
-        request = RunRequest.single(
-            "HG", "small", DispatchPolicy.HOST_ONLY, config=tiny_config(),
-            max_ops_per_thread=300, seed=7, n_values=2000)
-        execute_batch([request], jobs=1, plan_cache_limit=2)
-        assert columnar._PLAN_CACHE_LIMIT == 2
-
-
 class TestBitIdentityAcrossEngines:
     def test_generator_and_replay_dicts_equal(self):
-        """The transient annotation must not leak into serialized results."""
+        """A live workload and its captured trace replay to one result."""
         request = RunRequest.single(
             "HG", "small", DispatchPolicy.HOST_ONLY, config=tiny_config(),
             max_ops_per_thread=300, seed=7, n_values=2000)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import runner
+from repro.bench.frontier import RunRequest
 from repro.core.dispatch import DispatchPolicy
 from repro.system.config import tiny_config
 
@@ -160,13 +161,30 @@ class TestRunnerTelemetry:
         runner.disable_telemetry()
 
     def test_enable_telemetry_writes_bundles(self, tmp_path):
-        runner.enable_telemetry(tmp_path, interval=1_000.0)
+        runner.enable_telemetry(tmp_path)
         runner.run_config("HG", "small", DispatchPolicy.LOCALITY_AWARE,
                           n_values=2000, **TINY)
+        request = RunRequest.single(
+            "HG", "small", DispatchPolicy.LOCALITY_AWARE, n_values=2000,
+            **TINY).resolve(runner.current_settings())
+        stem = f"hg_locality-aware_{request.fingerprint()[:10]}"
         stems = sorted(p.name for p in tmp_path.iterdir())
-        assert stems == ["hg_locality-aware.intervals.jsonl",
-                         "hg_locality-aware.run.json",
-                         "hg_locality-aware.trace.json"]
+        assert stems == [f"{stem}.intervals.jsonl", f"{stem}.run.json",
+                         f"{stem}.trace.json"]
+
+    def test_serial_bundles_never_overwrite(self, tmp_path):
+        """Two serial runs of one (workload, policy) that differ only in
+        input size leave two bundles: each stem carries its request's
+        fingerprint prefix."""
+        assert runner.get_jobs() == 1
+        runner.enable_telemetry(tmp_path)
+        for size in ("small", "large"):
+            runner.run_config("HG", size, DispatchPolicy.LOCALITY_AWARE,
+                              **TINY)
+        assert runner.accounting().simulations == 2
+        stems = {p.name.split(".")[0] for p in tmp_path.iterdir()}
+        assert len(stems) == 2
+        assert len(list(tmp_path.iterdir())) == 6
 
     def test_disable_telemetry_stops_writing(self, tmp_path):
         runner.enable_telemetry(tmp_path)

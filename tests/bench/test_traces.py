@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.bench import frontier, runner
-from repro.bench.frontier import RunRequest, run_batch
+from repro.bench.frontier import RunRequest, execute_batch
 from repro.bench.traces import TraceStore, trace_request_key
 from repro.core.dispatch import DispatchPolicy
 from repro.core.isa import FP_ADD
@@ -209,12 +209,12 @@ class TestRunnerIntegration:
     def test_run_batch_rejects_misaligned_traces(self):
         requests = [request_for(DispatchPolicy.HOST_ONLY)]
         with pytest.raises(ValueError):
-            run_batch(requests, traces=[None, None])
+            execute_batch(requests, traces=[None, None])
 
     def test_parallel_batch_ships_traces(self, isolated_runner):
         store = isolated_runner
         requests = [request_for(p, ops=300) for p in POLICIES]
         traces = [store.get_or_capture(r) for r in requests]
-        serial = run_batch(requests, jobs=1, traces=traces)
-        parallel = run_batch(requests, jobs=2, traces=traces)
-        assert [canon(r) for r in serial] == [canon(r) for r in parallel]
+        serial = execute_batch(requests, jobs=1, traces=traces)
+        parallel = execute_batch(requests, jobs=2, traces=traces)
+        assert [e["result"] for e in serial] == [e["result"] for e in parallel]

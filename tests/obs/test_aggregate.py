@@ -83,18 +83,6 @@ class TestFrontierAggregator:
         assert summary["metrics"]["pei.latency"]["count"] == 4
         assert agg.telemetry_payloads == 2
 
-    def test_accounting_derives_cache_trace_and_throughput(self):
-        agg = FrontierAggregator()
-        agg.add_batch(1.0)
-        agg.add_payload(envelope(1, 0.5))
-        summary = agg.summary(accounting={
-            "simulations": 2.0, "memo_hits": 6.0, "disk_hits": 2.0,
-            "instructions": 1000.0, "sim_wall_seconds": 0.5,
-            "trace_captures": 1.0, "trace_hits": 3.0})
-        assert summary["cache"]["hit_rate"] == pytest.approx(0.8)
-        assert summary["traces"]["hit_rate"] == pytest.approx(0.75)
-        assert summary["sim_ops_per_second"] == pytest.approx(2000.0)
-
     def test_empty_aggregator_summary_is_well_formed(self):
         summary = FrontierAggregator().summary()
         assert summary["simulate_latency_s"]["count"] == 0

@@ -10,7 +10,9 @@ from repro.obs.events import EVENT_SCHEMA
 
 
 def write_record(directory, runid, sims=4, memo=2, disk=2, ops=1e6,
-                 wall=3.0):
+                 wall=3.0, schema="repro.obs.frontier/2"):
+    """A trajectory record; a frontier/2 block restates ``totals``' cache
+    counts and ops/s, a frontier/3 block does not."""
     payload = {
         "schema": "repro.bench.trajectory/1",
         "runid": runid,
@@ -18,7 +20,7 @@ def write_record(directory, runid, sims=4, memo=2, disk=2, ops=1e6,
         "cache": {"enabled": True},
         "settings": {},
         "observability": {
-            "schema": "repro.obs.frontier/2",
+            "schema": schema,
             "cache": {"memo_hits": memo, "disk_hits": disk,
                       "simulations": sims,
                       "hit_rate": (memo + disk) / (memo + disk + sims)},
@@ -42,6 +44,9 @@ def write_record(directory, runid, sims=4, memo=2, disk=2, ops=1e6,
                    "trace_captures": 1, "trace_hits": 3,
                    "sim_ops_per_second": ops},
     }
+    if schema != "repro.obs.frontier/2":
+        del payload["observability"]["cache"]
+        del payload["observability"]["sim_ops_per_second"]
     path = directory / f"BENCH_{runid}.json"
     path.write_text(json.dumps(payload))
     return path
@@ -109,6 +114,21 @@ class TestRenderHtml:
         assert "<svg" in html_text                 # throughput sparkline
         assert "memo hits" in html_text            # legend, not color-alone
         assert "fig6" in html_text and "fig10" in html_text
+
+    def test_frontier2_and_frontier3_records_render_alike(self, tmp_path):
+        """Tiles and the records table read ``totals``, which both frontier
+        schemas carry, so a /3 record renders as its /2 twin did."""
+        pages = []
+        for schema in ("repro.obs.frontier/2", "repro.obs.frontier/3"):
+            # The page title names the directory: keep the names equal.
+            directory = tmp_path / schema.rsplit("/", 1)[1] / "history"
+            directory.mkdir(parents=True)
+            write_record(directory, "r1", schema=schema)
+            pages.append(render_html(collect_sources(directory)))
+        assert pages[0] == pages[1]
+        assert "<b>8</b><span>requests served</span>" in pages[1]
+        assert "<b>50%</b><span>cache hit rate</span>" in pages[1]
+        assert "<td class='num'>50%</td>" in pages[1]
 
     def test_empty_directory_degrades_gracefully(self, tmp_path):
         html_text = render_html(collect_sources(tmp_path))
