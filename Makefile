@@ -21,8 +21,8 @@ lint:
 
 # simflow alone: simulator discipline, cache-key (fingerprint) soundness,
 # unit/dimension taint, hot-path purity, and the frontier's process-safety
-# rules (see docs/analysis.md).  Reads ./flow-baseline.json when present;
-# --update-baseline regenerates it.
+# rules (see docs/analysis.md).  A justified inline waiver
+# (`# simflow: ignore[CODE] -- reason`) is the only way to accept a finding.
 flow:
 	PYTHONPATH=src python -m repro.analysis flow src/repro
 

@@ -10,8 +10,7 @@ Two checkers:
   cache-fingerprint soundness FLW001–003, unit/dimension taint
   FLW004–006, hot-path purity FLW007–009, and the
   :mod:`repro.analysis.race` process-safety families RCE001–009 — with
-  waivers, a checked-in baseline, SARIF output and a seeded-defect
-  mutant gauntlet;
+  inline waivers, SARIF output and a seeded-defect mutant gauntlet;
 * :mod:`repro.analysis.simsan` — a runtime sanitizer that replays a
   :class:`~repro.core.tracer.PeiTracer` event stream against the paper's
   Section 4.3 atomicity/coherence protocol.

@@ -5,7 +5,8 @@
     the installed ``repro`` source tree): the SIM simulator-discipline
     rules, fingerprint soundness, unit taint, hot-path purity and the
     :mod:`~repro.analysis.race` process-safety families, with JSON/SARIF
-    output and a checked-in baseline; exits non-zero on findings.
+    output; exits non-zero on findings.  A finding is accepted only by a
+    justified inline waiver (``# simflow: ignore[CODE] -- reason``).
 
 ``python -m repro.analysis flow-mutants [paths...]``
     Seeded-defect self-validation: patch each known SIM, FLW and RCE
@@ -41,13 +42,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.analysis.flow import (
-    FLOW_CODES,
-    load_baseline,
-    run_flow,
-    run_mutants,
-    write_baseline,
-)
+from repro.analysis.flow import FLOW_CODES, run_flow, run_mutants
 from repro.analysis.flow.report import (
     format_report,
     write_json,
@@ -72,12 +67,6 @@ DEFAULT_DETERMINISM_WORKLOADS = ("PR", "HJ")
 def _default_root() -> Path:
     """The installed repro package source (``src/repro``)."""
     return Path(__file__).resolve().parents[1]
-
-
-def _default_baseline() -> Optional[Path]:
-    """``flow-baseline.json`` next to the working directory, if present."""
-    candidate = Path("flow-baseline.json")
-    return candidate if candidate.exists() else None
 
 
 def _check_paths(paths: List[Path]) -> bool:
@@ -118,35 +107,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         select = _parse_select(args.select, FLOW_CODES)
     except _BadArgs:
         return 2
-    baseline: Optional[Path]
-    if args.no_baseline:
-        baseline = None
-    elif args.baseline is not None:
-        baseline = Path(args.baseline)
-        if not baseline.exists() and not args.update_baseline:
-            print(f"error: baseline file not found: {baseline}",
-                  file=sys.stderr)
-            return 2
-        try:
-            if baseline.exists():
-                load_baseline(baseline)
-        except (ValueError, KeyError, OSError) as exc:
-            print(f"error: malformed baseline {baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        baseline = _default_baseline()
-    if args.update_baseline:
-        if baseline is None:
-            print("error: --update-baseline needs --baseline PATH",
-                  file=sys.stderr)
-            return 2
-        report = run_flow(paths, select=select, baseline=None)
-        write_baseline(baseline, report.findings)
-        print(f"simflow: wrote {len(report.findings)} finding(s) to "
-              f"{baseline}")
-        return 0
-    report = run_flow(paths, select=select, baseline=baseline)
+    report = run_flow(paths, select=select)
     if args.json is not None:
         write_json(report, Path(args.json))
     if args.sarif is not None:
@@ -159,9 +120,8 @@ def _cmd_flow_mutants(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.paths] or [_default_root()]
     if not _check_paths(paths):
         return 2
-    baseline = None if args.no_baseline else _default_baseline()
     try:
-        results, pristine = run_mutants(paths, baseline=baseline)
+        results, pristine = run_mutants(paths)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -381,12 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "to run")
     flow.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    flow.add_argument("--baseline", help="accepted-findings file (default: "
-                      "./flow-baseline.json when present)")
-    flow.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file")
-    flow.add_argument("--update-baseline", action="store_true",
-                      help="write current findings to the baseline and exit")
     flow.add_argument("--json", help="write a machine-readable report here")
     flow.add_argument("--sarif", help="write a SARIF 2.1.0 report here "
                       "(code-scanning upload)")
@@ -398,8 +352,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     flow_mutants.add_argument("paths", nargs="*",
                               help="tree to mutate in memory (default: the "
                               "installed repro source tree)")
-    flow_mutants.add_argument("--no-baseline", action="store_true",
-                              help="ignore any baseline file")
     flow_mutants.add_argument("--verbose", "-v", action="store_true",
                               help="print the findings that killed each "
                               "mutant")

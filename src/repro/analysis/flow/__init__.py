@@ -26,18 +26,18 @@ families over that one parse and one model:
   discipline, fork/worker hygiene on the worker slice, and ordering
   soundness.
 
-Entry points: :func:`~repro.analysis.flow.engine.run_flow` (programmatic),
-``python -m repro.analysis flow`` (CLI, JSON + SARIF + baseline), and
-``python -m repro.analysis flow-mutants`` (seeded-defect self-validation).
+A finding is accepted only by a justified inline waiver, ``# simflow:
+ignore[CODE] -- reason``.  Entry points:
+:func:`~repro.analysis.flow.engine.run_flow` (programmatic), ``python -m
+repro.analysis flow`` (CLI, JSON + SARIF), and ``python -m repro.analysis
+flow-mutants`` (seeded-defect self-validation).
 """
 
 from repro.analysis.flow.engine import (
     FLOW_CODES,
     HYGIENE_CODE,
     FlowReport,
-    load_baseline,
     run_flow,
-    write_baseline,
 )
 from repro.analysis.flow.model import ProjectModel
 from repro.analysis.flow.mutants import MUTANTS, run_mutants
@@ -52,8 +52,6 @@ __all__ = [
     "findings_to_json",
     "findings_to_sarif",
     "format_report",
-    "load_baseline",
     "run_flow",
     "run_mutants",
-    "write_baseline",
 ]

@@ -1,22 +1,13 @@
-"""simflow orchestration: parse -> model -> passes -> waivers -> baseline.
+"""simflow orchestration: parse -> model -> passes -> waivers.
 
 One parse of the tree feeds every rule — the per-module SIM rules, the
-interprocedural FLW rules and the process-safety RCE rules — and two
-layers sit on top of the passes:
-
-* **waivers** — ``# simflow: ignore[SIM00x, FLW00x, RCE00x] --
-  justification`` pragmas, the one waiver namespace, matched by statement
-  span (:mod:`repro.analysis.source`).  Unjustified and stale pragmas
-  report as ``FLW000``.
-* **baseline** — a checked-in JSON file of accepted pre-existing findings,
-  matched by ``(code, rel-path, message)`` (line numbers excluded so
-  unrelated edits do not churn the file).  Findings in the baseline are
-  suppressed and counted; baseline entries that no longer match anything
-  report as ``FLW000`` so the file can only shrink.
-
-Waivers are for findings that are *correct but intended* (a settings field
-that shapes the request set); the baseline is for *debt* — real findings
-accepted at adoption time and burned down over later PRs.
+interprocedural FLW rules and the process-safety RCE rules — and one layer
+sits on top of the passes: **waivers**, ``# simflow: ignore[SIM00x,
+FLW00x, RCE00x] -- justification`` pragmas matched by statement span
+(:mod:`repro.analysis.source`).  A justified waiver is the only way to
+accept a finding; it belongs to a finding that is *correct but intended*
+(a settings field that shapes the request set).  Unjustified and stale
+pragmas report as ``FLW000``.
 
 Every pass family reads the one parsed project.  The SIM lint pass reads
 the parse alone; the FLW and RCE families read :class:`ProjectModel`,
@@ -30,8 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import (Finding, apply_baseline, load_baseline,
-                                     write_baseline)
 from repro.analysis.source import (HYGIENE_CODE, SYNTAX_CODE, Project,
                                    Violation, apply_waivers, parse_project)
 from repro.analysis.flow.fingerprint import run_fingerprint_pass
@@ -45,7 +34,7 @@ from repro.analysis.race.payload import run_payload_pass
 from repro.analysis.race.worker import build_context, run_worker_pass
 
 __all__ = ["FLOW_CODES", "HYGIENE_CODE", "SYNTAX_CODE", "Finding",
-           "FlowReport", "load_baseline", "run_flow", "write_baseline"]
+           "FlowReport", "run_flow"]
 
 #: Rule catalogue: code -> (title, one-line rationale).
 FLOW_CODES: Dict[str, Tuple[str, str]] = {
@@ -143,12 +132,30 @@ _MODEL_PASSES = (
 )
 
 
+@dataclass(frozen=True)
+class Finding:
+    """One surviving analyzer finding, carrying both absolute and rel paths."""
+
+    code: str
+    message: str
+    path: str
+    rel: str
+    line: int
+    col: int = 0
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+
+    def key(self) -> Tuple[str, str, str]:
+        """The line-independent identity the mutation kill rule compares."""
+        return (self.code, self.rel, self.message)
+
+
 @dataclass
 class FlowReport:
     """The outcome of one simflow run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: int = 0
     modules: int = 0
     #: Model sizes (None when only the lint pass ran: no model was built).
     functions: Optional[int] = None
@@ -165,19 +172,17 @@ class FlowReport:
 def run_flow(
     paths: Sequence,
     select: Optional[Iterable[str]] = None,
-    baseline: Optional[Path] = None,
     overrides: Optional[Dict[str, str]] = None,
     parsed: Optional[Project] = None,
 ) -> FlowReport:
     """Run the flow passes over every Python file under ``paths``.
 
     ``select`` restricts to the given rule codes (a pass whose codes are
-    all deselected is skipped entirely).  ``baseline`` names an
-    accepted-findings file; matches are suppressed, stale entries reported.
-    ``overrides`` substitutes in-memory source text by rel-path suffix —
-    the seeded-defect mutants run through this without touching the tree.
-    ``parsed`` is an earlier parse of ``paths`` whose modules are reused
-    for every file ``overrides`` leaves alone.
+    all deselected is skipped entirely).  ``overrides`` substitutes
+    in-memory source text by rel-path suffix — the seeded-defect mutants
+    run through this without touching the tree.  ``parsed`` is an earlier
+    parse of ``paths`` whose modules are reused for every file
+    ``overrides`` leaves alone.
     """
     project, syntax_errors = parse_project([Path(p) for p in paths],
                                            overrides=overrides, parsed=parsed)
@@ -202,17 +207,10 @@ def run_flow(
                         line=v.line, col=v.col)
                 for v in survivors]
 
-    baselined = 0
-    if baseline is not None and Path(baseline).exists():
-        entries = load_baseline(Path(baseline))
-        findings, baselined = apply_baseline(findings, entries,
-                                             Path(baseline))
-
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     rce_selected = any(code.startswith("RCE") for code in selected)
     return FlowReport(
         findings=findings,
-        baselined=baselined,
         modules=len(project.modules),
         functions=len(model.functions) if model else None,
         hot_functions=len(model.derived(hot_set)) if model else None,

@@ -17,8 +17,7 @@ a set iteration in the replay loop (replay nondeterminism), a per-op
 allocation (the regression trace replay was built to remove).
 """
 
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.analysis.mutation import Mutant, MutantResult, run_seeded_mutants
 from repro.analysis.flow.engine import FlowReport, run_flow
@@ -255,7 +254,6 @@ MUTANTS: Tuple[Mutant, ...] = _SIM_MUTANTS + _FLW_MUTANTS + RACE_MUTANTS
 
 def run_mutants(
     paths: Sequence,
-    baseline: Optional[Path] = None,
     mutants: Sequence[Mutant] = MUTANTS,
 ) -> Tuple[List[MutantResult], FlowReport]:
     """Seed each defect in memory and require its pass to catch it.
@@ -263,4 +261,4 @@ def run_mutants(
     See :func:`repro.analysis.mutation.run_seeded_mutants` for the kill
     criterion, the per-mutant ``select`` and anchor-drift behavior.
     """
-    return run_seeded_mutants(run_flow, paths, mutants, baseline=baseline)
+    return run_seeded_mutants(run_flow, paths, mutants)

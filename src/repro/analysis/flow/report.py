@@ -24,7 +24,6 @@ _TOOL_URI = "docs/analysis.md"
 def format_report(report: FlowReport) -> str:
     """Human-readable result block: one line per finding, then a verdict."""
     lines = [str(finding) for finding in report.findings]
-    base = (f" ({report.baselined} baselined)" if report.baselined else "")
     scope = f"{report.modules} modules"
     if report.functions is not None:
         scope += (f", {report.functions} functions, "
@@ -32,10 +31,9 @@ def format_report(report: FlowReport) -> str:
     if report.worker_functions is not None:
         scope += f", worker slice {report.worker_functions}"
     if report.clean:
-        lines.append(f"simflow: clean{base} [{scope}]")
+        lines.append(f"simflow: clean [{scope}]")
     else:
-        lines.append(f"simflow: {len(report.findings)} finding(s){base} "
-                     f"[{scope}]")
+        lines.append(f"simflow: {len(report.findings)} finding(s) [{scope}]")
     return "\n".join(lines)
 
 
@@ -45,7 +43,6 @@ def findings_to_json(report: FlowReport) -> Dict:
         "tool": _TOOL_NAME,
         "summary": {
             "findings": len(report.findings),
-            "baselined": report.baselined,
             "modules": report.modules,
             "functions": report.functions,
             "hot_functions": report.hot_functions,
@@ -76,10 +73,9 @@ def findings_to_sarif(report: FlowReport) -> Dict:
     rules.append({
         "id": HYGIENE_CODE,
         "name": "FlowHygiene",
-        "shortDescription": {"text": "waiver/baseline hygiene"},
+        "shortDescription": {"text": "waiver hygiene"},
         "fullDescription": {
-            "text": "unjustified or stale waiver pragmas and stale "
-                    "baseline entries"},
+            "text": "unjustified or stale waiver pragmas"},
         "helpUri": _TOOL_URI,
     })
     results = [

@@ -23,8 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from types import CodeType, FunctionType
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.analysis.source import collect_files, parse_project
 
@@ -66,13 +65,12 @@ def run_seeded_mutants(
     run_fn: Callable,
     paths: Sequence,
     mutants: Sequence[Mutant],
-    baseline: Optional[Path] = None,
 ):
     """Seed each defect in memory and require the analyzer to catch it.
 
-    ``run_fn(paths, select=..., baseline=..., overrides=..., parsed=...)``
-    must return a report with a ``findings`` list of keyed findings
-    (:class:`~repro.analysis.baseline.Finding`); ``parsed`` is the one
+    ``run_fn(paths, select=..., overrides=..., parsed=...)`` must return a
+    report with a ``findings`` list of keyed findings
+    (:class:`~repro.analysis.flow.engine.Finding`); ``parsed`` is the one
     parse of ``paths`` every run shares.  The pristine tree runs
     every rule once; each mutated tree runs only ``select=[mutant.code]``,
     so no mutant pays for the other pass families.  A mutant is *killed*
@@ -89,12 +87,12 @@ def run_seeded_mutants(
     # the catalogue fails in the time of one source read.
     seeded = [(mutant, _seed(mutant, sources)) for mutant in mutants]
     parsed, _ = parse_project([Path(p) for p in paths])
-    pristine = run_fn(paths, baseline=baseline, parsed=parsed)
+    pristine = run_fn(paths, parsed=parsed)
     pristine_keys = {f.key() for f in pristine.findings}
     results: List[MutantResult] = []
     for mutant, overrides in seeded:
-        mutated = run_fn(paths, select=[mutant.code], baseline=baseline,
-                         overrides=overrides, parsed=parsed)
+        mutated = run_fn(paths, select=[mutant.code], overrides=overrides,
+                         parsed=parsed)
         new = [str(f) for f in mutated.findings
                if f.code == mutant.code and f.key() not in pristine_keys]
         results.append(MutantResult(mutant=mutant, killed=bool(new),

@@ -25,8 +25,7 @@ graph, reachability) and point it at the process boundary:
   set iteration order.
 
 The codes sit in simflow's one catalogue (``FLOW_CODES``), waive with
-``# simflow: ignore[RCE00x] -- justification``, baseline into
-``flow-baseline.json``, and their seeded defects
+``# simflow: ignore[RCE00x] -- justification``, and their seeded defects
 (:mod:`~repro.analysis.race.mutants`) run in ``flow-mutants``.
 """
 

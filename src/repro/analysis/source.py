@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-#: Hygiene findings: unjustified/stale waivers and stale baseline entries.
+#: Hygiene findings: unjustified or stale waivers.
 HYGIENE_CODE = "FLW000"
 #: Unparseable-source findings.
 SYNTAX_CODE = "FLW999"

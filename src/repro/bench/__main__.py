@@ -265,12 +265,17 @@ def _open_session(args) -> BenchTrajectory:
 
     Captured traces persist under the cache dir even with ``--no-cache``:
     disabling the *result* cache forces re-simulation, which never
-    requires re-running the functional workloads.  The accounting starts
-    from zero, so a second session in one process records its own
-    counters, not the running totals.
+    requires re-running the functional workloads.  A session starts
+    clean: the accounting is zero, telemetry and the run ledger are off
+    until its own ``--telemetry``/``--events``/``--progress`` turn them on,
+    and the schedule is its ``--schedule`` (affinity for ``run``), so a
+    second session in one process inherits nothing from the first.
     """
     runner.reset_accounting()
     runner.set_jobs(args.jobs)
+    runner.set_schedule(getattr(args, "schedule", "affinity"))
+    runner.disable_telemetry()
+    runner.disable_run_ledger()
     if args.no_cache:
         runner.disable_disk_cache()
         cache_info = {"enabled": False}
@@ -360,7 +365,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     trajectory = _open_session(args)
-    runner.set_schedule(args.schedule)
     spec = SWEEPS[args.sweep](args.points)
     checkpoint = (args.checkpoint if args.checkpoint is not None
                   else args.history_dir / f"SWEEP_{spec.name}.json")

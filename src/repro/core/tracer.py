@@ -98,24 +98,5 @@ class PeiTracer:
         else:
             self.dropped += 1
 
-    # Analysis helpers --------------------------------------------------
-
     def __len__(self) -> int:
         return len(self.records)
-
-    def host_fraction(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(t.on_host for t in self.records) / len(self.records)
-
-    def mean_latency(self, on_host: Optional[bool] = None) -> float:
-        selected = [t.latency for t in self.records
-                    if on_host is None or t.on_host == on_host]
-        return sum(selected) / len(selected) if selected else 0.0
-
-    def hottest_blocks(self, top: int = 10):
-        """(block, count) pairs for the most frequently targeted blocks."""
-        counts = {}
-        for t in self.records:
-            counts[t.block] = counts.get(t.block, 0) + 1
-        return sorted(counts.items(), key=lambda kv: -kv[1])[:top]

@@ -1,13 +1,13 @@
 """Typed metric instruments: counters, gauges, and log-scaled histograms.
 
 The flat :class:`~repro.sim.stats.Stats` registry the hardware models write
-into is intentionally dumb: every value is a float and aggregation is
-addition.  That is the right model for event *counts*, but the telemetry
-layer needs two things Stats cannot express:
+into is intentionally dumb: one run's float counters plus the few gauges
+set at collection time, never merged or scaled.  That is the right model
+for one run's event *counts*, but the telemetry layer needs two things
+Stats cannot express:
 
-* an explicit counter/gauge distinction, so merging or scaling a metric set
-  never sums last-write values such as ``runtime.cycles`` (the hazard
-  ``Stats`` itself now guards against — see ``Stats.set``);
+* aggregation that respects each metric's type, so merging metric sets
+  never sums last-write values such as ``runtime.cycles``;
 * *distributions*: a mean PEI latency hides exactly the tail behavior the
   locality monitor's warmup and the balanced-dispatch reaction create, so
   latencies and queue depths are recorded into log-scaled histograms with

@@ -1,20 +1,21 @@
 """Central registry of every statistics key the simulator may emit.
 
-The flat :class:`~repro.sim.stats.Stats` namespace is convenient but
-typo-prone: ``stats.add("pei.host_dispatch")`` would silently create a new
-counter next to ``pei.host_dispatched`` and every downstream consumer would
-read zeros.  This module declares the complete key vocabulary, grouped by
-subsystem; simflow's ``SIM007`` rule (:mod:`repro.analysis.flow.lint`)
-flags any literal ``stats.add``/``stats.set`` key in ``src/repro`` that is
-not declared here.
+The flat :class:`~repro.sim.stats.Stats` namespace is typo-prone:
+``stats.add("pei.host_dispatch")`` next to ``pei.host_dispatched`` would
+leave every downstream consumer reading zeros.  This module declares the
+complete key vocabulary once, grouped by subsystem, and ``Stats`` accepts
+nothing else: ``add`` of an undeclared key raises ``KeyError`` at run time,
+and simflow's ``SIM007`` rule (:mod:`repro.analysis.flow.lint`) flags any
+literal ``stats.add``/``stats.set`` key in ``src/repro`` that is not
+declared here before anything runs.
 
 When adding a new counter: add the key to the matching ``*_KEYS`` group (or
 start a new group — any module-level tuple whose name ends in ``_KEYS`` is
-picked up), then use it.  Gauges (written through ``Stats.set``) live in
-``GAUGE_KEYS``.
+picked up by SIM007 — and add it to :data:`SLOT_KEYS`), then use it.
+Gauges (written through ``Stats.set``) live in ``GAUGE_KEYS``.
 """
 
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 #: Cache hierarchy counters (repro.cache.hierarchy).
 CACHE_KEYS: Tuple[str, ...] = (
@@ -93,7 +94,7 @@ PIM_DIRECTORY_KEYS: Tuple[str, ...] = (
 )
 
 #: Gauges: byte totals read off the links at collection time and runtimes
-#: (written through Stats.set, merged by max — see repro.sim.stats).
+#: (written through Stats.set — see repro.sim.stats).
 GAUGE_KEYS: Tuple[str, ...] = (
     "offchip.request_bytes",
     "offchip.response_bytes",
@@ -102,40 +103,30 @@ GAUGE_KEYS: Tuple[str, ...] = (
     "runtime.cycles",
 )
 
-#: Every declared counter key.
-STAT_KEYS: FrozenSet[str] = frozenset(
-    CACHE_KEYS + COHERENCE_KEYS + PMU_KEYS + DRAM_KEYS + OFFCHIP_KEYS
-    + CORE_KEYS + LOCALITY_MONITOR_KEYS + PEI_KEYS + PIM_DIRECTORY_KEYS
-)
-
-#: Counters and gauges together.
-ALL_KEYS: FrozenSet[str] = STAT_KEYS | frozenset(GAUGE_KEYS)
-
 
 def is_declared(key: str) -> bool:
     """Is ``key`` part of the registered stats vocabulary?"""
-    return key in ALL_KEYS
+    return key in SLOT_INDEX or key in GAUGE_KEYS
 
 
 # ----------------------------------------------------------------------
-# Slot registry: the batched counter fast path
+# Slot registry: every counter is a slot
 # ----------------------------------------------------------------------
 #
 # The engine's per-op hot loops (cache hierarchy, cores, PEI executor, PMU,
 # HMC) charge counters millions of times per run; a string-keyed dict update
-# per event is the single largest Stats cost.  Each counter key below owns a
-# fixed index into ``Stats.slots`` (a plain list of floats); hot components
-# bind the list once at construction and do ``slots[SLOT_X] += 1.0`` inline.
-# The slots are folded back into the flat named-counter namespace by
-# ``Stats.flush_slots`` (and transparently by every read API), so consumers
-# never see the split.  Gauges are excluded: they are written once through
-# ``Stats.set`` at collection time.
+# per event would be the single largest Stats cost.  Each counter key below
+# owns a fixed index into ``Stats.slots`` (a plain list of floats); hot
+# components bind the list once at construction and do
+# ``slots[SLOT_X] += 1.0`` inline.  The slots are the counters themselves:
+# every read goes straight to them.  Gauges are excluded: they are written
+# once through ``Stats.set`` at collection time.
 #
 # simflow's ``FLW009`` rule flags any ``stats.add`` call on the replay path
-# (inside the engine loops or reachable from them), keeping the fast path
-# load-bearing.
+# (inside the engine loops or reachable from them), keeping the inline slot
+# adds load-bearing.
 
-#: Counter keys batched through the slot fast path, in slot-index order.
+#: Every counter key, in slot-index order.
 SLOT_KEYS: Tuple[str, ...] = (
     CACHE_KEYS + COHERENCE_KEYS + PMU_KEYS + DRAM_KEYS + OFFCHIP_KEYS
     + CORE_KEYS + LOCALITY_MONITOR_KEYS + PEI_KEYS + PIM_DIRECTORY_KEYS

@@ -1,185 +1,97 @@
 """Event counters shared by all hardware models.
 
-A Stats object is a flat named-counter registry.  Components increment
-counters as side effects of timing calls; the benchmark harness and the
-energy model read them afterwards.  Keeping one flat namespace (rather than
-per-component objects) makes cross-cutting metrics such as "total off-chip
-request bytes" trivial to aggregate and compare across configurations.
+A Stats object holds one flat, declared namespace: the keys of
+:mod:`repro.sim.stat_keys`.  Keeping one namespace (rather than
+per-component objects) makes cross-cutting metrics such as "total
+off-chip request bytes" trivial to aggregate and compare across
+configurations; the benchmark harness and the energy model read it after
+a run.
 
-Hot-path counters additionally have a **batched fast path**: every key in
-:data:`repro.sim.stat_keys.SLOT_KEYS` owns a fixed index into
-:attr:`Stats.slots`, a plain list of floats.  The engine's per-op loops bind
-that list once and do ``slots[SLOT_X] += 1.0`` inline — no method call, no
-string hashing.  All read APIs (``get``, ``to_dict``, ``items``, ...)
-compose the pending slot values with the named counters on the fly, and
-:meth:`flush_slots` folds them in permanently, so consumers never observe
-the split.  The ``slots`` list identity is stable for the lifetime of the
-Stats object (``suspended()`` zeroes it in place), so components may cache
-a reference.
+Every event counter is a **slot**: a fixed index
+(:data:`repro.sim.stat_keys.SLOT_INDEX`) into :attr:`Stats.slots`, a plain
+list of floats.  The slots *are* the counters.  The engine's per-op loops
+bind that list once and do ``slots[SLOT_X] += 1.0`` inline — no method
+call, no string hashing — and every read goes straight to the slot.  The
+list's identity is stable for the lifetime of the Stats object
+(``suspended()`` restores it in place), so components may cache a
+reference.
 
-Names written through :meth:`Stats.set` (runtime, byte totals read off the
-links at collection time) are *gauges*, not event counts: ``merge`` takes
-their maximum instead of summing and ``scaled`` copies them unscaled,
-so aggregating multiprogrammed per-core stats cannot double a runtime.
-Gauges are never slot-batched.  Typed instruments (including latency
-histograms) live in :mod:`repro.obs.metrics`.
+The only other values are the **gauges** of
+:data:`~repro.sim.stat_keys.GAUGE_KEYS` (runtime, byte totals read off the
+links at collection time), written through :meth:`Stats.set`.  A key is
+one or the other: ``add`` on a gauge or an undeclared key raises
+``KeyError``, as does ``set`` on anything but a gauge.  Typed instruments
+(including latency histograms) live in :mod:`repro.obs.metrics`.
 """
 
-from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, List
 
-from repro.sim.stat_keys import N_SLOTS, SLOT_INDEX, SLOT_KEYS
+from repro.sim.stat_keys import GAUGE_KEYS, N_SLOTS, SLOT_INDEX, SLOT_KEYS
 
 
 class Stats:
-    """A dictionary of float counters with convenience arithmetic."""
+    """The slot counters of one machine plus its collection-time gauges."""
 
-    __slots__ = ("_counters", "_gauges", "slots")
+    __slots__ = ("_gauges", "slots")
 
     def __init__(self):
-        self._counters = defaultdict(float)
-        self._gauges = set()
-        #: Batched accumulators, one per SLOT_KEYS entry.  Hot components
-        #: bind this list at construction; its identity never changes.
+        #: One accumulator per SLOT_KEYS entry.  Hot components bind this
+        #: list at construction; its identity never changes.
         self.slots: List[float] = [0.0] * N_SLOTS
+        self._gauges: Dict[str, float] = {}
 
     def add(self, name: str, value: float = 1.0) -> None:
-        """Increment counter ``name`` by ``value``."""
-        self._counters[name] += value
+        """Increment counter ``name``; ``KeyError`` unless it has a slot."""
+        self.slots[SLOT_INDEX[name]] += value
 
     def set(self, name: str, value: float) -> None:
-        """Set ``name`` to ``value`` and mark it as a gauge (e.g. runtime)."""
-        self._counters[name] = value
-        self._gauges.add(name)
-
-    # Slot fast path ---------------------------------------------------
-
-    def flush_slots(self) -> None:
-        """Fold the batched slot accumulators into the named counters.
-
-        Each slot is the complete accumulation chain of its key (events add
-        into 0.0 in arrival order), so one flush into the (absent, i.e.
-        0.0-initialized) named counter is float-identical to having charged
-        every event through :meth:`add` directly.
-        """
-        slots = self.slots
-        counters = self._counters
-        for index in range(N_SLOTS):
-            value = slots[index]
-            if value:
-                counters[SLOT_KEYS[index]] += value
-                slots[index] = 0.0
-
-    def _composed(self) -> Dict[str, float]:
-        """Named counters plus pending slot values, without mutating."""
-        out = dict(self._counters)
-        slots = self.slots
-        for index in range(N_SLOTS):
-            value = slots[index]
-            if value:
-                key = SLOT_KEYS[index]
-                out[key] = out.get(key, 0.0) + value
-        return out
-
-    # Reads (all compose pending slot values on the fly) ---------------
+        """Set gauge ``name`` (e.g. runtime); ``KeyError`` unless declared
+        in ``GAUGE_KEYS``."""
+        if name not in GAUGE_KEYS:
+            raise KeyError(name)
+        self._gauges[name] = value
 
     def get(self, name: str, default: float = 0.0) -> float:
+        if name in self._gauges:
+            return self._gauges[name]
         index = SLOT_INDEX.get(name)
-        pending = self.slots[index] if index is not None else 0.0
-        stored = self._counters.get(name)
-        if stored is not None:
-            return stored + pending
-        if pending:
-            return pending
+        if index is not None and self.slots[index]:
+            return self.slots[index]
         return default
-
-    def is_gauge(self, name: str) -> bool:
-        """Was ``name`` last written through :meth:`set`?"""
-        return name in self._gauges
-
-    @property
-    def gauge_names(self) -> FrozenSet[str]:
-        return frozenset(self._gauges)
 
     def __getitem__(self, name: str) -> float:
         return self.get(name, 0.0)
 
     def __contains__(self, name: str) -> bool:
-        if name in self._counters:
-            return True
+        # Without this, ``in`` would fall back to __getitem__(0), (1), ...
+        # and never end.
         index = SLOT_INDEX.get(name)
-        return index is not None and self.slots[index] != 0.0
-
-    def items(self) -> Iterator[Tuple[str, float]]:
-        return iter(sorted(self._composed().items()))
-
-    def merge(self, other: "Stats") -> None:
-        """Aggregate ``other`` into this object.
-
-        Counters add.  A name that is a gauge on *either* side takes the
-        maximum of the two values instead — summing per-core runtimes (or
-        link byte totals re-read at collection time) would fabricate work
-        that never happened.
-        """
-        self.flush_slots()
-        for name, value in other._composed().items():
-            if name in other._gauges or name in self._gauges:
-                current = self._counters.get(name)
-                if current is None or value > current:
-                    self._counters[name] = value
-                self._gauges.add(name)
-            else:
-                self._counters[name] += value
-
-    def scaled(self, factor: float) -> "Stats":
-        """A copy with every *counter* multiplied by ``factor``.
-
-        Gauges are copied unscaled: halving a run's event counts does not
-        halve its runtime.
-        """
-        out = Stats()
-        for name, value in self._composed().items():
-            if name in self._gauges:
-                out._counters[name] = value
-            else:
-                out._counters[name] = value * factor
-        out._gauges = set(self._gauges)
-        return out
+        return name in self._gauges or (index is not None
+                                       and self.slots[index] != 0.0)
 
     @contextmanager
     def suspended(self):
         """Discard every ``add``/``set`` made inside the block.
 
-        Used for modeled-but-unmeasured phases (cache warm-start emulates the
-        paper's skipped initialization): component state still mutates, but
-        no event may be charged to the measured run.  Implemented by swapping
-        in throwaway storage — and, for the slot fast path, by flushing the
-        slots on entry and zeroing them in place on exit, so components
-        holding a reference to ``slots`` keep writing to the same list.
+        Used for modeled-but-unmeasured phases (cache warm-start emulates
+        the paper's skipped initialization): component state still mutates,
+        but no event may be charged to the measured run.  The slots and
+        gauges are saved on entry and restored on exit — the slots in
+        place, so components holding a reference keep the same list.
         """
-        self.flush_slots()
-        counters, gauges = self._counters, self._gauges
-        self._counters = defaultdict(float)
-        self._gauges = set()
+        slots = self.slots
+        saved_slots, saved_gauges = slots[:], dict(self._gauges)
         try:
             yield self
         finally:
-            slots = self.slots
-            for index in range(N_SLOTS):
-                slots[index] = 0.0
-            self._counters, self._gauges = counters, gauges
+            slots[:] = saved_slots
+            self._gauges = saved_gauges
 
     def to_dict(self) -> Dict[str, float]:
-        return self._composed()
-
-    def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        slots = self.slots
-        for index in range(N_SLOTS):
-            slots[index] = 0.0
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._composed().items()))
-        return f"Stats({inner})"
+        """The gauges, then every nonzero counter in slot order."""
+        out = dict(self._gauges)
+        for key, value in zip(SLOT_KEYS, self.slots):
+            if value:
+                out[key] = value
+        return out

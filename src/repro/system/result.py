@@ -1,41 +1,9 @@
 """Results of one simulated run."""
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.energy.model import EnergyBreakdown
-
-#: Sentinel for metadata entries with no JSON representation.
-_DROP = object()
-
-
-def _jsonify_metadata(value):
-    """A JSON-safe copy of ``value``, or ``_DROP`` if not representable.
-
-    Scalars pass through; lists/tuples and string-keyed dicts are preserved
-    recursively as long as every leaf is a scalar (a workload's per-thread
-    op counts, a config sweep's knob dict).  Anything else — objects, numpy
-    arrays, non-string keys — is dropped rather than serialized lossily.
-    """
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, (list, tuple)):
-        items = [_jsonify_metadata(v) for v in value]
-        if any(item is _DROP for item in items):
-            return _DROP
-        return items
-    if isinstance(value, dict):
-        out = {}
-        for key, entry in value.items():
-            if not isinstance(key, str):
-                return _DROP
-            safe = _jsonify_metadata(entry)
-            if safe is _DROP:
-                return _DROP
-            out[key] = safe
-        return out
-    return _DROP
 
 
 @dataclass
@@ -105,15 +73,10 @@ class RunResult:
     def to_dict(self) -> Dict:
         """A JSON-safe dictionary of everything in this result.
 
-        Metadata entries keep JSON-representable structure (scalars plus
-        nested lists/dicts of scalars); entries with no JSON form are
-        dropped rather than serialized lossily.
+        A run's metadata is four scalars (``n_threads``,
+        ``max_ops_per_thread``, ``footprint_bytes``, ``config_l3_size``),
+        copied as they are.
         """
-        metadata = {}
-        for key, value in self.metadata.items():
-            safe = _jsonify_metadata(value)
-            if safe is not _DROP:
-                metadata[key] = safe
         return {
             "workload": self.workload,
             "policy": self.policy,
@@ -122,11 +85,8 @@ class RunResult:
             "per_core_instructions": list(self.per_core_instructions),
             "stats": dict(self.stats),
             "energy": self.energy.to_dict(),
-            "metadata": metadata,
+            "metadata": dict(self.metadata),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "RunResult":
@@ -143,7 +103,3 @@ class RunResult:
             energy=EnergyBreakdown(**energy_fields),
             metadata=dict(payload.get("metadata", {})),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunResult":
-        return cls.from_dict(json.loads(text))

@@ -35,7 +35,6 @@ from repro.cpu.trace import (
     capture_trace,
 )
 from repro.energy.model import EnergyModel
-from repro.energy.params import EnergyParams
 from repro.obs.sampler import live_gauges
 from repro.obs.telemetry import Telemetry
 from repro.system.builder import build_machine
@@ -56,13 +55,12 @@ class System:
         self,
         config: Optional[SystemConfig] = None,
         policy: DispatchPolicy = DispatchPolicy.LOCALITY_AWARE,
-        energy_params: Optional[EnergyParams] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.config = config if config is not None else scaled_config()
         self.policy = policy
         self.machine = build_machine(self.config, policy)
-        self.energy_model = EnergyModel(energy_params)
+        self.energy_model = EnergyModel()
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.attach(self.machine)

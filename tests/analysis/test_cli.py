@@ -45,32 +45,21 @@ class TestFlowExitCodes:
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["flow", str(tmp_path), "--no-baseline"]) == 0
+        assert main(["flow", str(tmp_path)]) == 0
         assert "simflow: clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         write_tree(tmp_path, self.DIRTY_TREE)
-        assert main(["flow", str(tmp_path), "--no-baseline"]) == 1
+        assert main(["flow", str(tmp_path)]) == 1
         assert self.CODE in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, tmp_path):
-        assert main(["flow", str(tmp_path / "nope"), "--no-baseline"]) == 2
+        assert main(["flow", str(tmp_path / "nope")]) == 2
 
     def test_unknown_select_code_exits_two(self, tmp_path):
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["flow", str(tmp_path), "--no-baseline",
-                     "--select", self.UNKNOWN_CODE]) == 2
-
-    def test_missing_baseline_file_exits_two(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
         assert main(["flow", str(tmp_path),
-                     "--baseline", str(tmp_path / "absent.json")]) == 2
-
-    def test_malformed_baseline_exits_two(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"entries\": 7}", encoding="utf-8")
-        assert main(["flow", str(tmp_path), "--baseline", str(bad)]) == 2
+                     "--select", self.UNKNOWN_CODE]) == 2
 
     def test_list_rules_exits_zero(self, capsys):
         assert main(["flow", "--list-rules"]) == 0
@@ -80,7 +69,7 @@ class TestFlowExitCodes:
         write_tree(tmp_path, self.DIRTY_TREE)
         out_json = tmp_path / "report.json"
         out_sarif = tmp_path / "report.sarif"
-        assert main(["flow", str(tmp_path), "--no-baseline",
+        assert main(["flow", str(tmp_path),
                      "--json", str(out_json),
                      "--sarif", str(out_sarif)]) == 1
         payload = json.loads(out_json.read_text(encoding="utf-8"))
@@ -118,33 +107,21 @@ class TestRaceExitCodes(TestFlowExitCodes):
     UNKNOWN_CODE = "RCE000"
 
 
-class TestBaselineRoundTripViaCli:
-    """--update-baseline then a rerun must accept the same tree as clean."""
+class TestRetiredBaselineOptions:
+    """A justified inline waiver is the only way to accept a finding: the
+    findings-baseline options are gone and argparse rejects them."""
 
-    DIRTY_TREE = {"mod.py": FLOW_DIRTY_MODULE}
-
-    def test_update_then_rerun_exits_zero(self, tmp_path, capsys):
-        write_tree(tmp_path, self.DIRTY_TREE)
-        baseline = tmp_path / "baseline.json"
-        assert main(["flow", str(tmp_path), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(["flow", str(tmp_path),
-                     "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-    def test_update_baseline_without_path_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--no-baseline"],
+        ["flow", "--baseline", "flow-baseline.json"],
+        ["flow", "--update-baseline"],
+        ["flow-mutants", "--no-baseline"],
+    ])
+    def test_baseline_option_exits_two(self, tmp_path, argv):
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["flow", str(tmp_path), "--no-baseline",
-                     "--update-baseline"]) == 2
-
-
-class TestRaceBaselineRoundTripViaCli(TestBaselineRoundTripViaCli):
-    """RCE findings round-trip through the same baseline file."""
-
-    DIRTY_TREE = {"bench/mod.py": RACE_DIRTY_MODULE}
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + [str(tmp_path)] + argv[1:])
+        assert exc.value.code == 2
 
 
 class TestFlowMutantsExitCodes:
@@ -156,7 +133,7 @@ class TestFlowMutantsExitCodes:
         # (a gauntlet that silently tests nothing would be worse than
         # none), not report a vacuous pass.
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["flow-mutants", str(tmp_path), "--no-baseline"]) == 2
+        assert main(["flow-mutants", str(tmp_path)]) == 2
 
 
 class TestRunSetUsage:

@@ -1,4 +1,4 @@
-"""simflow: project model, flow passes, waivers, baseline, mutants.
+"""simflow: project model, flow passes, waivers, mutants.
 
 Pass-behavior tests build small synthetic trees in ``tmp_path`` (the
 purity pass keys off the ``system/system.py:System._run_trace`` and
@@ -10,19 +10,11 @@ precision claims (the hot set excludes the functional/bench world) are
 only meaningful there.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import (
-    FLOW_CODES,
-    MUTANTS,
-    load_baseline,
-    run_flow,
-    run_mutants,
-    write_baseline,
-)
+from repro.analysis.flow import FLOW_CODES, MUTANTS, run_flow, run_mutants
 from repro.analysis.flow.engine import HYGIENE_CODE
 from repro.analysis.flow.model import ProjectModel
 from repro.analysis.flow.purity import ENGINE_FUNCTIONS, hot_set
@@ -326,48 +318,6 @@ class TestWaiverSpans:
             "    return xs\n",
             encoding="utf-8")
         assert codes_of(run_flow([tmp_path])) == []
-
-
-# ----------------------------------------------------------------------
-# Baseline: round-trip, suppression counting, stale entries
-# ----------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_round_trip_suppresses_and_counts(self, tmp_path):
-        root = write_tree(tmp_path / "tree", PURITY_TREE)
-        baseline = tmp_path / "flow-baseline.json"
-        dirty = run_flow([root])
-        assert len(dirty.findings) == 3
-        write_baseline(baseline, dirty.findings)
-        assert len(load_baseline(baseline)) == 3
-        clean = run_flow([root], baseline=baseline)
-        assert clean.findings == []
-        assert clean.baselined == 3
-
-    def test_stale_entry_reports_hygiene(self, tmp_path):
-        root = write_tree(tmp_path / "tree", PURITY_TREE)
-        baseline = tmp_path / "flow-baseline.json"
-        write_baseline(baseline, run_flow([root]).findings)
-        # Fix one defect: the matching entry goes stale and must surface.
-        fixed = PURITY_TREE["system/system.py"].replace(
-            "        self.stats.add('x', 1.0)\n", "        pass\n")
-        (root / "system/system.py").write_text(fixed, encoding="utf-8")
-        report = run_flow([root], baseline=baseline)
-        assert codes_of(report) == [HYGIENE_CODE]
-        assert "stale baseline entry" in report.findings[0].message
-
-    def test_malformed_entry_rejected(self, tmp_path):
-        baseline = tmp_path / "flow-baseline.json"
-        baseline.write_text(json.dumps(
-            {"entries": [{"code": "FLW008"}]}), encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(baseline)
-
-    def test_checked_in_baseline_is_loadable(self):
-        checked_in = REPO_SRC.parents[1] / "flow-baseline.json"
-        assert checked_in.exists()
-        load_baseline(checked_in)  # must not raise
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""simflow's RCE families: worker slice, passes, waivers, baseline, mutants.
+"""simflow's RCE families: worker slice, passes, waivers, mutants.
 
 Pass-behavior tests build small synthetic trees in ``tmp_path`` (the
 durable and ordering rules key off ``bench/``/``obs/`` path segments and
@@ -9,17 +9,11 @@ tests run against the real ``src/repro`` tree — the frontier these rules
 exist to guard.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import (
-    FLOW_CODES,
-    run_flow,
-    run_mutants,
-    write_baseline,
-)
+from repro.analysis.flow import FLOW_CODES, run_flow, run_mutants
 from repro.analysis.flow.engine import HYGIENE_CODE
 from repro.analysis.race import RACE_MUTANTS
 from repro.analysis.race.payload import worker_unsafe_classes
@@ -352,7 +346,7 @@ class TestOrderingPass:
 
 
 # ----------------------------------------------------------------------
-# Waivers and baseline
+# Waivers
 # ----------------------------------------------------------------------
 
 
@@ -387,32 +381,6 @@ class TestRaceWaivers:
             "# simrace: ignore[RCE007] -- retired namespace\n"
         )})
         assert codes_of(run_flow([tmp_path])) == ["RCE007"]
-
-
-class TestBaseline:
-    def test_round_trip_suppresses_and_counts(self, tmp_path):
-        write_tree(tmp_path, {"workloads/gen.py": (
-            "import random\n"
-            "\n"
-            "def jitter():\n"
-            "    return random.random()\n"
-        )})
-        report = run_flow([tmp_path])
-        assert codes_of(report) == ["RCE007"]
-        baseline = tmp_path / "flow-baseline.json"
-        write_baseline(baseline, report.findings)
-        again = run_flow([tmp_path], baseline=baseline)
-        assert again.findings == []
-        assert again.baselined == 1
-
-    def test_stale_entry_reports_hygiene(self, tmp_path):
-        write_tree(tmp_path, {"workloads/gen.py": "X = 1\n"})
-        baseline = tmp_path / "flow-baseline.json"
-        baseline.write_text(json.dumps({"entries": [
-            {"code": "RCE007", "rel": "workloads/gen.py",
-             "message": "long gone"}]}), encoding="utf-8")
-        report = run_flow([tmp_path], baseline=baseline)
-        assert codes_of(report) == [HYGIENE_CODE]
 
 
 # ----------------------------------------------------------------------

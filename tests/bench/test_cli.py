@@ -1,13 +1,15 @@
 """Tests for the benchmark CLI (python -m repro.bench)."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.bench import __main__ as cli
-from repro.bench import runner
+from repro.bench import frontier, runner
 from repro.bench.__main__ import EXPERIMENTS, NOT_IN_ALL, main
 from repro.bench.experiments import ExperimentReport
+from repro.core.dispatch import DispatchPolicy
 
 
 ABLATIONS = {"ablation_directory_size", "ablation_ignore_flag", "ablation_link_asymmetry",
@@ -70,8 +72,10 @@ def fake_experiments(monkeypatch):
                         {name: make(name) for name in EXPERIMENTS})
     yield calls
     runner.set_jobs(1)
+    runner.set_schedule("affinity")
     runner.disable_disk_cache()
     runner.disable_run_ledger()
+    runner.disable_telemetry()
     runner.clear_cache()
     runner.reset_accounting()
 
@@ -183,6 +187,47 @@ class TestRunCommand:
         # The stub experiments plan no requests, so the line may be empty;
         # the flag must at least leave the runner with a live ledger.
         assert runner.run_ledger().enabled
+
+
+class TestSessionsStartClean:
+    """Two ``main()`` sessions in one process: the second takes telemetry,
+    the run ledger and the dispatch schedule from its own options alone."""
+
+    def test_second_session_inherits_nothing(self, fake_experiments,
+                                             tmp_path, monkeypatch, capsys):
+        def one_simulation():
+            runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
+                              max_ops_per_thread=50)
+            return ExperimentReport("smoke", "body", {})
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "smoke",
+                            cli.Entry(one_simulation, no_failed_claims))
+        batches = []
+        execute_batch = frontier.execute_batch
+
+        def recording(requests, **kwargs):
+            batches.append(kwargs)
+            return execute_batch(requests, **kwargs)
+
+        monkeypatch.setattr(frontier, "execute_batch", recording)
+        telemetry = tmp_path / "tele"
+        dirs = ["--cache-dir", str(tmp_path / "cache"),
+                "--history-dir", str(tmp_path / "hist")]
+        assert main(["run", "smoke", "--no-cache", "--progress",
+                     "--telemetry", str(telemetry)] + dirs) == 0
+        assert any(telemetry.iterdir())
+        assert "[bench]" in capsys.readouterr().out
+        runner.set_schedule("fifo")  # as a `sweep --schedule fifo` leaves it
+        shutil.rmtree(telemetry)
+        runner.clear_cache()
+
+        assert main(["run", "smoke", "--no-cache"] + dirs) == 0
+        assert len(batches) == 2
+        assert batches[-1]["telemetry_dir"] is None
+        assert batches[-1]["schedule"] == "affinity"
+        assert not telemetry.exists()
+        assert not runner.run_ledger().enabled
+        assert "[bench]" not in capsys.readouterr().out
 
 
 class TestProgressRenderer:

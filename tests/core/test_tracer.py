@@ -45,7 +45,6 @@ class TestPeiTracer:
         machine, tracer = traced_machine(DispatchPolicy.PIM_ONLY)
         machine.executor.execute(machine.cores[0], FP_ADD, VADDR, False)
         assert tracer.records[0].on_host is False
-        assert tracer.host_fraction() == 0.0
 
     def test_capacity_drops_excess(self):
         machine, tracer = traced_machine(capacity=2)
@@ -54,20 +53,6 @@ class TestPeiTracer:
                                      VADDR + 64 * i, False)
         assert len(tracer) == 2
         assert tracer.dropped == 3
-
-    def test_hottest_blocks(self):
-        machine, tracer = traced_machine()
-        for _ in range(3):
-            machine.executor.execute(machine.cores[0], FP_ADD, VADDR, False)
-        machine.executor.execute(machine.cores[0], FP_ADD, VADDR + 4096, False)
-        (top_block, count), *_ = tracer.hottest_blocks()
-        assert count == 3
-
-    def test_mean_latency_filtering(self):
-        machine, tracer = traced_machine()
-        machine.executor.execute(machine.cores[0], FP_ADD, VADDR, False)
-        assert tracer.mean_latency() > 0
-        assert tracer.mean_latency(on_host=not tracer.records[0].on_host) == 0.0
 
     def test_timestamps_ordered(self):
         machine, tracer = traced_machine()

@@ -84,7 +84,7 @@ class TestSection77Claim:
         stats = Stats()
         stats.add("dram.pim_reads", 1000)
         stats.add("dram.pim_writes", 1000)
-        stats.add("tsv.bytes", 1000 * 128)
+        stats.set("tsv.bytes", 1000 * 128)
         stats.add("pei.mem_executed", 1000)
         breakdown = EnergyModel().compute(stats)
         assert breakdown.mem_pcu_fraction_of_hmc < 0.05

@@ -125,7 +125,7 @@ class TestReportCli:
     def test_report_on_bare_run_result(self, run, tmp_path, capsys):
         _, result = run
         path = tmp_path / "bare.json"
-        path.write_text(result.to_json())
+        path.write_text(json.dumps(result.to_dict()))
         assert obs_main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "no telemetry section" in out

@@ -1,5 +1,8 @@
 """Tests for the statistics registry."""
 
+import pytest
+
+from repro.sim.stat_keys import GAUGE_KEYS, SLOT_INDEX, SLOT_KEYS, is_declared
 from repro.sim.stats import Stats
 
 
@@ -11,112 +14,84 @@ class TestStats:
 
     def test_add(self):
         stats = Stats()
-        stats.add("x")
-        stats.add("x", 2.5)
-        assert stats["x"] == 3.5
+        stats.add("l1.hits")
+        stats.add("l1.hits", 2.5)
+        assert stats["l1.hits"] == 3.5
+        # The named add and the inline slot add are one counter.
+        assert stats.slots[SLOT_INDEX["l1.hits"]] == 3.5
 
     def test_set_overwrites(self):
         stats = Stats()
-        stats.add("x", 10)
-        stats.set("x", 3)
-        assert stats["x"] == 3
+        stats.set("runtime.cycles", 10)
+        stats.set("runtime.cycles", 3)
+        assert stats["runtime.cycles"] == 3
 
     def test_contains(self):
         stats = Stats()
-        assert "x" not in stats
-        stats.add("x")
-        assert "x" in stats
+        assert "l1.hits" not in stats
+        assert "runtime.cycles" not in stats
+        assert "never.declared" not in stats
+        stats.add("l1.hits")
+        stats.set("runtime.cycles", 1.0)
+        assert "l1.hits" in stats
+        assert "runtime.cycles" in stats
 
-    def test_merge(self):
-        a, b = Stats(), Stats()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 3)
-        a.merge(b)
-        assert a["x"] == 3
-        assert a["y"] == 3
-
-    def test_scaled(self):
+    def test_to_dict(self):
         stats = Stats()
-        stats.add("x", 4)
-        doubled = stats.scaled(2.0)
-        assert doubled["x"] == 8
-        assert stats["x"] == 4  # original untouched
+        assert stats.to_dict() == {}
+        stats.add("pei.issued", 2)
+        stats.add("l1.accesses", 1)
+        stats.set("runtime.cycles", 100.0)
+        stats.set("tsv.bytes", 64.0)
+        # Gauges first, in set order; then nonzero counters in slot order.
+        assert list(stats.to_dict().items()) == [
+            ("runtime.cycles", 100.0), ("tsv.bytes", 64.0),
+            ("l1.accesses", 1.0), ("pei.issued", 2.0)]
 
-    def test_items_sorted(self):
-        stats = Stats()
-        stats.add("b")
-        stats.add("a")
-        assert [k for k, _ in stats.items()] == ["a", "b"]
 
-    def test_to_dict_and_clear(self):
+class TestDeclaredKeysOnly:
+    """An undeclared key fails at the call, not as a silent zero later."""
+
+    def test_add_rejects_undeclared_key(self):
+        with pytest.raises(KeyError):
+            Stats().add("pei.host_dispatch")  # typo of pei.host_dispatched
+
+    def test_add_rejects_gauge_key(self):
+        with pytest.raises(KeyError):
+            Stats().add("runtime.cycles", 1.0)
+
+    def test_set_rejects_counter_and_undeclared_keys(self):
         stats = Stats()
-        stats.add("x", 1)
-        assert stats.to_dict() == {"x": 1}
-        stats.clear()
+        for name in ("l1.hits", "never.declared"):
+            with pytest.raises(KeyError):
+                stats.set(name, 1.0)
         assert stats.to_dict() == {}
 
+    def test_every_declared_key_is_a_slot_or_a_gauge(self):
+        assert not set(SLOT_KEYS) & set(GAUGE_KEYS)
+        assert all(is_declared(key) for key in SLOT_KEYS + GAUGE_KEYS)
+        assert not is_declared("never.declared")
 
-class TestGauges:
-    """Regression tests for the gauge-summed-on-merge hazard.
 
-    ``runtime.cycles`` and the link byte totals are written through
-    ``set()`` at collection time; summing them across per-core Stats (or
-    scaling them with per-thread event counts) fabricates runtime/work
-    that never happened.
-    """
-
-    def test_set_marks_gauge(self):
+class TestSuspended:
+    def test_discards_adds_and_sets_inside_the_block(self):
         stats = Stats()
-        stats.add("events", 3)
-        stats.set("runtime.cycles", 100.0)
-        assert stats.is_gauge("runtime.cycles")
-        assert not stats.is_gauge("events")
-        assert stats.gauge_names == frozenset({"runtime.cycles"})
+        slots = stats.slots
+        stats.add("l3.hits", 2.0)
+        stats.set("runtime.cycles", 5.0)
+        with stats.suspended():
+            slots[SLOT_INDEX["l3.hits"]] += 7.0
+            stats.add("dram.reads")
+            stats.set("runtime.cycles", 99.0)
+            stats.set("tsv.bytes", 64.0)
+        assert stats.to_dict() == {"runtime.cycles": 5.0, "l3.hits": 2.0}
+        # Components that bound the list keep writing to the live one.
+        assert stats.slots is slots
 
-    def test_merge_takes_max_of_gauges(self):
-        a, b = Stats(), Stats()
-        a.set("runtime.cycles", 100.0)
-        b.set("runtime.cycles", 250.0)
-        a.merge(b)
-        assert a["runtime.cycles"] == 250.0  # not 350
-
-    def test_merge_gauge_on_either_side_suffices(self):
-        # The receiving side never called set(): the incoming gauge mark
-        # must still prevent summation (and propagate).
-        a, b = Stats(), Stats()
-        a.add("runtime.cycles", 100.0)
-        b.set("runtime.cycles", 80.0)
-        a.merge(b)
-        assert a["runtime.cycles"] == 100.0
-        assert a.is_gauge("runtime.cycles")
-
-    def test_merge_still_sums_counters(self):
-        a, b = Stats(), Stats()
-        a.add("events", 2)
-        b.add("events", 3)
-        a.set("runtime.cycles", 10.0)
-        b.set("runtime.cycles", 20.0)
-        a.merge(b)
-        assert a["events"] == 5.0
-        assert a["runtime.cycles"] == 20.0
-
-    def test_scaled_copies_gauges_unscaled(self):
+    def test_restores_on_error(self):
         stats = Stats()
-        stats.add("events", 4)
-        stats.set("runtime.cycles", 100.0)
-        half = stats.scaled(0.5)
-        assert half["events"] == 2.0
-        assert half["runtime.cycles"] == 100.0  # runtime is not halved
-        assert half.is_gauge("runtime.cycles")
-
-    def test_clear_resets_gauge_marks(self):
-        stats = Stats()
-        stats.set("runtime.cycles", 100.0)
-        stats.clear()
-        assert not stats.is_gauge("runtime.cycles")
-        stats.add("runtime.cycles", 1.0)
-        other = Stats()
-        other.add("runtime.cycles", 2.0)
-        stats.merge(other)
-        assert stats["runtime.cycles"] == 3.0  # back to counter semantics
+        with pytest.raises(RuntimeError):
+            with stats.suspended():
+                stats.add("l1.hits")
+                raise RuntimeError("boom")
+        assert stats.to_dict() == {}
