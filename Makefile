@@ -20,15 +20,15 @@ lint:
 	else echo "mypy not installed; skipping"; fi
 
 # simflow alone: simulator discipline, cache-key (fingerprint) soundness,
-# unit/dimension taint, hot-path purity, and the frontier's process-safety
-# rules (see docs/analysis.md).  A justified inline waiver
+# hot-path purity, and the frontier's process-safety rules (see
+# docs/analysis.md).  A justified inline waiver
 # (`# simflow: ignore[CODE] -- reason`) is the only way to accept a finding.
 flow:
 	PYTHONPATH=src python -m repro.analysis flow src/repro
 
 # Seeded-defect self-validation: each SIM, FLW and RCE pass must catch
-# every mutant planted for its codes, or the target fails (~27 s median
-# on a 2-vCPU VM).
+# every mutant planted for its codes, or the target fails (18 mutants,
+# ~13 s on a 2-vCPU VM).
 flow-mutants:
 	PYTHONPATH=src python -m repro.analysis flow-mutants src/repro
 

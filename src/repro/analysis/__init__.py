@@ -3,14 +3,13 @@
 Two checkers:
 
 * :mod:`repro.analysis.flow` — *simflow*, the one static analyzer: one
-  parse of the tree, per-function CFGs and a project-wide call graph, and
-  eight pass families over them — per-module simulator discipline
-  SIM001/SIM003–007 (wall-clock hygiene, timestamp hygiene, defaults,
-  unit discipline, ISA and stats-key registry completeness),
-  cache-fingerprint soundness FLW001–003, unit/dimension taint
-  FLW004–006, hot-path purity FLW007–009, and the
-  :mod:`repro.analysis.race` process-safety families RCE001–009 — with
-  inline waivers, SARIF output and a seeded-defect mutant gauntlet;
+  parse of the tree, a project-wide call graph, and six pass families
+  over them — per-module simulator discipline SIM001/SIM004/SIM005
+  (wall-clock hygiene, defaults, unit literals), cache-fingerprint
+  soundness FLW001–003, hot-path purity FLW007–008, and the
+  :mod:`repro.analysis.race` process-safety families (RCE003, RCE005–007,
+  RCE009) — with inline waivers, SARIF output and a seeded-defect mutant
+  gauntlet;
 * :mod:`repro.analysis.simsan` — a runtime sanitizer that replays a
   :class:`~repro.core.tracer.PeiTracer` event stream against the paper's
   Section 4.3 atomicity/coherence protocol.

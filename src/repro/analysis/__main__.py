@@ -3,7 +3,7 @@
 ``python -m repro.analysis flow [options] [paths...]``
     Run :mod:`~repro.analysis.flow`, the one static analyzer (defaults to
     the installed ``repro`` source tree): the SIM simulator-discipline
-    rules, fingerprint soundness, unit taint, hot-path purity and the
+    rules, fingerprint soundness, hot-path purity and the
     :mod:`~repro.analysis.race` process-safety families, with JSON/SARIF
     output; exits non-zero on findings.  A finding is accepted only by a
     justified inline waiver (``# simflow: ignore[CODE] -- reason``).
@@ -333,8 +333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     flow = sub.add_parser(
         "flow", help="static checks (simulator discipline, fingerprints, "
-        "units, hot-path purity, payload safety, durable writes, worker "
-        "hygiene, ordering)")
+        "hot-path purity, durable writes, worker hygiene, set order)")
     flow.add_argument("paths", nargs="*", help="files/directories to "
                       "analyze (default: the installed repro source tree)")
     flow.add_argument("--select", help="comma-separated SIM/FLW/RCE codes "

@@ -7,7 +7,8 @@ FLW00x, RCE00x] -- justification`` pragmas matched by statement span
 (:mod:`repro.analysis.source`).  A justified waiver is the only way to
 accept a finding; it belongs to a finding that is *correct but intended*
 (a settings field that shapes the request set).  Unjustified and stale
-pragmas report as ``FLW000``.
+pragmas report as ``FLW000``, and so does a pragma naming a code that is
+in no catalogue (a typo, or a retired rule), whatever ``select`` is.
 
 Every pass family reads the one parsed project.  The SIM lint pass reads
 the parse alone; the FLW and RCE families read :class:`ProjectModel`,
@@ -19,7 +20,7 @@ never pays for what only it needs.
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.source import (HYGIENE_CODE, SYNTAX_CODE, Project,
                                    Violation, apply_waivers, parse_project)
@@ -27,10 +28,8 @@ from repro.analysis.flow.fingerprint import run_fingerprint_pass
 from repro.analysis.flow.lint import run_lint_pass
 from repro.analysis.flow.model import ProjectModel
 from repro.analysis.flow.purity import hot_set, run_purity_pass
-from repro.analysis.flow.units import run_units_pass
 from repro.analysis.race.durable import run_durable_pass
 from repro.analysis.race.ordering import run_ordering_pass
-from repro.analysis.race.payload import run_payload_pass
 from repro.analysis.race.worker import build_context, run_worker_pass
 
 __all__ = ["FLOW_CODES", "HYGIENE_CODE", "SYNTAX_CODE", "Finding",
@@ -46,37 +45,16 @@ FLOW_CODES: Dict[str, Tuple[str, str]] = {
     "FLW003": ("unresolved settings field",
                "a BenchSettings field is read by bench code but never "
                "pinned in RunRequest.resolve()"),
-    "FLW004": ("cross-dimension arithmetic",
-               "adds/subtracts two different physical dimensions without a "
-               "conversion"),
-    "FLW005": ("cross-dimension comparison",
-               "compares two different physical dimensions"),
-    "FLW006": ("dimension-lying name",
-               "assigns a value of one dimension to a name suffixed as "
-               "another"),
     "FLW007": ("hot-path nondeterminism",
                "set iteration, id()-keyed lookups or env reads in or "
                "reachable from the replay loops"),
     "FLW008": ("hot-path allocation",
                "per-op list/dict/set allocation in or reachable from the "
                "replay loops"),
-    "FLW009": ("hot-path stats.add",
-               "per-event stats.add() in or reachable from the replay "
-               "loops"),
-    "RCE001": ("unpicklable payload capture",
-               "a pool.submit payload captures a closure, bound method, "
-               "callback, open handle or lock — it cannot cross the "
-               "process boundary intact"),
-    "RCE002": ("process-unsafe payload object",
-               "a pool.submit payload ships an instance of a class that "
-               "holds callbacks, locks or open handles"),
     "RCE003": ("non-atomic durable write",
                "a bench/obs artifact is written with open('w')/"
                ".write_text instead of an atomic temp-file+replace "
                "publish"),
-    "RCE004": ("torn-unsafe append",
-               "a shared JSONL stream is appended with buffered open('a') "
-               "— concurrent appenders can interleave partial lines"),
     "RCE005": ("worker-slice global mutation",
                "worker-side code mutates module-global state that fork "
                "privatizes and spawn resets"),
@@ -87,9 +65,6 @@ FLOW_CODES: Dict[str, Tuple[str, str]] = {
     "RCE007": ("global RNG off the seeded path",
                "random.*/np.random.* global-state calls outside "
                "util/rng.py diverge across workers and break bit-replay"),
-    "RCE008": ("completion-order dependent output",
-               "results accumulated in future-completion order instead of "
-               "submission-index order"),
     "RCE009": ("set-order dependent output",
                "set iteration feeds an order-sensitive durable output "
                "without sorted(...)"),
@@ -97,9 +72,6 @@ FLOW_CODES: Dict[str, Tuple[str, str]] = {
                "a call to, bound reference of or from-import of a host "
                "clock (time.perf_counter, datetime.now, ...) breaks "
                "bit-for-bit replay of simulated time"),
-    "SIM003": ("float equality on timestamps",
-               "==/!= on float host-cycle timestamps is brittle under "
-               "refactors that reassociate arithmetic; order them instead"),
     "SIM004": ("mutable or type-lying default",
                "a mutable default is shared across calls; a None default "
                "under a non-Optional annotation lies to every reader"),
@@ -107,28 +79,18 @@ FLOW_CODES: Dict[str, Tuple[str, str]] = {
                "ns/GHz quantities belong in the parameter tables "
                "(SystemConfig, ClockDomain, repro.energy.params), converted "
                "through ClockDomain"),
-    "SIM006": ("unregistered PEI intrinsic",
-               "a pim_* intrinsic builds its Pei from an op missing from "
-               "repro.core.isa.PIM_OPS, an instruction the machine does not "
-               "decode"),
-    "SIM007": ("undeclared stats key",
-               "a literal stats.add/stats.set key missing from "
-               "repro.sim.stat_keys silently creates a counter every "
-               "consumer reads as zero"),
 }
 
 #: The codes of the lint pass, which reads the parse alone.
-_LINT_CODES = ("SIM001", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007")
+_LINT_CODES = ("SIM001", "SIM004", "SIM005")
 
 #: Which model pass implements which codes (drives --select pass skipping).
 _MODEL_PASSES = (
     (run_fingerprint_pass, ("FLW001", "FLW002", "FLW003")),
-    (run_units_pass, ("FLW004", "FLW005", "FLW006")),
-    (run_purity_pass, ("FLW007", "FLW008", "FLW009")),
-    (run_payload_pass, ("RCE001", "RCE002")),
-    (run_durable_pass, ("RCE003", "RCE004")),
+    (run_purity_pass, ("FLW007", "FLW008")),
+    (run_durable_pass, ("RCE003",)),
     (run_worker_pass, ("RCE005", "RCE006", "RCE007")),
-    (run_ordering_pass, ("RCE008", "RCE009")),
+    (run_ordering_pass, ("RCE009",)),
 )
 
 
@@ -169,6 +131,23 @@ class FlowReport:
         return not self.findings
 
 
+def _unknown_waiver_codes(project: Project) -> Iterator[Violation]:
+    """FLW000 for each pragma that names a code no rule has.
+
+    Such a pragma suppresses nothing and never reads as stale (no run
+    checks its code), so it would otherwise sit in the tree unseen.
+    """
+    for module in project.modules:
+        for waiver in module.waivers:
+            unknown = [code for code in waiver.codes if code not in FLOW_CODES]
+            if unknown:
+                yield Violation(
+                    code=HYGIENE_CODE,
+                    message=(f"waiver names no rule: {', '.join(unknown)} — "
+                             f"fix the code or delete the pragma"),
+                    path=str(module.path), line=waiver.pragma_line)
+
+
 def run_flow(
     paths: Sequence,
     select: Optional[Iterable[str]] = None,
@@ -200,6 +179,7 @@ def run_flow(
             raw.extend(v for v in pass_fn(model) if v.code in selected)
 
     survivors = apply_waivers(project, raw, selected)
+    survivors.extend(_unknown_waiver_codes(project))
 
     rel_of = {str(m.path): m.rel for m in project.modules}
     findings = [Finding(code=v.code, message=v.message, path=v.path,

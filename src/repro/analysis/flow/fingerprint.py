@@ -32,7 +32,7 @@ mutants replace it with an enumerated subset and must be caught.
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.source import Violation, dotted_name, terminal_identifier
+from repro.analysis.source import Violation, terminal_identifier
 from repro.analysis.flow.model import FunctionInfo, ProjectModel, dataclass_fields
 
 __all__ = ["run_fingerprint_pass"]

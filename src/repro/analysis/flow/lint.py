@@ -1,21 +1,17 @@
-"""SIM001, SIM003–SIM007: simulator discipline, module by module.
+"""SIM001, SIM004, SIM005: simulator discipline, module by module.
 
 The reproduction's results rest on conventions the code only enforces
-implicitly: replayable simulated time (no wall-clock reads, no float
-equality on timestamps), Table 2's physical units declared only in the
-parameter tables, and complete Table 1 ISA and stats-key registries.
-These rules check each module on its own, over the parse simflow already
-holds and without its call graph: the pass walks every module once and
-hands each node to the rules registered for its type (``@_rule``), so a
-rule costs a dict lookup per node, not another walk.  SIM006 and SIM007 first read their registry
-module (``core/isa.py``, ``sim/stat_keys.py``); a tree without it leaves
-the rule silent.  The catalogue is ``FLOW_CODES`` in
-:mod:`repro.analysis.flow.engine`.
+implicitly: replayable simulated time (no wall-clock reads), honest
+defaults, and Table 2's physical units declared only in the parameter
+tables.  These rules check each module on its own, over the parse simflow
+already holds and without its call graph: the pass walks every module
+once and hands each node to the rules registered for its type
+(``@_rule``), so a rule costs a dict lookup per node, not another walk.
+The catalogue is ``FLOW_CODES`` in :mod:`repro.analysis.flow.engine`.
 """
 
 import ast
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Set,
-                    Tuple, Type, Union)
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type, Union
 
 from repro.analysis.source import (Module, Project, Violation, dotted_name,
                                    terminal_identifier)
@@ -32,10 +28,6 @@ _CLOCK_ATTRS = frozenset(name.rsplit(".", 1)[1] for name in _CLOCKS)
 
 _CLOCK_ADVICE = "simulator code must use simulated timestamps only"
 
-#: Name parts that mark an operand as a simulated timestamp (SIM003).
-_TIME_TOKENS = frozenset({"time", "timestamp", "completion", "horizon",
-                          "deadline", "grant", "arrival"})
-
 _MUTABLE = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
             ast.SetComp, ast.GeneratorExp)
 
@@ -43,22 +35,13 @@ _MUTABLE = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
 _UNIT_TABLES = ("sim/clock.py", "energy/params.py", "system/config.py")
 _UNIT_SUFFIXES = ("_ns", "_ghz", "_mhz", "_ps")
 
-_ISA = "core/isa.py"
-_INTRINSICS = "core/intrinsics.py"
-_STAT_KEYS = "sim/stat_keys.py"
-
 
 class _Walk:
-    """One module's walk: the registries its rules read and its findings."""
+    """One module's walk: what its rules share and its findings."""
 
-    def __init__(self, module: Module, registered_ops: Optional[Set[str]],
-                 declared_keys: Optional[Set[str]], findings: List[Violation]):
+    def __init__(self, module: Module, findings: List[Violation]):
         self.module = module
         self.unit_table = module.rel.endswith(_UNIT_TABLES)
-        #: PIM_OPS names, set only while walking core/intrinsics.py.
-        self.registered_ops = registered_ops
-        #: Declared stats keys; None turns SIM007 off for this module.
-        self.declared_keys = declared_keys
         #: Clock attributes already reported as the callee of a call.
         self.called: Set[int] = set()
         self.findings = findings
@@ -86,15 +69,9 @@ def _rule(*node_types: Type[ast.AST]) -> Callable[[Rule], Rule]:
 
 
 def run_lint_pass(project: Project) -> List[Violation]:
-    isa = project.find(_ISA)
-    intrinsics = project.find(_INTRINSICS)
-    registered = _registered_ops(isa) if isa is not None else None
-    stat_keys = project.find(_STAT_KEYS)
-    declared = _declared_keys(stat_keys) if stat_keys is not None else None
     findings: List[Violation] = []
     for module in project.modules:
-        walk = _Walk(module, registered if module is intrinsics else None,
-                     None if module is stat_keys else declared, findings)
+        walk = _Walk(module, findings)
         for node in ast.walk(module.tree):
             for rule in _RULES.get(type(node), ()):
                 rule(walk, node)
@@ -147,31 +124,6 @@ def _wall_clock_import(walk: _Walk, node: ast.ImportFrom) -> None:
         if name in _CLOCKS:
             walk.report("SIM001", node,
                         f"wall-clock import `{name}` — {_CLOCK_ADVICE}")
-
-
-# ----------------------------------------------------------------------
-# SIM003: float equality on timestamps
-# ----------------------------------------------------------------------
-
-
-def _time_like(node: ast.AST) -> Optional[str]:
-    name = terminal_identifier(node)
-    if name is not None and _TIME_TOKENS.intersection(name.lower().split("_")):
-        return name
-    return None
-
-
-@_rule(ast.Compare)
-def _timestamp_equality(walk: _Walk, node: ast.Compare) -> None:
-    operands = [node.left, *node.comparators]
-    for i, op in enumerate(node.ops):
-        if not isinstance(op, (ast.Eq, ast.NotEq)):
-            continue
-        name = _time_like(operands[i]) or _time_like(operands[i + 1])
-        if name is not None:
-            walk.report("SIM003", node,
-                        f"`==`/`!=` on timestamp-like operand `{name}` — "
-                        f"compare timestamps with ordering, not equality")
 
 
 # ----------------------------------------------------------------------
@@ -282,75 +234,3 @@ def _unit_assignment(walk: _Walk, node: Union[ast.Assign, ast.AnnAssign]) -> Non
             walk.report("SIM005", node,
                         f"raw unit literal assigned to `{name}` — move it "
                         f"into a parameter table")
-
-
-# ----------------------------------------------------------------------
-# SIM006/SIM007: the ISA and stats-key registries
-# ----------------------------------------------------------------------
-
-
-def _registry_values(statements: Iterable[ast.AST],
-                     is_registry: Callable[[str], bool]) -> Iterator[ast.AST]:
-    """Every node inside the values assigned to registry names."""
-    for node in statements:
-        targets: List[ast.expr]
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-        else:
-            continue
-        if node.value is not None and any(
-                isinstance(t, ast.Name) and is_registry(t.id) for t in targets):
-            yield from ast.walk(node.value)
-
-
-def _registered_ops(isa: Module) -> Set[str]:
-    """Upper-case names listed in the ``PIM_OPS`` construction."""
-    return {sub.id for sub in _registry_values(ast.walk(isa.tree),
-                                               lambda name: name == "PIM_OPS")
-            if isinstance(sub, ast.Name) and sub.id.isupper()}
-
-
-def _declared_keys(registry: Module) -> Set[str]:
-    """String constants in module-level assignments to ``*_KEYS`` names."""
-    return {sub.value for sub in _registry_values(
-                registry.tree.body, lambda name: name.endswith("_KEYS"))
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
-
-
-@_rule(ast.FunctionDef)
-def _intrinsic_ops(walk: _Walk, node: ast.FunctionDef) -> None:
-    if walk.registered_ops is None or not node.name.startswith("pim_"):
-        return
-    ops = [call.args[0] for call in ast.walk(node)
-           if isinstance(call, ast.Call)
-           and terminal_identifier(call.func) == "Pei" and call.args
-           and terminal_identifier(call.args[0]) is not None]
-    if not ops:
-        walk.report("SIM006", node,
-                    f"intrinsic `{node.name}()` constructs no `Pei(...)` "
-                    f"record — every pim_* intrinsic must emit exactly one")
-    for op in ops:
-        name = terminal_identifier(op)
-        if name not in walk.registered_ops:
-            walk.report("SIM006", op,
-                        f"intrinsic `{node.name}()` uses `{name}`, which is "
-                        f"not registered in repro.core.isa.PIM_OPS")
-
-
-@_rule(ast.Call)
-def _stats_key(walk: _Walk, node: ast.Call) -> None:
-    func = node.func
-    if (walk.declared_keys is None or not isinstance(func, ast.Attribute)
-            or func.attr not in ("add", "set")
-            or terminal_identifier(func.value) != "stats" or not node.args):
-        return
-    key = node.args[0]
-    # A dynamic key is out of a static registry's reach.
-    if (isinstance(key, ast.Constant) and isinstance(key.value, str)
-            and key.value not in walk.declared_keys):
-        walk.report("SIM007", node,
-                    f"stats key \"{key.value}\" is not declared in "
-                    f"repro.sim.stat_keys — add it to the matching *_KEYS "
-                    f"group (or fix the typo)")

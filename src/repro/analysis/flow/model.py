@@ -462,21 +462,6 @@ class ProjectModel:
             self._derived[factory] = factory(self)
         return self._derived[factory]  # type: ignore[return-value]
 
-    def local_types(self, info: FunctionInfo) -> Dict[str, str]:
-        """Public view of the per-function local-type map (name -> class).
-
-        Downstream passes (the RCE payload analysis) resolve what class a
-        payload element is before deciding whether it may cross a process
-        boundary; they share the flow model's inference rather than
-        re-deriving it.
-        """
-        return self._local_types(info)
-
-    def expr_type(self, info: FunctionInfo, node: ast.AST,
-                  types: Dict[str, str]) -> Optional[str]:
-        """Public view of expression-type resolution (see ``local_types``)."""
-        return self._expr_type(info, node, types)
-
     def find_function(self, qual_suffix: str) -> Optional[FunctionInfo]:
         """The function whose qualname ends with ``qual_suffix``
         (e.g. ``system.py:System._run_trace``)."""

@@ -12,9 +12,9 @@ CI even though the clean tree still reports clean.
 
 The defects are the actual failure modes the passes exist for: a host
 clock in a core model (replay breaks), a config field dropped from the
-fingerprint (stale-cache corruption), an ns/cycles mix (unit corruption),
-a set iteration in the replay loop (replay nondeterminism), a per-op
-allocation (the regression trace replay was built to remove).
+fingerprint (stale-cache corruption), a set iteration in the replay loop
+(replay nondeterminism), a per-op allocation (the regression trace replay
+was built to remove).
 """
 
 from typing import List, Sequence, Tuple
@@ -37,15 +37,6 @@ _SIM_MUTANTS: Tuple[Mutant, ...] = (
                 "        issue_time = pcu.operand_buffer.allocate(time.time())\n"),),
     ),
     Mutant(
-        name="fence-horizon-equality",
-        code="SIM003",
-        description="the pfence horizon advances on any differing "
-                    "completion — float equality on a timestamp",
-        edits=(("core/pim_directory.py",
-                "            if completion > self._fence_horizon:\n",
-                "            if completion != self._fence_horizon:\n"),),
-    ),
-    Mutant(
         name="shared-chain-default",
         code="SIM004",
         description="pim_hash_probe's chain defaults to one list shared by "
@@ -62,25 +53,6 @@ _SIM_MUTANTS: Tuple[Mutant, ...] = (
         edits=(("mem/dram.py",
                 "            burst_ns=config.dram_burst_ns,\n",
                 "            burst_ns=1.25,\n"),),
-    ),
-    Mutant(
-        name="intrinsic-unregistered-op",
-        code="SIM006",
-        description="pim_inc builds its Pei from an op PIM_OPS does not "
-                    "register — Table 1 has no such instruction",
-        edits=(("core/intrinsics.py",
-                "    return Pei(INT_INCREMENT, addr)\n",
-                "    return Pei(INT_DECREMENT, addr)\n"),),
-    ),
-    Mutant(
-        name="misspelt-stats-key",
-        code="SIM007",
-        description="the pfence counter goes through stats.add with a "
-                    "misspelt key — a parallel counter every consumer reads "
-                    "as zero",
-        edits=(("core/pmu.py",
-                "        self._slots[SLOT_PEI_PFENCES] += 1.0\n",
-                "        self.stats.add(\"pei.pfence\", 1.0)\n"),),
     ),
 )
 
@@ -159,42 +131,7 @@ _FLW_MUTANTS: Tuple[Mutant, ...] = (
              "        warmup = current_settings().warmup_ops"),
         ),
     ),
-    # ---- FLW004-FLW006: unit taint ------------------------------------
-    Mutant(
-        name="ns-added-to-cycles",
-        code="FLW004",
-        description="a DRAM timing adds raw nanoseconds onto converted "
-                    "host cycles",
-        edits=(("mem/dram.py",
-                "            t_cl=clock.from_ns(t_cl_ns),",
-                "            t_cl=clock.from_ns(t_cl_ns) + t_rp_ns,"),),
-    ),
-    Mutant(
-        name="cycles-compared-to-ghz",
-        code="FLW005",
-        description="a conversion branches on cycles-vs-frequency — the "
-                    "comparison has no physical meaning",
-        edits=(("sim/clock.py",
-                "    def cycles(self, device_cycles: float) -> float:\n"
-                "        \"\"\"Convert cycles of this domain into host-core "
-                "cycles.\"\"\"\n",
-                "    def cycles(self, device_cycles: float) -> float:\n"
-                "        \"\"\"Convert cycles of this domain into host-core "
-                "cycles.\"\"\"\n"
-                "        if device_cycles > self.freq_ghz:\n"
-                "            pass\n"),),
-    ),
-    Mutant(
-        name="cycles-name-holds-ghz",
-        code="FLW006",
-        description="a *_cycles name is bound to a frequency value — every "
-                    "reader now trusts a lie",
-        edits=(("sim/clock.py",
-                "        return gbytes_per_second / self.host_freq_ghz",
-                "        denom_cycles = self.host_freq_ghz\n"
-                "        return gbytes_per_second / denom_cycles"),),
-    ),
-    # ---- FLW007-FLW009: hot-path purity -------------------------------
+    # ---- FLW007/FLW008: hot-path purity -------------------------------
     Mutant(
         name="hot-set-iteration",
         code="FLW007",
@@ -235,16 +172,6 @@ _FLW_MUTANTS: Tuple[Mutant, ...] = (
                 "    def do_load(self, vaddr: int, dep: bool) -> None:\n",
                 "    def do_load(self, vaddr: int, dep: bool) -> None:\n"
                 "        pending = []\n"),),
-    ),
-    Mutant(
-        name="hot-stats-add",
-        code="FLW009",
-        description="the per-load path calls stats.add() per operation — "
-                    "the slot fast path is silently undone",
-        edits=(("cpu/core.py",
-                "    def do_load(self, vaddr: int, dep: bool) -> None:\n",
-                "    def do_load(self, vaddr: int, dep: bool) -> None:\n"
-                "        self.stats.add(\"cpu.loads\", 1.0)\n"),),
     ),
 )
 

@@ -1,4 +1,4 @@
-"""FLW007–FLW009: hot-path purity via call-graph reachability.
+"""FLW007–FLW008: hot-path purity via call-graph reachability.
 
 Replay throughput and bit-identity both depend on what the engine's inner
 loop can reach.  This pass derives "the hot path" instead of declaring it:
@@ -25,10 +25,6 @@ inside the engine functions' own ``while`` loops:
   fresh ``[]`` per simulated event is the regression the trace-replay
   speedup was built on removing.  Allocations whose only consumer is a
   ``raise`` are exempt (error paths execute once, then the run is dead).
-* **FLW009** — per-event ``stats.add()``: a dict lookup plus a method call
-  per simulated event, where the hot path counts through preallocated
-  Stats slots (``self._slots[SLOT_*] += x``).  One-shot ``stats.set``
-  summary writes are fine.
 
 The ``obs/`` observability layer is carved out by design: its hot-path
 entry points are interval-gated (they return after one comparison except
@@ -110,7 +106,6 @@ def _check_function(info: FunctionInfo,
         yield from _check_nondeterminism(info, node, set_locals)
         if id(node) not in raise_nodes:
             yield from _check_allocation(info, node)
-        yield from _check_stats_add(info, node)
 
 
 def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
@@ -197,25 +192,6 @@ def _check_allocation(info: FunctionInfo, node: ast.AST) -> Iterator[Violation]:
         yield _violation(info, node, "FLW008",
                          f"`{node.func.id}()` allocates per call on the "
                          f"hot path — preallocate and reuse")
-
-
-# ----------------------------------------------------------------------
-# FLW009: per-event stats.add
-# ----------------------------------------------------------------------
-
-
-def _check_stats_add(info: FunctionInfo, node: ast.AST) -> Iterator[Violation]:
-    if not isinstance(node, ast.Call):
-        return
-    func = node.func
-    if not isinstance(func, ast.Attribute) or func.attr != "add":
-        return
-    if terminal_identifier(func.value) != "stats":
-        return
-    yield _violation(info, node, "FLW009",
-                     "per-event `stats.add()` in or reachable from the replay "
-                     "inner loop — bind a Stats slot once and increment it "
-                     "in place")
 
 
 def _violation(info: FunctionInfo, node: ast.AST, code: str,

@@ -1,23 +1,18 @@
-"""RCE003–RCE004: durable-write discipline for bench/obs artifacts.
+"""RCE003: durable-write discipline for bench/obs artifacts.
 
-Cache entries, trajectory records, telemetry bundles and ledger streams
-are read back by later runs, by ``history`` and by the dashboard — a
-process killed mid-write (or two processes writing at once) must never
-leave a torn file behind.  The repo's contract is structural: durable
-writers in ``bench/`` and ``obs/`` route through :mod:`repro.util.fsio`
-(``atomic_write_bytes``/``atomic_write_text``/``atomic_write_json`` and
-``append_jsonl``).
+Cache entries, trajectory records, telemetry bundles and ledgers are read
+back by later runs, by ``history`` and by the dashboard — a process killed
+mid-write (or two processes writing at once) must never leave a torn file
+behind.  The repo's contract is structural: durable writers in ``bench/``
+and ``obs/`` route through :mod:`repro.util.fsio`
+(``atomic_write_bytes``/``atomic_write_text``/``atomic_write_json``).
 
-* **RCE003** — a direct ``open(path, "w"/"x"/"+")`` (or ``.write_text``)
-  in a bench/obs module: a crash between truncate and final flush leaves
-  a torn artifact that readers parse as corruption.  Route through
-  ``atomic_write_json``/``atomic_write_text``.
-* **RCE004** — a direct ``open(path, "a")`` append: buffered appends
-  flush in arbitrary chunks, so concurrent appenders interleave partial
-  lines.  Route through ``append_jsonl`` (one O_APPEND write per batch).
-
-The fsio helpers themselves are exempt — they are the sanctioned
-implementation the rest of the tree delegates to.
+**RCE003** flags a direct ``open(path, "w"/"x"/"+")`` (or ``.write_text``)
+in a bench/obs module: a crash between truncate and final flush leaves a
+torn artifact that readers parse as corruption.  Route through
+``atomic_write_json``/``atomic_write_text``.  The fsio helpers themselves
+are exempt — they are the sanctioned implementation the rest of the tree
+delegates to.
 """
 
 import ast
@@ -34,7 +29,6 @@ _DURABLE_SEGMENTS = ("bench", "obs")
 #: Functions allowed to call open() for writing: the fsio primitives.
 _SANCTIONED_DEFS = frozenset({
     "atomic_write_bytes", "atomic_write_text", "atomic_write_json",
-    "append_jsonl",
 })
 
 
@@ -93,15 +87,6 @@ def run_durable_pass(model: ProjectModel) -> List[Violation]:
                                  f"leaves a torn file; publish atomically "
                                  f"via repro.util.fsio.atomic_write_json/"
                                  f"atomic_write_text")))
-                elif "a" in mode:
-                    findings.append(Violation(
-                        code="RCE004", path=str(module.path),
-                        line=node.lineno, col=node.col_offset,
-                        message=("buffered append to a shared stream — "
-                                 "concurrent appenders can interleave "
-                                 "partial lines; use repro.util.fsio."
-                                 "append_jsonl (single O_APPEND write per "
-                                 "batch)")))
             elif (isinstance(node.func, ast.Attribute)
                     and node.func.attr == "write_text"):
                 findings.append(Violation(

@@ -1,17 +1,15 @@
 """Seeded concurrency defects: the RCE half of the simflow gauntlet.
 
 Each mutant re-introduces, in memory, a realistic process-safety bug at
-the exact sites the real tree hardened — a callback smuggled into a
-payload, the trajectory write reverted to truncate-then-write, a worker
-counting runs in a module global — and simflow must kill it (produce a
-finding with the mutant's code that the pristine tree does not have).
-Anchors are exact source snippets, each found exactly once in its file;
-if the tree drifts, the gauntlet raises instead of silently testing
-nothing.  The frontier mutants anchor on names — the
-``pool.submit(_execute_payload, payload)`` call and the
-``_execute_payload`` signature — or on the one branch they edit, never on
-the payload tuple's shape, so a change to what the payload carries leaves
-them standing.  The catalogue runs with the FLW mutants through
+the exact sites the real tree hardened — the trajectory write reverted to
+truncate-then-write, a worker counting runs in a module global — and
+simflow must kill it (produce a finding with the mutant's code that the
+pristine tree does not have).  Anchors are exact source snippets, each
+found exactly once in its file; if the tree drifts, the gauntlet raises
+instead of silently testing nothing.  The worker mutants anchor on the
+``_execute_payload`` signature, never on the payload tuple's shape, so a
+change to what the payload carries leaves them standing.  The catalogue
+runs with the FLW mutants through
 :func:`repro.analysis.flow.mutants.run_mutants`.
 """
 
@@ -21,42 +19,10 @@ from repro.analysis.mutation import Mutant
 
 __all__ = ["RACE_MUTANTS"]
 
-#: The frontier's two name anchors.
-_SUBMIT = "pool.submit(_execute_payload, payload)"
+#: The frontier's worker entry: the worker mutants' name anchor.
 _WORKER_DEF = "def _execute_payload(payload) -> Dict:\n"
 
 RACE_MUTANTS: Tuple[Mutant, ...] = (
-    Mutant(
-        name="payload-captures-callback",
-        code="RCE001",
-        description="the progress callback rides into the worker payload",
-        edits=((
-            "bench/frontier.py",
-            _SUBMIT,
-            "pool.submit(_execute_payload, (payload, on_payload))",
-        ),),
-    ),
-    Mutant(
-        name="submit-wraps-lambda",
-        code="RCE001",
-        description="the submit target becomes a closure over the payload",
-        edits=((
-            "bench/frontier.py",
-            _SUBMIT,
-            "pool.submit(lambda: _execute_payload(payload))",
-        ),),
-    ),
-    Mutant(
-        name="ledger-ships-in-payload",
-        code="RCE002",
-        description="a live RunLedger (listener-holding) crosses the "
-                    "process boundary",
-        edits=((
-            "bench/frontier.py",
-            _SUBMIT,
-            "pool.submit(_execute_payload, (payload, RunLedger()))",
-        ),),
-    ),
     Mutant(
         name="trajectory-write-reverts",
         code="RCE003",
@@ -70,20 +36,6 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
             "        atomic_write_json(path, self.payload(), indent=2)\n",
             "        with open(path, \"w\", encoding=\"utf-8\") as fh:\n"
             "            json.dump(self.payload(), fh, indent=2)\n",
-        ),),
-    ),
-    Mutant(
-        name="ledger-buffered-append",
-        code="RCE004",
-        description="the ledger stream is appended via buffered open('a')",
-        edits=((
-            "obs/events.py",
-            "        return atomic_write_text(Path(path), self.to_jsonl())",
-            "        path = Path(path)\n"
-            "        with open(path, \"a\", encoding=\"utf-8\") as fh:\n"
-            "            for event in self.events:\n"
-            "                fh.write(json.dumps(event) + \"\\n\")\n"
-            "        return path",
         ),),
     ),
     Mutant(
@@ -123,19 +75,6 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
         ),),
     ),
     Mutant(
-        name="completion-order-results",
-        code="RCE008",
-        description="envelopes accumulate in completion order instead of "
-                    "submission index",
-        edits=((
-            "bench/frontier.py",
-            "                                on_payload(i, envelope)\n"
-            "                            envelopes[i] = envelope\n",
-            "                                on_payload(i, envelope)\n"
-            "                            envelopes.append(envelope)\n",
-        ),),
-    ),
-    Mutant(
         name="unsorted-trajectory-delta",
         code="RCE009",
         description="the trajectory delta iterates a raw set union",
@@ -146,4 +85,3 @@ RACE_MUTANTS: Tuple[Mutant, ...] = (
         ),),
     ),
 )
-

@@ -9,7 +9,7 @@ construction (or is conventionally named ``pool``) roots the slice at
 ``fn``; :meth:`~repro.analysis.flow.model.ProjectModel.reachable_from`
 provides the closure.  The context is built once per model, on first use
 (:meth:`~repro.analysis.flow.model.ProjectModel.derived`), so a run that
-selects no payload or worker rule never pays for it.
+selects no worker rule never pays for it.
 
 On that slice:
 
@@ -30,7 +30,7 @@ On that slice:
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.analysis.source import Violation, dotted_name, terminal_identifier
 from repro.analysis.flow.model import FunctionInfo, ProjectModel
@@ -68,11 +68,8 @@ _RNG_MODULE = "util/rng.py"
 
 @dataclass
 class RaceContext:
-    """Everything the payload and worker passes share for one analyzed tree."""
+    """What the worker pass (and the report's slice size) reads for one tree."""
 
-    model: ProjectModel
-    #: (enclosing function, ``pool.submit(...)`` call) pairs.
-    submits: List[Tuple[FunctionInfo, ast.Call]] = field(default_factory=list)
     #: Worker entry qualnames (first args of submit calls).
     entries: Tuple[str, ...] = ()
     #: Call-graph closure of the entries: the worker-side slice.
@@ -82,12 +79,11 @@ class RaceContext:
 
 
 def build_context(model: ProjectModel) -> RaceContext:
-    submits = _submit_calls(model)
-    entries = _worker_entries(model, submits)
+    entries = _worker_entries(model, _submit_calls(model))
     worker_slice = model.reachable_from(list(entries))
     worker_slice.update(q for q in entries if q in model.functions)
-    return RaceContext(model=model, submits=submits, entries=entries,
-                       worker_slice=worker_slice, pinned=pinned_env(model))
+    return RaceContext(entries=entries, worker_slice=worker_slice,
+                       pinned=pinned_env(model))
 
 
 def _submit_calls(model: ProjectModel) -> List[Tuple[FunctionInfo, ast.Call]]:

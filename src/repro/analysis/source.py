@@ -96,16 +96,10 @@ class Module:
 
 
 class Project:
-    """All modules of one analysis invocation (rules may check across files)."""
+    """All modules of one analysis invocation."""
 
     def __init__(self, modules: Sequence[Module]):
         self.modules = list(modules)
-
-    def find(self, rel_suffix: str) -> Optional[Module]:
-        for module in self.modules:
-            if module.rel.endswith(rel_suffix):
-                return module
-        return None
 
 
 # ----------------------------------------------------------------------

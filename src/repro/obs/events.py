@@ -184,10 +184,8 @@ class RunLedger(NullLedger):
     def write_jsonl(self, path) -> Path:
         """Publish the merged stream atomically (temp-file + replace).
 
-        This is the parent-side, end-of-run snapshot; live multi-writer
-        streams (a listener appending as events land) go through
-        :func:`repro.util.fsio.append_jsonl` instead, whose single
-        ``O_APPEND`` write per batch keeps concurrent lines intact.
+        This is the parent-side, end-of-run snapshot: the ledger is
+        published once, whole, so no reader ever sees a torn line.
         """
         return atomic_write_text(Path(path), self.to_jsonl())
 

@@ -26,9 +26,5 @@ class ClockDomain:
         """Convert a latency in nanoseconds into host-core cycles."""
         return nanoseconds * self.host_freq_ghz
 
-    def bytes_per_host_cycle(self, gbytes_per_second: float) -> float:
-        """Convert a bandwidth in GB/s into bytes per host-core cycle."""
-        return gbytes_per_second / self.host_freq_ghz
-
     def __repr__(self) -> str:
         return f"ClockDomain({self.freq_ghz} GHz, host={self.host_freq_ghz} GHz)"

@@ -4,15 +4,12 @@ The flat :class:`~repro.sim.stats.Stats` namespace is typo-prone:
 ``stats.add("pei.host_dispatch")`` next to ``pei.host_dispatched`` would
 leave every downstream consumer reading zeros.  This module declares the
 complete key vocabulary once, grouped by subsystem, and ``Stats`` accepts
-nothing else: ``add`` of an undeclared key raises ``KeyError`` at run time,
-and simflow's ``SIM007`` rule (:mod:`repro.analysis.flow.lint`) flags any
-literal ``stats.add``/``stats.set`` key in ``src/repro`` that is not
-declared here before anything runs.
+nothing else: ``add`` of an undeclared key and ``set`` of anything but a
+gauge raise ``KeyError`` at run time, on the first event.
 
 When adding a new counter: add the key to the matching ``*_KEYS`` group (or
-start a new group — any module-level tuple whose name ends in ``_KEYS`` is
-picked up by SIM007 — and add it to :data:`SLOT_KEYS`), then use it.
-Gauges (written through ``Stats.set``) live in ``GAUGE_KEYS``.
+start a new group and add it to :data:`SLOT_KEYS`), then use it.  Gauges
+(written through ``Stats.set``) live in ``GAUGE_KEYS``.
 """
 
 from typing import Tuple
@@ -121,10 +118,6 @@ def is_declared(key: str) -> bool:
 # ``slots[SLOT_X] += 1.0`` inline.  The slots are the counters themselves:
 # every read goes straight to them.  Gauges are excluded: they are written
 # once through ``Stats.set`` at collection time.
-#
-# simflow's ``FLW009`` rule flags any ``stats.add`` call on the replay path
-# (inside the engine loops or reachable from them), keeping the inline slot
-# adds load-bearing.
 
 #: Every counter key, in slot-index order.
 SLOT_KEYS: Tuple[str, ...] = (

@@ -22,10 +22,12 @@ LINT_DIRTY_MODULE = (
     "    return items\n"
 )
 
-# FLW004 (simflow): ns + GHz has no physical meaning.
+# FLW007 (simflow): an id()-keyed value in the replay loop.
 FLOW_DIRTY_MODULE = (
-    "def mix(t_ns, freq_ghz):\n"
-    "    return t_ns + freq_ghz\n"
+    "class System:\n"
+    "    def _run_trace(self):\n"
+    "        while True:\n"
+    "            key = id(self)\n"
 )
 
 # RCE003 (simflow): a truncating write in a durable-artifact module.
@@ -36,10 +38,15 @@ RACE_DIRTY_MODULE = (
 )
 
 
+#: Codes of retired rules: ``--select`` rejects them like any typo.
+RETIRED_CODES = ("SIM003", "SIM006", "SIM007", "FLW004", "FLW005", "FLW006",
+                 "FLW009", "RCE001", "RCE002", "RCE004", "RCE008")
+
+
 class TestFlowExitCodes:
     #: A tree with exactly one finding, and that finding's code.
-    DIRTY_TREE = {"mod.py": FLOW_DIRTY_MODULE}
-    CODE = "FLW004"
+    DIRTY_TREE = {"system/system.py": FLOW_DIRTY_MODULE}
+    CODE = "FLW007"
     #: A code ``--select`` must reject.
     UNKNOWN_CODE = "FLW123"
 
@@ -58,8 +65,8 @@ class TestFlowExitCodes:
 
     def test_unknown_select_code_exits_two(self, tmp_path):
         write_tree(tmp_path, {"mod.py": CLEAN_MODULE})
-        assert main(["flow", str(tmp_path),
-                     "--select", self.UNKNOWN_CODE]) == 2
+        for code in (self.UNKNOWN_CODE, *RETIRED_CODES):
+            assert main(["flow", str(tmp_path), "--select", code]) == 2
 
     def test_list_rules_exits_zero(self, capsys):
         assert main(["flow", "--list-rules"]) == 0
@@ -80,7 +87,7 @@ class TestFlowExitCodes:
         assert [r["ruleId"] for r in results] == [self.CODE]
         # One driver carries every catalogue.
         rules = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"SIM001", "FLW001", "RCE001", "FLW000"} <= rules
+        assert {"SIM001", "FLW001", "RCE003", "FLW000"} <= rules
 
 
 class TestLintExitCodes(TestFlowExitCodes):

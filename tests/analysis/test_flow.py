@@ -43,7 +43,6 @@ PURITY_TREE = {
         "        waiting = {1, 2}\n"            # 8  FLW008 (set display)
         "        for item in waiting:\n"        # 9  FLW007 (set iteration)
         "            pass\n"                    # 10
-        "        self.stats.add('x', 1.0)\n"    # 11 FLW009
         "\n"
         "    def _collect(self):\n"
         "        summary = {}\n"
@@ -113,55 +112,14 @@ class TestRealTree:
 
 
 # ----------------------------------------------------------------------
-# Unit/dimension taint (FLW004-FLW006) on a synthetic tree
-# ----------------------------------------------------------------------
-
-
-class TestUnitsPass:
-    def test_cross_dimension_add_fires(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": (
-            "def mix(t_ns, freq_ghz):\n"
-            "    return t_ns + freq_ghz\n")})
-        assert codes_of(run_flow([tmp_path])) == ["FLW004"]
-
-    def test_sanctioned_conversion_is_clean(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": (
-            "def convert(t_ns, freq_ghz):\n"
-            "    return t_ns * freq_ghz\n")})
-        assert codes_of(run_flow([tmp_path])) == []
-
-    def test_cross_dimension_compare_fires(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": (
-            "def check(budget_cycles, freq_ghz):\n"
-            "    return budget_cycles > freq_ghz\n")})
-        assert codes_of(run_flow([tmp_path])) == ["FLW005"]
-
-    def test_mis_suffixed_assignment_fires(self, tmp_path):
-        write_tree(tmp_path, {"mod.py": (
-            "def mislabel(delay_ns):\n"
-            "    total_cycles = delay_ns\n"
-            "    return total_cycles\n")})
-        assert codes_of(run_flow([tmp_path])) == ["FLW006"]
-
-    def test_flow_is_tracked_through_locals(self, tmp_path):
-        """The flow-sensitive part: the dimension rides the assignment."""
-        write_tree(tmp_path, {"mod.py": (
-            "def relay(t_ns, freq_ghz):\n"
-            "    elapsed = t_ns\n"
-            "    return elapsed + freq_ghz\n")})
-        assert codes_of(run_flow([tmp_path])) == ["FLW004"]
-
-
-# ----------------------------------------------------------------------
-# Hot-path purity (FLW007-FLW009) on a synthetic tree
+# Hot-path purity (FLW007-FLW008) on a synthetic tree
 # ----------------------------------------------------------------------
 
 
 class TestPurityPass:
     def test_loop_reachable_impurities_fire(self, tmp_path):
         write_tree(tmp_path, PURITY_TREE)
-        assert codes_of(run_flow([tmp_path])) == [
-            "FLW007", "FLW008", "FLW009"]
+        assert codes_of(run_flow([tmp_path])) == ["FLW007", "FLW008"]
 
     def test_once_per_run_work_is_not_hot(self, tmp_path):
         """_collect sits outside every while loop: its dict display is
@@ -178,8 +136,8 @@ class TestPurityPass:
 
     def test_select_filters_passes(self, tmp_path):
         write_tree(tmp_path, PURITY_TREE)
-        report = run_flow([tmp_path], select=["FLW009"])
-        assert codes_of(report) == ["FLW009"]
+        report = run_flow([tmp_path], select=["FLW007"])
+        assert codes_of(report) == ["FLW007"]
 
     def test_engine_loop_statements_are_checked(self, tmp_path):
         """The loop body itself is per-op code, not only its callees."""
@@ -188,13 +146,13 @@ class TestPurityPass:
             "    def _run_trace(self):\n"
             "        machine = self.machine\n"
             "        while True:\n"
-            "            machine.stats.add('x', 1.0)\n"  # 5 FLW009
+            "            key = id(machine)\n"            # 5 FLW007
             "            pending = []\n"                 # 6 FLW008
             "        summary = {}\n"                     # once per run
             "        return summary\n")})
         report = run_flow([tmp_path])
         assert [(f.code, f.line) for f in report.findings] == [
-            ("FLW009", 5), ("FLW008", 6)]
+            ("FLW007", 5), ("FLW008", 6)]
 
     def test_columnar_replay_loop_roots_the_hot_set(self, tmp_path):
         write_tree(tmp_path, {"system/columnar.py": (
@@ -203,28 +161,12 @@ class TestPurityPass:
             "        _flush(system.stats)\n"
             "\n"
             "def _flush(stats):\n"
-            "    stats.add('x', 1.0)\n")})
+            "    return [stats]\n")})
         report = run_flow([tmp_path])
-        assert [(f.code, f.line) for f in report.findings] == [("FLW009", 6)]
-
-    def test_bare_stats_name_fires(self, tmp_path):
-        write_tree(tmp_path, {"system/system.py": (
-            "def tick(stats):\n"
-            "    stats.add('x', 2.0)\n"
-            "\n"
-            "class System:\n"
-            "    def _run_trace(self):\n"
-            "        while True:\n"
-            "            tick(self.stats)\n")})
-        assert codes_of(run_flow([tmp_path])) == ["FLW009"]
-
-    def test_stats_set_is_fine(self, tmp_path):
-        # One-shot summary writes are not per-event cost.
-        write_tree(tmp_path, engine_tree(
-            "        self.stats.set('run.cycles', 1.0)\n"))
-        assert codes_of(run_flow([tmp_path])) == []
+        assert [(f.code, f.line) for f in report.findings] == [("FLW008", 6)]
 
     def test_slot_fast_path_is_fine(self, tmp_path):
+        # Preallocated slots mutated in place: the idiom FLW008 asks for.
         write_tree(tmp_path, engine_tree(
             "        self._slots[KEY] += 1.0\n"))
         assert codes_of(run_flow([tmp_path])) == []
@@ -242,7 +184,7 @@ class TestFlowWaivers:
             "        waiting = {1, 2}\n",
             "        waiting = {1, 2}  # simflow: ignore[FLW008] -- reuse\n")
         write_tree(tmp_path, tree)
-        assert codes_of(run_flow([tmp_path])) == ["FLW007", "FLW009"]
+        assert codes_of(run_flow([tmp_path])) == ["FLW007"]
 
     def test_unjustified_waiver_reports_hygiene(self, tmp_path):
         tree = dict(PURITY_TREE)
@@ -263,7 +205,7 @@ class TestFlowWaivers:
             "        # wraps onto a second comment line\n"
             "        waiting = {1, 2}\n")
         write_tree(tmp_path, tree)
-        assert codes_of(run_flow([tmp_path])) == ["FLW007", "FLW009"]
+        assert codes_of(run_flow([tmp_path])) == ["FLW007"]
 
     def test_simlint_namespace_does_not_silence_flow(self, tmp_path):
         """`# simflow:` is the one waiver namespace; a retired `# simlint:`
@@ -274,6 +216,20 @@ class TestFlowWaivers:
             "        waiting = {1, 2}  # simlint: ignore[FLW008] -- wrong\n")
         write_tree(tmp_path, tree)
         assert "FLW008" in codes_of(run_flow([tmp_path]))
+
+    @pytest.mark.parametrize("code", ["FLW099", "FLW004"])
+    @pytest.mark.parametrize("select", [None, ["SIM001"]])
+    def test_waiver_naming_no_rule_reports_hygiene(self, tmp_path, code,
+                                                   select):
+        """A typo, or a retired rule's code, matches no finding and no run
+        ever checks it: reported on every run, whatever ``select`` is."""
+        write_tree(tmp_path, {"mod.py": (
+            f"# simflow: ignore[{code}] -- names a code no rule has\n"
+            "x = 1\n")})
+        report = run_flow([tmp_path], select=select)
+        assert [(f.code, f.line) for f in report.findings] == [
+            (HYGIENE_CODE, 1)]
+        assert f"names no rule: {code}" in report.findings[0].message
 
 
 class TestWaiverSpans:
@@ -301,9 +257,9 @@ class TestWaiverSpans:
             "            self.step()\n"
             "\n"
             "    def step(self):\n"
-            "        self.stats.add(\n"
-            "            'x',  # simflow: ignore[FLW009] -- span test\n"
-            "            1.0)\n")})
+            "        pending = list(\n"
+            "            self.items,  # simflow: ignore[FLW008] -- span test\n"
+            "        )\n")})
         assert codes_of(run_flow([tmp_path])) == []
 
     def test_pragma_on_decorator_suppresses_def_line_finding(self, tmp_path):
@@ -346,7 +302,7 @@ class TestMutants:
 
     def test_ambiguous_anchor_fails_loudly(self):
         from repro.analysis.mutation import Mutant, _seed
-        twice = Mutant(name="twice", code="SIM003", description="",
+        twice = Mutant(name="twice", code="SIM001", description="",
                        edits=(("mod.py", "x = 1\n", "x = 2\n"),))
         with pytest.raises(ValueError, match="occurs 2 times"):
             _seed(twice, {"pkg/mod.py": "x = 1\ny = x\nx = 1\n"})

@@ -2,7 +2,7 @@
 
 Pass-behavior tests build small synthetic trees in ``tmp_path`` (the
 durable and ordering rules key off ``bench/``/``obs/`` path segments and
-the payload rules off pool-construction shapes, all of which a synthetic
+the worker rules off pool-construction shapes, all of which a synthetic
 tree can provide) and run every simflow rule over them, so an FLW finding
 on a race fixture would show too.  Cleanliness and end-to-end mutant
 tests run against the real ``src/repro`` tree — the frontier these rules
@@ -16,7 +16,6 @@ import pytest
 from repro.analysis.flow import FLOW_CODES, run_flow, run_mutants
 from repro.analysis.flow.engine import HYGIENE_CODE
 from repro.analysis.race import RACE_MUTANTS
-from repro.analysis.race.payload import worker_unsafe_classes
 from repro.analysis.race.worker import build_context
 from repro.analysis.flow.model import ProjectModel
 from repro.analysis.source import parse_project
@@ -36,16 +35,6 @@ def write_tree(tmp_path, files):
 
 def codes_of(report):
     return sorted(f.code for f in report.findings)
-
-
-#: A minimal frontier: a pool, a submit, a worker function.
-POOL_PREFIX = (
-    "from concurrent.futures import ProcessPoolExecutor, wait\n"
-    "\n"
-    "def _work(payload):\n"
-    "    return payload\n"
-    "\n"
-)
 
 
 # ----------------------------------------------------------------------
@@ -71,70 +60,9 @@ class TestRealTree:
         ctx = build_context(ProjectModel(project))
         assert "REPRO_BENCH_SEED" in ctx.pinned
 
-    def test_run_ledger_is_structurally_process_unsafe(self):
-        project, _ = parse_project([REPO_SRC])
-        unsafe = worker_unsafe_classes(ProjectModel(project))
-        assert "RunLedger" in unsafe
-
 
 # ----------------------------------------------------------------------
-# RCE001/RCE002: payload safety
-# ----------------------------------------------------------------------
-
-
-class TestPayloadPass:
-    def test_lambda_payload_fires(self, tmp_path):
-        write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
-            "def batch(items):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        pool.submit(_work, lambda: 1)\n"
-        )})
-        assert "RCE001" in codes_of(run_flow([tmp_path]))
-
-    def test_lambda_submit_target_fires(self, tmp_path):
-        write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
-            "def batch(items):\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        pool.submit(lambda: _work(1))\n"
-        )})
-        assert "RCE001" in codes_of(run_flow([tmp_path]))
-
-    def test_callback_param_traced_through_payload_tuple(self, tmp_path):
-        write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
-            "def batch(items, on_progress):\n"
-            "    payloads = [(item, on_progress) for item in items]\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        for payload in payloads:\n"
-            "            pool.submit(_work, payload)\n"
-        )})
-        assert "RCE001" in codes_of(run_flow([tmp_path]))
-
-    def test_unsafe_class_instance_fires_rce002(self, tmp_path):
-        write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
-            "class Ledger:\n"
-            "    def __init__(self, listener=None):\n"
-            "        self.listener = listener\n"
-            "\n"
-            "def batch(items):\n"
-            "    ledger = Ledger()\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        pool.submit(_work, (items, ledger))\n"
-        )})
-        assert "RCE002" in codes_of(run_flow([tmp_path]))
-
-    def test_frozen_data_payload_is_clean(self, tmp_path):
-        write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
-            "def batch(items, seed):\n"
-            "    payloads = [(item, seed) for item in items]\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        for payload in payloads:\n"
-            "            pool.submit(_work, payload)\n"
-        )})
-        assert codes_of(run_flow([tmp_path])) == []
-
-
-# ----------------------------------------------------------------------
-# RCE003/RCE004: durable-write discipline
+# RCE003: durable-write discipline
 # ----------------------------------------------------------------------
 
 
@@ -146,14 +74,6 @@ class TestDurablePass:
             "        fh.write(text)\n"
         )})
         assert "RCE003" in codes_of(run_flow([tmp_path]))
-
-    def test_buffered_append_fires(self, tmp_path):
-        write_tree(tmp_path, {"obs/stream.py": (
-            "def log(path, line):\n"
-            "    with open(path, 'a') as fh:\n"
-            "        fh.write(line)\n"
-        )})
-        assert "RCE004" in codes_of(run_flow([tmp_path]))
 
     def test_write_text_fires(self, tmp_path):
         write_tree(tmp_path, {"obs/export.py": (
@@ -271,43 +191,11 @@ class TestWorkerPass:
 
 
 # ----------------------------------------------------------------------
-# RCE008/RCE009: ordering soundness
+# RCE009: set-order soundness
 # ----------------------------------------------------------------------
 
 
 class TestOrderingPass:
-    def test_completion_order_append_fires(self, tmp_path):
-        write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
-            "def batch(payloads):\n"
-            "    results = []\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        pending = {pool.submit(_work, p): i\n"
-            "                   for i, p in enumerate(payloads)}\n"
-            "        while pending:\n"
-            "            done, _ = wait(pending)\n"
-            "            for fut in done:\n"
-            "                pending.pop(fut)\n"
-            "                results.append(fut.result())\n"
-            "    return results\n"
-        )})
-        assert "RCE008" in codes_of(run_flow([tmp_path]))
-
-    def test_indexed_reorder_is_clean(self, tmp_path):
-        write_tree(tmp_path, {"bench/run.py": POOL_PREFIX + (
-            "def batch(payloads):\n"
-            "    results = [None] * len(payloads)\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        pending = {pool.submit(_work, p): i\n"
-            "                   for i, p in enumerate(payloads)}\n"
-            "        while pending:\n"
-            "            done, _ = wait(pending)\n"
-            "            for fut in done:\n"
-            "                i = pending.pop(fut)\n"
-            "                results[i] = fut.result()\n"
-            "    return results\n"
-        )})
-        assert codes_of(run_flow([tmp_path])) == []
-
     def test_set_iteration_into_output_fires(self, tmp_path):
         write_tree(tmp_path, {"bench/report.py": (
             "def delta(before, after):\n"
@@ -392,17 +280,17 @@ class TestMutants:
     def test_catalogue_covers_every_rule(self):
         assert sorted({m.code for m in RACE_MUTANTS}) == RACE_CODES
 
-    def test_callback_mutant_is_killed(self, tmp_path):
+    def test_worker_mutant_is_killed(self, tmp_path):
         """One end-to-end kill (the full gauntlet is `make flow-mutants`)."""
         subset = [m for m in RACE_MUTANTS
-                  if m.name == "payload-captures-callback"]
+                  if m.name == "worker-mutates-module-state"]
         results, pristine = run_mutants([REPO_SRC], mutants=subset)
         assert pristine.findings == []
         assert results[0].killed
 
     def test_drifted_anchor_fails_loudly(self, tmp_path):
         from repro.analysis.mutation import Mutant
-        bogus = Mutant(name="bogus", code="RCE001", description="",
+        bogus = Mutant(name="bogus", code="RCE005", description="",
                        edits=(("bench/frontier.py", "NO SUCH ANCHOR", "x"),))
         with pytest.raises(ValueError):
             run_mutants([REPO_SRC], mutants=[bogus])

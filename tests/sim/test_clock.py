@@ -19,11 +19,6 @@ class TestClockDomain:
         clock = ClockDomain(1.0, 4.0)
         assert clock.from_ns(13.75) == pytest.approx(55.0)
 
-    def test_bandwidth_conversion(self):
-        clock = ClockDomain(1.0, 4.0)
-        # 40 GB/s at 4 GHz = 10 bytes per host cycle.
-        assert clock.bytes_per_host_cycle(40.0) == pytest.approx(10.0)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ClockDomain(0.0)

@@ -1,12 +1,10 @@
-"""Durable-write primitives: atomicity, failure cleanup, append integrity."""
+"""Durable-write primitives: atomicity and failure cleanup."""
 
 import json
-import os
 
 import pytest
 
-from repro.util.fsio import (append_jsonl, atomic_write_bytes,
-                             atomic_write_json, atomic_write_text)
+from repro.util.fsio import atomic_write_bytes, atomic_write_json, atomic_write_text
 
 
 class TestAtomicWrite:
@@ -46,27 +44,3 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             atomic_write_json(tmp_path / "r.json", {"bad": object()})
         assert [p.name for p in tmp_path.iterdir()] == []
-
-
-class TestAppendJsonl:
-    def test_appends_accumulate_whole_lines(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        append_jsonl(path, [{"seq": 0}, {"seq": 1}])
-        append_jsonl(path, [{"seq": 2}])
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["seq"] for line in lines] == [0, 1, 2]
-
-    def test_empty_batch_still_creates_the_file(self, tmp_path):
-        path = append_jsonl(tmp_path / "stream.jsonl", [])
-        assert path.exists()
-        assert path.read_bytes() == b""
-
-    def test_open_flags_are_append_only(self, tmp_path):
-        # A second writer never truncates what the first wrote.
-        path = tmp_path / "stream.jsonl"
-        append_jsonl(path, [{"who": "first"}])
-        size_before = os.path.getsize(path)
-        append_jsonl(path, [{"who": "second"}])
-        assert os.path.getsize(path) > size_before
-        first_line = path.read_text(encoding="utf-8").splitlines()[0]
-        assert json.loads(first_line) == {"who": "first"}
