@@ -114,9 +114,11 @@ class ProgressRenderer:
     Attach :meth:`tick` as the ledger listener: planning events grow the
     denominator, cache hits and ``simulate_end`` events grow the numerator,
     and in-flight simulations (``simulate_start`` without a matching end)
-    show as "simulating".  The ETA extrapolates the mean simulate duration
-    over the remaining requests, divided by the worker count.  Writes a
-    ``\\r``-rewritten line per event; call :meth:`close` to finish the line.
+    show as "simulating".  A batch plans each distinct point once and
+    serves it once, so a run of N points ends at ``N/N done``.  The ETA
+    extrapolates the mean simulate duration over the remaining requests,
+    divided by the worker count.  Writes a ``\\r``-rewritten line per
+    event; call :meth:`close` to finish the line.
     """
 
     def __init__(self, jobs: int = 1, stream=None):

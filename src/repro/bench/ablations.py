@@ -4,18 +4,18 @@ The ablations probe the design choices DESIGN.md calls out and the
 extension the paper explicitly leaves as future work (Section 7.4: balanced
 dispatch on systems with other request/response bandwidth splits).
 :func:`sweep_scale` resolves Fig. 8's locality crossover on a 1k-point grid
-with the adaptive sweep frontier.  Like the figures, each ablation
-prefetches its whole request matrix before rendering, so ``--jobs N`` fans
-its simulations across the pool.  The checks follow the convention of
-:mod:`repro.bench.experiments`.
+with the adaptive sweep frontier.  Like the figures, each ablation states
+its request matrix once and serves it as one batch
+(:func:`~repro.bench.experiments.run_matrix`), so ``--jobs N`` fans its
+simulations across the pool and its body reads nothing outside the matrix.
+The checks follow the convention of :mod:`repro.bench.experiments`.
 """
 
 import dataclasses
 from typing import List, Sequence
 
-from repro.bench.experiments import ExperimentReport, failed_claims
+from repro.bench.experiments import ExperimentReport, config_matrix, failed_claims, run_matrix
 from repro.bench.frontier import RunRequest
-from repro.bench.runner import current_settings, prefetch, run_config, run_request
 from repro.bench.sweep import SWEEPS, SweepRunner
 from repro.bench.tables import format_table, geometric_mean
 from repro.core.dispatch import DispatchPolicy
@@ -33,17 +33,16 @@ def ablation_ignore_flag(workloads: Sequence[str] = ("PR", "ATF", "HG"),
     Expectation: disabling the flag hurts (or at best matches) streaming
     workloads and never helps much.
     """
-    flagless = scaled_config(locality_monitor_ignore_flag=False)
-    prefetch(RunRequest.single(name, size, P.LOCALITY_AWARE, config=config)
-             for size in sizes for name in workloads
-             for config in (None, flagless))
+    configs = {True: None, False: scaled_config(locality_monitor_ignore_flag=False)}
+    runs = run_matrix({(name, size, flag): RunRequest.single(name, size, P.LOCALITY_AWARE,
+                                                             config=config)
+                       for size in sizes for name in workloads
+                       for flag, config in configs.items()})
     rows = []
     data = {}
     for size in sizes:
         for name in workloads:
-            with_flag = run_config(name, size, P.LOCALITY_AWARE)
-            without = run_config(name, size, P.LOCALITY_AWARE,
-                                 config=flagless)
+            with_flag, without = runs[name, size, True], runs[name, size, False]
             ratio = without.cycles / with_flag.cycles
             rows.append([f"{name}-{size}", ratio,
                          f"{100 * with_flag.pim_fraction:.0f}%",
@@ -73,20 +72,12 @@ def ablation_directory_size(entries: Sequence[int] = (64, 256, 2048, 8192),
     distinct blocks onto the same reader-writer lock; the cost should stay
     small until the table gets tiny.
     """
-    configs = {n: scaled_config(pim_directory_entries=n) for n in entries}
-    prefetch(RunRequest.single(name, "large", P.LOCALITY_AWARE, config=config)
-             for name in workloads
-             for config in (None, *configs.values()))
+    runs = run_matrix(config_matrix(workloads, "large", "pim_directory_entries", entries))
     rows = []
     data = {}
     for n in entries:
-        speedups = []
-        for name in workloads:
-            base = run_config(name, "large", P.LOCALITY_AWARE)
-            swept = run_config(name, "large", P.LOCALITY_AWARE,
-                               config=configs[n])
-            speedups.append(base.cycles / swept.cycles)
-        gm = geometric_mean(speedups)
+        gm = geometric_mean([runs[name, None].cycles / runs[name, n].cycles
+                             for name in workloads])
         rows.append([n, gm, f"{n * 13 / 8 / 1024:.2f} KB"])
         data[n] = gm
     text = format_table(
@@ -127,22 +118,19 @@ def ablation_link_asymmetry(ratios: Sequence[float] = (0.5, 1.0, 2.0),
             offchip_request_bytes_per_cycle=total - response,
             offchip_response_bytes_per_cycle=response,
         )
-    prefetch(RunRequest.single(name, "large", policy, config=config)
-             for config in configs.values() for name in workloads
-             for policy in (P.LOCALITY_AWARE, P.LOCALITY_BALANCED))
+    runs = run_matrix({(name, ratio, policy): RunRequest.single(name, "large", policy,
+                                                                config=config)
+                       for ratio, config in configs.items() for name in workloads
+                       for policy in (P.LOCALITY_AWARE, P.LOCALITY_BALANCED)})
     rows = []
     data = {}
     for ratio in ratios:
         config = configs[ratio]
         request = config.offchip_request_bytes_per_cycle
         response = config.offchip_response_bytes_per_cycle
-        gains = []
-        for name in workloads:
-            aware = run_config(name, "large", P.LOCALITY_AWARE, config=config)
-            balanced = run_config(name, "large", P.LOCALITY_BALANCED,
-                                  config=config)
-            gains.append(aware.cycles / balanced.cycles)
-        gm = geometric_mean(gains)
+        gm = geometric_mean([runs[name, ratio, P.LOCALITY_AWARE].cycles
+                             / runs[name, ratio, P.LOCALITY_BALANCED].cycles
+                             for name in workloads])
         rows.append([f"{ratio:.1f}", request, response, gm])
         data[ratio] = gm
     text = format_table(
@@ -171,21 +159,12 @@ def ablation_replacement_policy(policies: Sequence[str] = ("lru", "fifo", "rando
     Expectation: weaker policies cost some performance on reuse-heavy
     workloads but do not change any qualitative conclusion.
     """
-    configs = {policy_name: scaled_config(cache_replacement_policy=policy_name)
-               for policy_name in policies}
-    prefetch(RunRequest.single(name, "medium", P.LOCALITY_AWARE, config=config)
-             for name in workloads
-             for config in (None, *configs.values()))
+    runs = run_matrix(config_matrix(workloads, "medium", "cache_replacement_policy", policies))
     rows = []
     data = {}
     for policy_name in policies:
-        speedups = []
-        for name in workloads:
-            base = run_config(name, "medium", P.LOCALITY_AWARE)
-            swept = run_config(name, "medium", P.LOCALITY_AWARE,
-                               config=configs[policy_name])
-            speedups.append(base.cycles / swept.cycles)
-        gm = geometric_mean(speedups)
+        gm = geometric_mean([runs[name, None].cycles / runs[name, policy_name].cycles
+                             for name in workloads])
         rows.append([policy_name, gm])
         data[policy_name] = gm
     text = format_table(
@@ -211,22 +190,17 @@ def ablation_warm_start(workloads: Sequence[str] = ("PR", "SC"),
     The paper simulates two billion instructions after the initialization
     phase, so its caches and monitor start warm; this repo emulates that
     state.  Cold starts must matter for small (cache-resident) inputs and
-    wash out for large ones.  Each cold run is its warm run's resolved
-    request with ``warm_start=False``: the same seed, cap and trace.
+    wash out for large ones.  Each cold run is its warm run's request with
+    ``warm_start=False``, so both resolve to the same seed, cap and trace.
     """
-    settings = current_settings()
-    warm = {(name, size): RunRequest.single(
-                name, size, P.LOCALITY_AWARE).resolve(settings)
-            for size in sizes for name in workloads}
-    cold = {key: dataclasses.replace(request, warm_start=False)
-            for key, request in warm.items()}
-    prefetch([*warm.values(), *cold.values()])
+    runs = run_matrix({((name, size), warm_start): dataclasses.replace(
+                           RunRequest.single(name, size, P.LOCALITY_AWARE), warm_start=warm_start)
+                       for warm_start in (True, False) for size in sizes for name in workloads})
     rows = []
     data = {}
     for size in sizes:
         for name in workloads:
-            ratio = (run_request(cold[name, size]).cycles
-                     / run_request(warm[name, size]).cycles)
+            ratio = runs[(name, size), False].cycles / runs[(name, size), True].cycles
             rows.append([f"{name}-{size}", ratio])
             data[f"{name}-{size}"] = ratio
     text = format_table(

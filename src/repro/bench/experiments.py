@@ -6,12 +6,13 @@ Python timing model, not the authors' Pin-based testbed); the *shape* — who
 wins, by roughly what factor, where crossovers fall — is the reproduction
 target (see EXPERIMENTS.md for the side-by-side record).
 
-Each experiment declares its whole frontier of simulation points as
-:class:`~repro.bench.frontier.RunRequest` batches and submits them through
-:func:`~repro.bench.runner.prefetch` before rendering — so with ``--jobs N``
-the independent points fan across worker processes and with the disk cache
-enabled a repeat invocation simulates nothing at all; the figure bodies then
-read every result out of the memo.
+Each experiment states its request matrix once, as ``{key:
+RunRequest}``, and serves it with :func:`run_matrix`: one
+:func:`~repro.bench.runner.prefetch` batch, so with ``--jobs N`` the
+independent points fan across worker processes and with the disk cache
+enabled a repeat invocation simulates nothing at all.  The body then reads
+only the ``{key: RunResult}`` mapping the batch returns, so a point outside
+the matrix raises ``KeyError``.
 
 Next to each experiment sits its shape check, ``check_<name>(report)``: the
 paper's claims about that figure, returned as one message per failed claim
@@ -22,19 +23,15 @@ run them at windows where some shapes fail (EXPERIMENTS.md records which).
 
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.dispatch import DispatchPolicy
 from repro.bench.charts import bar_chart
 from repro.bench.frontier import RunRequest
-from repro.bench.runner import (
-    current_settings,
-    prefetch,
-    run_config,
-    run_multiprog,
-)
+from repro.bench.runner import current_settings, prefetch
 from repro.bench.tables import format_series, format_table, geometric_mean
 from repro.system.config import scaled_config
+from repro.system.result import RunResult
 from repro.util.rng import make_rng
 from repro.workloads.graph.generators import GRAPH_SUITE
 from repro.workloads.registry import WORKLOAD_NAMES
@@ -45,6 +42,8 @@ P = DispatchPolicy
 SUITE_ORDER = tuple(GRAPH_SUITE)
 
 SIZES = ("small", "medium", "large")
+
+K = TypeVar("K", bound=Hashable)
 
 
 @dataclass
@@ -92,6 +91,44 @@ def failed_claims(experiment: str, claims: Iterable[Tuple]) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# Request matrices
+# ----------------------------------------------------------------------
+
+def run_matrix(matrix: Dict[K, RunRequest]) -> Dict[K, RunResult]:
+    """Serve an experiment's request matrix as one batch, keyed as given.
+
+    The body reads only this mapping, so a point outside the matrix raises
+    ``KeyError``.  ``prefetch`` is looked up in this module, where the
+    repository benchmark's traced pass wraps it (``perfbench/suite.py``).
+    """
+    return dict(zip(matrix, prefetch(matrix.values())))
+
+
+def input_matrix(sizes: Sequence[str], workloads: Sequence[str],
+                 policies: Sequence[DispatchPolicy]) -> Dict[Tuple, RunRequest]:
+    """Registry workloads at each input size: ``(name, size, policy)`` keys."""
+    return {(name, size, policy): RunRequest.single(name, size, policy)
+            for size in sizes for name in workloads for policy in policies}
+
+
+def pagerank_matrix(graphs: Sequence[str],
+                    policies: Sequence[DispatchPolicy]) -> Dict[Tuple, RunRequest]:
+    """PageRank over the graph suite: ``(graph, policy)`` keys."""
+    return {(graph, policy): RunRequest.single("PR", "small", policy, graph_name=graph)
+            for graph in graphs for policy in policies}
+
+
+def config_matrix(workloads: Sequence[str], size: str, field_name: str,
+                  values: Sequence) -> Dict[Tuple, RunRequest]:
+    """Locality-Aware runs with one config field swept: ``(name, value)``
+    keys, and ``(name, None)`` for the default config."""
+    configs = {None: None, **{value: scaled_config(**{field_name: value})
+                              for value in values}}
+    return {(name, value): RunRequest.single(name, size, P.LOCALITY_AWARE, config=config)
+            for value, config in configs.items() for name in workloads}
+
+
+# ----------------------------------------------------------------------
 # Figure 2: potential of one in-memory atomic add for PageRank
 # ----------------------------------------------------------------------
 
@@ -102,13 +139,9 @@ def fig2_pagerank_potential(graphs: Sequence[str] = SUITE_ORDER) -> ExperimentRe
     (p2p-Gnutella31), establishing the locality dependence that motivates
     the whole design.
     """
-    prefetch(RunRequest.single("PR", "small", policy, graph_name=graph)
-             for graph in graphs for policy in (P.IDEAL_HOST, P.PIM_ONLY))
-    speedups = []
-    for graph in graphs:
-        ideal = run_config("PR", "small", P.IDEAL_HOST, graph_name=graph)
-        pim = run_config("PR", "small", P.PIM_ONLY, graph_name=graph)
-        speedups.append(pim.speedup_over(ideal))
+    runs = run_matrix(pagerank_matrix(graphs, (P.IDEAL_HOST, P.PIM_ONLY)))
+    speedups = [runs[graph, P.PIM_ONLY].speedup_over(runs[graph, P.IDEAL_HOST])
+                for graph in graphs]
     text = format_table(
         ["graph", "pim-only speedup"],
         list(zip(graphs, speedups)),
@@ -144,9 +177,7 @@ def fig6_speedup(sizes: Sequence[str] = SIZES,
     Paper: PIM-Only +44% on large but -20% on small; Locality-Aware tracks
     the winner everywhere and beats both on medium graph inputs.
     """
-    prefetch(RunRequest.single(name, size, policy)
-             for size in sizes for name in workloads
-             for policy in (P.IDEAL_HOST,) + FIG6_POLICIES)
+    runs = run_matrix(input_matrix(sizes, workloads, (P.IDEAL_HOST,) + FIG6_POLICIES))
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     blocks = []
     for size in sizes:
@@ -154,12 +185,11 @@ def fig6_speedup(sizes: Sequence[str] = SIZES,
         per_policy: Dict[str, List[float]] = {p.value: [] for p in FIG6_POLICIES}
         data[size] = {}
         for name in workloads:
-            ideal = run_config(name, size, P.IDEAL_HOST)
+            ideal = runs[name, size, P.IDEAL_HOST]
             row = [name]
             data[size][name] = {}
             for policy in FIG6_POLICIES:
-                result = run_config(name, size, policy)
-                speedup = result.speedup_over(ideal)
+                speedup = runs[name, size, policy].speedup_over(ideal)
                 row.append(speedup)
                 per_policy[policy.value].append(speedup)
                 data[size][name][policy.value] = speedup
@@ -212,18 +242,17 @@ def fig7_offchip_traffic(sizes: Sequence[str] = SIZES,
     Paper: PIM-Only slashes traffic on large inputs but inflates it by up
     to 502x (SC) on small ones.
     """
-    prefetch(RunRequest.single(name, size, policy)
-             for size in sizes for name in workloads
-             for policy in (P.IDEAL_HOST, P.HOST_ONLY, P.PIM_ONLY))
+    runs = run_matrix(input_matrix(sizes, workloads,
+                                   (P.IDEAL_HOST, P.HOST_ONLY, P.PIM_ONLY)))
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     blocks = []
     for size in sizes:
         rows = []
         data[size] = {}
         for name in workloads:
-            ideal_bytes = run_config(name, size, P.IDEAL_HOST).offchip_bytes
-            host_bytes = run_config(name, size, P.HOST_ONLY).offchip_bytes
-            pim_bytes = run_config(name, size, P.PIM_ONLY).offchip_bytes
+            ideal_bytes = runs[name, size, P.IDEAL_HOST].offchip_bytes
+            host_bytes = runs[name, size, P.HOST_ONLY].offchip_bytes
+            pim_bytes = runs[name, size, P.PIM_ONLY].offchip_bytes
             # Warm-started small inputs can leave the host with essentially
             # zero off-chip traffic; the ratio is only meaningful against a
             # non-degenerate baseline.
@@ -277,18 +306,13 @@ def fig8_input_size_sweep(graphs: Sequence[str] = SUITE_ORDER) -> ExperimentRepo
     87% (cit-Patents) as graphs grow, tracking the better of Host-Only and
     PIM-Only throughout.
     """
-    prefetch(RunRequest.single("PR", "small", policy, graph_name=graph)
-             for graph in graphs
-             for policy in (P.IDEAL_HOST, P.HOST_ONLY, P.PIM_ONLY,
-                            P.LOCALITY_AWARE))
+    policies = (P.IDEAL_HOST, P.HOST_ONLY, P.PIM_ONLY, P.LOCALITY_AWARE)
+    runs = run_matrix(pagerank_matrix(graphs, policies))
     rows = []
     data = {"graphs": list(graphs), "host-only": [], "pim-only": [],
             "locality-aware": [], "pim_fraction": []}
     for graph in graphs:
-        ideal = run_config("PR", "small", P.IDEAL_HOST, graph_name=graph)
-        host = run_config("PR", "small", P.HOST_ONLY, graph_name=graph)
-        pim = run_config("PR", "small", P.PIM_ONLY, graph_name=graph)
-        aware = run_config("PR", "small", P.LOCALITY_AWARE, graph_name=graph)
+        ideal, host, pim, aware = (runs[graph, policy] for policy in policies)
         rows.append([
             graph,
             host.speedup_over(ideal),
@@ -357,15 +381,14 @@ def fig9_multiprogrammed(n_mixes: Optional[int] = None, seed: int = 7) -> Experi
         mixes.append(((str(first), str(size_a), int(mix_idx)),
                       (str(second), str(size_b), int(mix_idx) + 1)))
     fig9_policies = (P.HOST_ONLY, P.PIM_ONLY, P.LOCALITY_AWARE)
-    prefetch(RunRequest.multiprog(parts, policy, max_ops_per_thread=ops)
-             for parts in mixes for policy in fig9_policies)
+    runs = run_matrix({(parts, policy): RunRequest.multiprog(parts, policy,
+                                                             max_ops_per_thread=ops)
+                       for parts in mixes for policy in fig9_policies})
     rows = []
     aware_norm, pim_norm = [], []
     for parts in mixes:
         (first, size_a, _), (second, size_b, _) = parts
-        host = run_multiprog(parts, P.HOST_ONLY, max_ops_per_thread=ops)
-        pim = run_multiprog(parts, P.PIM_ONLY, max_ops_per_thread=ops)
-        aware = run_multiprog(parts, P.LOCALITY_AWARE, max_ops_per_thread=ops)
+        host, pim, aware = (runs[parts, policy] for policy in fig9_policies)
         base = max(host.ipc_sum, 1e-12)
         aware_norm.append(aware.ipc_sum / base)
         pim_norm.append(pim.ipc_sum / base)
@@ -412,16 +435,12 @@ def fig10_balanced_dispatch(workloads: Sequence[str] = FIG10_WORKLOADS) -> Exper
     Paper: up to +25% on the read-dominated SC/SVM by steering PEIs toward
     whichever off-chip direction has spare bandwidth.
     """
-    prefetch(RunRequest.single(name, "large", policy)
-             for name in workloads
-             for policy in (P.IDEAL_HOST, P.LOCALITY_AWARE,
-                            P.LOCALITY_BALANCED))
+    policies = (P.IDEAL_HOST, P.LOCALITY_AWARE, P.LOCALITY_BALANCED)
+    runs = run_matrix(input_matrix(("large",), workloads, policies))
     rows = []
     data = {}
     for name in workloads:
-        ideal = run_config(name, "large", P.IDEAL_HOST)
-        aware = run_config(name, "large", P.LOCALITY_AWARE)
-        balanced = run_config(name, "large", P.LOCALITY_BALANCED)
+        ideal, aware, balanced = (runs[name, "large", policy] for policy in policies)
         gain = aware.cycles / balanced.cycles
         rows.append([name, aware.speedup_over(ideal),
                      balanced.speedup_over(ideal), gain])
@@ -452,11 +471,6 @@ FIG11_ENTRIES = (1, 2, 4, 8, 16)
 FIG11_WIDTHS = (1, 2, 4)
 
 
-def _locality_cycles(name: str, **config_overrides) -> float:
-    config = scaled_config(**config_overrides)
-    return run_config(name, "large", P.LOCALITY_AWARE, config=config).cycles
-
-
 def fig11a_operand_buffer(entries: Sequence[int] = FIG11_ENTRIES,
                           workloads: Sequence[str] = FIG11_WORKLOADS) -> ExperimentReport:
     """Sensitivity to operand-buffer entries per PCU.
@@ -465,20 +479,13 @@ def fig11a_operand_buffer(entries: Sequence[int] = FIG11_ENTRIES,
     parallelism across PEIs is saturated.  (Bench subset: a representative
     workload per domain — large inputs, where the buffer binds.)
     """
-    prefetch(
-        [RunRequest.single(name, "large", P.LOCALITY_AWARE)
-         for name in workloads]
-        + [RunRequest.single(name, "large", P.LOCALITY_AWARE,
-                             config=scaled_config(pcu_operand_buffer_entries=n))
-           for n in entries for name in workloads])
+    runs = run_matrix(config_matrix(workloads, "large", "pcu_operand_buffer_entries",
+                                    entries))
     per_entry = {}
     for n in entries:
-        speedups = []
-        for name in workloads:
-            base = _locality_cycles(name)  # default: 4 entries
-            swept = _locality_cycles(name, pcu_operand_buffer_entries=n)
-            speedups.append(base / swept)
-        per_entry[n] = geometric_mean(speedups)
+        # The default config has 4 entries.
+        per_entry[n] = geometric_mean([runs[name, None].cycles / runs[name, n].cycles
+                                       for name in workloads])
     # Normalize to the default 4-entry configuration, as in the paper.
     norm = per_entry.get(4, 1.0)
     series = [per_entry[n] / norm for n in entries]
@@ -505,21 +512,11 @@ def fig11b_issue_width(widths: Sequence[int] = FIG11_WIDTHS,
 
     Paper: negligible — PEI time is dominated by memory access latency.
     """
-    prefetch(
-        [RunRequest.single(name, "large", P.LOCALITY_AWARE)
-         for name in workloads]
-        + [RunRequest.single(name, "large", P.LOCALITY_AWARE,
-                             config=scaled_config(pcu_issue_width=w))
-           for w in widths for name in workloads])
-    per_width = {}
-    for w in widths:
-        speedups = []
-        for name in workloads:
-            base = _locality_cycles(name)  # default: width 1
-            swept = _locality_cycles(name, pcu_issue_width=w)
-            speedups.append(base / swept)
-        per_width[w] = geometric_mean(speedups)
-    series = [per_width[w] for w in widths]
+    runs = run_matrix(config_matrix(workloads, "large", "pcu_issue_width", widths))
+    # The default config has width 1.
+    series = [geometric_mean([runs[name, None].cycles / runs[name, w].cycles
+                              for name in workloads])
+              for w in widths]
     text = format_series("Figure 11b: performance vs PCU issue width "
                          "(normalized to 1)", list(widths), series)
     return ExperimentReport("fig11b", text,
@@ -547,20 +544,17 @@ def sec76_pmu_overhead(workloads: Sequence[str] = SEC76_WORKLOADS) -> Experiment
     Paper: idealizing buys only 0.13% (directory) and 0.31% (monitor) —
     the cost-effective structures are nearly free.
     """
-    prefetch(RunRequest.single(name, "large", P.LOCALITY_AWARE, config=cfg)
-             for name in workloads
-             for cfg in (None, scaled_config(ideal_pim_directory=True),
-                         scaled_config(ideal_locality_monitor=True)))
+    configs = {"real": None, "directory": scaled_config(ideal_pim_directory=True),
+               "monitor": scaled_config(ideal_locality_monitor=True)}
+    runs = run_matrix({(name, kind): RunRequest.single(name, "large", P.LOCALITY_AWARE,
+                                                       config=config)
+                       for name in workloads for kind, config in configs.items()})
     rows = []
     dir_gains, mon_gains = [], []
     for name in workloads:
-        real = run_config(name, "large", P.LOCALITY_AWARE)
-        ideal_dir = run_config(name, "large", P.LOCALITY_AWARE,
-                               config=scaled_config(ideal_pim_directory=True))
-        ideal_mon = run_config(name, "large", P.LOCALITY_AWARE,
-                               config=scaled_config(ideal_locality_monitor=True))
-        dir_gain = real.cycles / ideal_dir.cycles - 1.0
-        mon_gain = real.cycles / ideal_mon.cycles - 1.0
+        real = runs[name, "real"].cycles
+        dir_gain = real / runs[name, "directory"].cycles - 1.0
+        mon_gain = real / runs[name, "monitor"].cycles - 1.0
         dir_gains.append(dir_gain)
         mon_gains.append(mon_gain)
         rows.append([name, f"{100 * dir_gain:+.2f}%", f"{100 * mon_gain:+.2f}%"])
@@ -597,10 +591,8 @@ def fig12_energy(sizes: Sequence[str] = SIZES,
     PIM-Only inflates DRAM + link energy on small inputs; memory-side PCUs
     are ~1.4% of HMC energy.
     """
-    prefetch(RunRequest.single(name, size, policy)
-             for size in sizes for name in workloads
-             for policy in (P.IDEAL_HOST, P.HOST_ONLY, P.PIM_ONLY,
-                            P.LOCALITY_AWARE))
+    runs = run_matrix(input_matrix(sizes, workloads, (P.IDEAL_HOST, P.HOST_ONLY,
+                                                      P.PIM_ONLY, P.LOCALITY_AWARE)))
     blocks = []
     data: Dict[str, Dict] = {}
     mem_pcu_fracs = []
@@ -610,8 +602,8 @@ def fig12_energy(sizes: Sequence[str] = SIZES,
         for policy in (P.HOST_ONLY, P.PIM_ONLY, P.LOCALITY_AWARE):
             totals, dram, offchip = [], [], []
             for name in workloads:
-                ideal = run_config(name, size, P.IDEAL_HOST)
-                res = run_config(name, size, policy)
+                ideal = runs[name, size, P.IDEAL_HOST]
+                res = runs[name, size, policy]
                 base = max(ideal.energy.total_pj, 1.0)
                 totals.append(res.energy.total_pj / base)
                 dram.append(res.energy.dram_pj / base)
@@ -670,19 +662,17 @@ def smoke_suite(workloads: Sequence[str] = SMOKE_WORKLOADS) -> ExperimentReport:
     """
     ops = min(current_settings().max_ops_per_thread, SMOKE_MAX_OPS)
     policies = (P.IDEAL_HOST,) + SMOKE_POLICIES
-    prefetch(RunRequest.single(name, "small", policy, max_ops_per_thread=ops)
-             for name in workloads for policy in policies)
+    runs = run_matrix({(name, policy): RunRequest.single(name, "small", policy,
+                                                         max_ops_per_thread=ops)
+                       for name in workloads for policy in policies})
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for name in workloads:
-        ideal = run_config(name, "small", P.IDEAL_HOST,
-                           max_ops_per_thread=ops)
+        ideal = runs[name, P.IDEAL_HOST]
         row = [name]
         data[name] = {}
         for policy in SMOKE_POLICIES:
-            result = run_config(name, "small", policy,
-                                max_ops_per_thread=ops)
-            speedup = result.speedup_over(ideal)
+            speedup = runs[name, policy].speedup_over(ideal)
             row.append(speedup)
             data[name][policy.value] = speedup
         rows.append(row)

@@ -114,7 +114,7 @@ class RunRequest:
                config: Optional[SystemConfig] = None,
                max_ops_per_thread: Optional[int] = None,
                seed: Optional[int] = None, **overrides) -> "RunRequest":
-        """A request for one registry workload (the ``run_config`` shape)."""
+        """A request for one registry workload."""
         return cls(workloads=(WorkloadSpec.make(name, size, seed, **overrides),),
                    policy=policy, config=config,
                    max_ops_per_thread=max_ops_per_thread)

@@ -1,4 +1,4 @@
-"""Shared experiment runner: memoization, disk cache, parallel batches.
+"""Shared experiment runner: one batch serve path, memo, disk cache, pool.
 
 Several figures consume the same underlying runs (Fig. 6's speedups and
 Fig. 7's traffic and Fig. 12's energy all come from the same simulations),
@@ -7,14 +7,16 @@ so the runner memoizes RunResults by their fully *resolved*
 cap and seed from the :class:`BenchSettings` in effect at call time, so
 changing ``REPRO_BENCH_OPS`` mid-process can never serve a stale result.
 
-Layered on top of the in-process memo:
+:func:`prefetch` is the one serve path: it takes an experiment's whole
+request matrix and returns every request's result, serving each distinct
+point once — from the in-process memo, from the disk cache, or by
+simulating it.  :func:`run_request` is a batch of one.  Around the memo:
 
 * a **disk cache** (:func:`enable_disk_cache`) persisting results under a
   content fingerprint + code-version salt, so repeated suite invocations
   and CI skip simulation entirely (``python -m repro.bench`` enables it by
   default under ``.bench_cache/``); and
-* a **parallel backend** (:func:`set_jobs`): :func:`prefetch` takes a
-  figure script's whole frontier of requests and fans the uncached points
+* a **parallel backend** (:func:`set_jobs`): a batch's uncached points fan
   across a process pool, bit-identical to serial execution.
 
 Environment knobs (for quick or exhaustive regeneration):
@@ -36,16 +38,14 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bench import frontier
 from repro.bench.cache import DEFAULT_CACHE_DIR, BenchCache
 from repro.bench.frontier import RunRequest
 from repro.bench.traces import TraceStore
-from repro.core.dispatch import DispatchPolicy
 from repro.obs.aggregate import FrontierAggregator
 from repro.obs.events import NULL_LEDGER, RunLedger
-from repro.system.config import SystemConfig
 from repro.system.result import RunResult
 
 
@@ -113,14 +113,15 @@ _AGGREGATOR = FrontierAggregator()
 class RunnerAccounting:
     """Work counters for one runner session (feeds BENCH_* trajectories).
 
-    ``simulations`` counts actual simulator executions; ``memo_hits`` counts
-    results served from the in-process memo by :func:`run_request`/
-    :func:`run_config`; ``disk_hits`` counts results loaded from the disk
-    cache (by lookups and by :func:`prefetch`).  ``instructions`` and
-    ``sim_wall_seconds`` cover simulated runs only, so
-    ``instructions / sim_wall_seconds`` is the harness's simulated-ops/sec
-    throughput.  ``trace_captures``/``trace_hits`` count functional
-    workload captures vs trace-store hits (capture-once replay).
+    Each batch (:func:`prefetch`) counts each of its distinct points once,
+    by how it was served: ``simulations`` (simulator executions),
+    ``memo_hits`` (the in-process memo) or ``disk_hits`` (the disk cache).
+    So in every batch ``simulations + memo_hits + disk_hits`` equals the
+    batch's distinct points.  ``instructions`` and ``sim_wall_seconds``
+    cover simulated runs only, so ``instructions / sim_wall_seconds`` is
+    the harness's simulated-ops/sec throughput.
+    ``trace_captures``/``trace_hits`` count functional workload captures vs
+    trace-store hits (capture-once replay).
 
     The remaining counters measure what the parallel schedule cost:
     ``plan_hits``/``plan_misses``/``plan_evictions`` aggregate the columnar
@@ -309,7 +310,7 @@ def clear_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# Execution: single requests and prefetched batches
+# Execution: the batch serve path
 # ----------------------------------------------------------------------
 
 
@@ -376,55 +377,27 @@ def _execute(requests: Sequence[RunRequest]) -> List[RunResult]:
     return results
 
 
-def run_request(request: RunRequest) -> RunResult:
-    """Resolve and run one request through memo -> disk cache -> simulate."""
-    request = request.resolve(current_settings())
-    hit = _MEMO.get(request)
-    if hit is not None:
-        _ACCOUNTING.memo_hits += 1
-        if _LEDGER.enabled:
-            _LEDGER.emit("memo_hit", fingerprint=request.event_fingerprint())
-        return hit
-    if _LEDGER.enabled:
-        _LEDGER.emit("request_planned", fingerprint=request.event_fingerprint(),
-                     label=request.label())
-    if _DISK_CACHE is not None:
-        cached = _DISK_CACHE.get(request)
-        if cached is not None:
-            _ACCOUNTING.disk_hits += 1
-            _MEMO[request] = cached
-            return cached
-    return _execute([request])[0]
+def prefetch(requests: Iterable[RunRequest]) -> List[RunResult]:
+    """Serve a batch of requests; return each one's result, in order.
 
-
-def prefetch(requests: Iterable[RunRequest]) -> int:
-    """Materialize a figure script's frontier of requests in one batch.
-
-    Resolves and dedupes the requests, loads whatever the disk cache
-    already holds, and fans the remaining points across the configured
-    worker pool — after which every ``run_config``/``run_request`` call in
-    the figure body is a memo hit.  Returns the number of simulations that
-    actually ran.
+    Resolves the requests and serves each distinct point once: from the
+    in-process memo, from the disk cache, or — for every remaining point
+    together — by one :func:`_execute` batch across the configured worker
+    pool.  Each point counts once in the accounting, by how it was served.
+    A repeated request gets the same result object.
     """
     settings = current_settings()
-    resolved: List[RunRequest] = []
-    seen = set()
-    for request in requests:
-        request = request.resolve(settings)
-        if request in seen:
-            continue
-        seen.add(request)
-        resolved.append(request)
+    resolved = [request.resolve(settings) for request in requests]
+    points = list(dict.fromkeys(resolved))
     if _LEDGER.enabled:
-        for request in resolved:
+        for request in points:
             _LEDGER.emit("request_planned",
                          fingerprint=request.event_fingerprint(),
                          label=request.label())
     misses: List[RunRequest] = []
-    for request in resolved:
+    for request in points:
         if request in _MEMO:
-            # Not counted in accounting (prefetch never *serves* results;
-            # the figure-body run_request calls do) but still a ledger edge.
+            _ACCOUNTING.memo_hits += 1
             if _LEDGER.enabled:
                 _LEDGER.emit("memo_hit",
                              fingerprint=request.event_fingerprint())
@@ -438,37 +411,9 @@ def prefetch(requests: Iterable[RunRequest]) -> int:
         misses.append(request)
     if misses:
         _execute(misses)
-    return len(misses)
+    return [_MEMO[request] for request in resolved]
 
 
-# ----------------------------------------------------------------------
-# Public entry points used by the experiment definitions
-# ----------------------------------------------------------------------
-
-
-def run_config(
-    name: str,
-    size: str,
-    policy: DispatchPolicy,
-    config: Optional[SystemConfig] = None,
-    max_ops_per_thread: Optional[int] = None,
-    seed: Optional[int] = None,
-    **workload_overrides,
-) -> RunResult:
-    """Run a registry workload under one configuration (memoized/cached)."""
-    return run_request(RunRequest.single(
-        name, size, policy, config=config,
-        max_ops_per_thread=max_ops_per_thread, seed=seed,
-        **workload_overrides))
-
-
-def run_multiprog(
-    parts: Sequence[Tuple[str, str, int]],
-    policy: DispatchPolicy,
-    config: Optional[SystemConfig] = None,
-    max_ops_per_thread: Optional[int] = None,
-) -> RunResult:
-    """Run a multiprogrammed mix of ``(name, size, seed)`` parts (Fig. 9)."""
-    return run_request(RunRequest.multiprog(
-        parts, policy, config=config,
-        max_ops_per_thread=max_ops_per_thread))
+def run_request(request: RunRequest) -> RunResult:
+    """Serve one request: a batch of one (see :func:`prefetch`)."""
+    return prefetch([request])[0]

@@ -409,12 +409,12 @@ class SweepRunner:
     """Drives a spec's rounds through the shared runner (cache + pool).
 
     Each round's grid points expand to requests and go through
-    :func:`repro.bench.runner.prefetch` as one frontier — parallel
-    workers get trace-affine shards, cached points cost nothing — then
-    the per-point metrics feed the sampler, the checkpoint is published,
-    and the next round is planned.  ``stop_after_rounds`` bounds a run
-    mid-sweep (the kill/resume tests use it); the returned report marks
-    ``completed`` accordingly.
+    :func:`repro.bench.runner.prefetch` as one batch — parallel workers
+    get trace-affine shards, cached points cost nothing — whose results
+    give the per-point metrics; those feed the sampler, the checkpoint is
+    published, and the next round is planned.  ``stop_after_rounds``
+    bounds a run mid-sweep (the kill/resume tests use it); the returned
+    report marks ``completed`` accordingly.
     """
 
     def __init__(self, spec: SweepSpec, init_points: int = 9,
@@ -429,21 +429,15 @@ class SweepRunner:
     # ------------------------------------------------------------------
 
     def _evaluate_round(self, indices: Sequence[int]) -> List[float]:
-        """Simulate one round's grid points; return their metrics in order."""
+        """Serve one round's grid points as one batch; return their metrics
+        in order."""
         spec = self.spec
-        frontier: List[RunRequest] = []
-        per_point: List[List[RunRequest]] = []
-        for index in indices:
-            requests = spec.requests_for(index)
-            per_point.append(requests)
-            frontier.extend(requests)
-        runner.prefetch(frontier)
-        metrics = []
-        for requests in per_point:
-            results = {request.policy.value: runner.run_request(request)
-                       for request in requests}
-            metrics.append(spec.metric_from(results))
-        return metrics
+        points = [spec.requests_for(index) for index in indices]
+        results = iter(runner.prefetch(
+            [request for requests in points for request in requests]))
+        return [spec.metric_from({request.policy.value: next(results)
+                                  for request in requests})
+                for requests in points]
 
     def _resume_state(self) -> SweepState:
         fingerprint = self.spec.fingerprint()

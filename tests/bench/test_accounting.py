@@ -88,19 +88,24 @@ class TestBatchAccounting:
     def test_served_requests_sum_to_request_count(self, jobs):
         runner.set_jobs(jobs)
         requests = [request_for(p) for p in ALL_POLICIES]
-        runner.prefetch(requests)
-        for request in requests:
-            runner.run_request(request)
+        # A repeated request is one point: it is served and counted once.
+        results = runner.prefetch(requests + requests[:1])
+        assert results[-1] is results[0]
         acct = runner.accounting()
-        # Every request was served exactly once: simulated in the prefetch
-        # batch, then memo-served to the figure body.
+        # Every point was served exactly once, by simulating it.
         assert acct.simulations == len(requests)
-        assert acct.memo_hits == len(requests)
+        assert acct.memo_hits == 0
         assert acct.disk_hits == 0
         # Trace store: one capture for the first config, replays after.
         assert acct.trace_captures + acct.trace_hits == len(requests)
         assert acct.sim_wall_seconds > 0.0
         assert acct.instructions > 0
+        # The same batch again: every point is served from the memo.
+        again = runner.prefetch(requests)
+        assert all(a is b for a, b in zip(again, results))
+        assert acct.simulations == len(requests)
+        assert acct.memo_hits == len(requests)
+        assert acct.disk_hits == 0
 
     def test_parallel_batch_feeds_the_aggregator(self):
         runner.set_jobs(2)

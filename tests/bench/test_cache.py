@@ -84,19 +84,19 @@ class TestRunnerDiskCache:
         requests = [tiny_request(policy=DispatchPolicy.HOST_ONLY),
                     tiny_request(policy=DispatchPolicy.LOCALITY_AWARE)]
         runner.enable_disk_cache(tmp_path)
-        assert runner.prefetch(requests) == 2
+        runner.prefetch(requests)
         assert runner.accounting().simulations == 2
 
         # New process simulation: fresh memo, fresh accounting, same disk.
         runner.clear_cache()
         runner.reset_accounting()
         runner.enable_disk_cache(tmp_path)
-        assert runner.prefetch(requests) == 0
-        for request in requests:
-            assert runner.run_request(request).cycles > 0
+        for result in runner.prefetch(requests):
+            assert result.cycles > 0
         acct = runner.accounting()
         assert acct.simulations == 0
         assert acct.disk_hits == 2
+        assert acct.memo_hits == 0
 
     def test_disk_hit_matches_simulated_result(self, tmp_path):
         request = tiny_request()

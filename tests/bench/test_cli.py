@@ -9,6 +9,8 @@ from repro.bench import __main__ as cli
 from repro.bench import frontier, runner
 from repro.bench.__main__ import EXPERIMENTS, NOT_IN_ALL, main
 from repro.bench.experiments import ExperimentReport
+from repro.bench.frontier import RunRequest
+from repro.bench.history import load_records
 from repro.core.dispatch import DispatchPolicy
 
 
@@ -196,8 +198,8 @@ class TestSessionsStartClean:
     def test_second_session_inherits_nothing(self, fake_experiments,
                                              tmp_path, monkeypatch, capsys):
         def one_simulation():
-            runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              max_ops_per_thread=50)
+            runner.run_request(RunRequest.single("HG", "small", DispatchPolicy.HOST_ONLY,
+                                                 max_ops_per_thread=50))
             return ExperimentReport("smoke", "body", {})
 
         monkeypatch.setitem(cli.EXPERIMENTS, "smoke",
@@ -228,6 +230,60 @@ class TestSessionsStartClean:
         assert not telemetry.exists()
         assert not runner.run_ledger().enabled
         assert "[bench]" not in capsys.readouterr().out
+
+
+class TestEveryPointCountedOnce:
+    """A real ``run smoke`` (6 points): each point is served and counted
+    once, so the record, the progress line, ``history`` and the dashboard
+    all read 6."""
+
+    @pytest.fixture(autouse=True)
+    def small_session(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_OPS", "200")
+        runner.clear_cache()
+        yield
+        runner.set_jobs(1)
+        runner.disable_disk_cache()
+        runner.disable_run_ledger()
+        runner.clear_cache()
+        runner.reset_accounting()
+
+    @staticmethod
+    def counts(history):
+        [entry] = load_records(history)[-1][1]["experiments"]
+        return {key: entry[key] for key in ("simulations", "memo_hits", "disk_hits")}
+
+    def test_cold_run_simulates_each_point_once(self, tmp_path, capsys):
+        from repro.obs.dashboard import collect_sources, render_html
+
+        history = tmp_path / "hist"
+        assert main(["run", "smoke", "--no-cache", "--progress",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--history-dir", str(history)]) == 0
+        out = capsys.readouterr().out
+        assert self.counts(history) == {"simulations": 6, "memo_hits": 0, "disk_hits": 0}
+        assert "6 simulated, 0 memo / 0 disk hits]" in out
+        last = [part for part in out.split("\r") if part.startswith("[bench]")][-1]
+        assert last.split("\n")[0].rstrip() == \
+            "[bench] 6/6 done (0 cached, 6 simulated, 0 simulating)"
+        assert main(["history", "--history-dir", str(history)]) == 0
+        assert "cache: 0% hit rate (0 memo + 0 disk, 6 simulated)" in \
+            capsys.readouterr().out
+        page = render_html(collect_sources(history))
+        assert "<b>6</b><span>requests served</span>" in page
+
+    def test_warm_run_serves_each_point_from_disk_once(self, tmp_path, capsys):
+        history = tmp_path / "hist"
+        args = ["run", "smoke", "--cache-dir", str(tmp_path / "cache"),
+                "--history-dir", str(history)]
+        assert main(args) == 0
+        runner.clear_cache()  # a new process: the disk cache alone is warm
+        assert main(args) == 0
+        assert self.counts(history) == {"simulations": 0, "memo_hits": 0, "disk_hits": 6}
+        capsys.readouterr()
+        assert main(["history", "--history-dir", str(history)]) == 0
+        assert "cache: 100% hit rate (0 memo + 6 disk, 0 simulated)" in \
+            capsys.readouterr().out
 
 
 class TestProgressRenderer:

@@ -54,8 +54,7 @@ class TestParallelLedgerDurability:
         live = []
         ledger = runner.enable_run_ledger(listener=live.append)
         runner.set_jobs(2)
-        runner.prefetch(requests())
-        parallel_results = [runner.run_request(r) for r in requests()]
+        parallel_results = runner.prefetch(requests())
         parallel_events = [_strip(e) for e in ledger.events]
 
         # The listener saw every event while workers ran; live events
@@ -74,8 +73,7 @@ class TestParallelLedgerDurability:
         runner.reset_accounting()
         ledger = runner.enable_run_ledger()
         runner.set_jobs(1)
-        runner.prefetch(requests())
-        serial_results = [runner.run_request(r) for r in requests()]
+        serial_results = runner.prefetch(requests())
         serial_events = [_strip(e) for e in ledger.events]
 
         for par, ser in zip(parallel_results, serial_results):

@@ -34,10 +34,7 @@ def requests():
 
 
 def run_suite():
-    batch = requests()
-    runner.prefetch(batch)
-    for request in batch:
-        runner.run_request(request)
+    return runner.prefetch(requests())
 
 
 class TestColdWarmLedger:

@@ -20,42 +20,47 @@ def clean_cache():
 TINY = dict(config=tiny_config(), max_ops_per_thread=300)
 
 
+def run_hg(policy, size="small", **overrides):
+    """Serve one HG request through the runner's batch of one."""
+    return runner.run_request(RunRequest.single("HG", size, policy, **overrides))
+
+
 class TestRunConfig:
+    """One workload under one configuration: a batch of one."""
+
     def test_returns_result(self):
-        result = runner.run_config("HG", "small", DispatchPolicy.LOCALITY_AWARE,
-                                   n_values=2000, **TINY)
+        result = run_hg(DispatchPolicy.LOCALITY_AWARE, n_values=2000, **TINY)
         assert result.cycles > 0
         assert result.workload == "HG"
 
     def test_memoized(self):
-        a = runner.run_config("HG", "small", DispatchPolicy.LOCALITY_AWARE,
-                              n_values=2000, **TINY)
-        b = runner.run_config("HG", "small", DispatchPolicy.LOCALITY_AWARE,
-                              n_values=2000, **TINY)
+        a = run_hg(DispatchPolicy.LOCALITY_AWARE, n_values=2000, **TINY)
+        b = run_hg(DispatchPolicy.LOCALITY_AWARE, n_values=2000, **TINY)
         assert a is b  # cache hit returns the same object
 
     def test_policy_differentiates_cache_key(self):
-        a = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=2000, **TINY)
-        b = runner.run_config("HG", "small", DispatchPolicy.PIM_ONLY,
-                              n_values=2000, **TINY)
+        a = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, **TINY)
+        b = run_hg(DispatchPolicy.PIM_ONLY, n_values=2000, **TINY)
         assert a is not b
         assert a.policy != b.policy
 
     def test_overrides_differentiate_cache_key(self):
-        a = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=2000, **TINY)
-        b = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=4000, **TINY)
+        a = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, **TINY)
+        b = run_hg(DispatchPolicy.HOST_ONLY, n_values=4000, **TINY)
         assert a is not b
 
     def test_clear_cache(self):
-        a = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=2000, **TINY)
+        a = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, **TINY)
         runner.clear_cache()
-        b = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=2000, **TINY)
+        b = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, **TINY)
         assert a is not b
+
+    def test_multiprogrammed_mix(self):
+        parts = (("HG", "small", 1), ("HG", "small", 2))
+        result = runner.run_request(RunRequest.multiprog(
+            parts, DispatchPolicy.LOCALITY_AWARE, **TINY))
+        assert result.cycles > 0
+        assert len(result.per_core_instructions) == tiny_config().n_cores
 
 
 class TestSettings:
@@ -87,31 +92,36 @@ class TestSettings:
 
 class TestPrefetchAndAccounting:
     def test_prefetch_populates_memo(self):
-        from repro.bench.frontier import RunRequest
         requests = [
             RunRequest.single("HG", "small", DispatchPolicy.HOST_ONLY,
                               n_values=2000, **TINY),
             RunRequest.single("HG", "small", DispatchPolicy.LOCALITY_AWARE,
                               n_values=2000, **TINY),
         ]
-        assert runner.prefetch(requests) == 2
+        results = runner.prefetch(requests)
+        assert [r.policy for r in results] == ["host-only", "locality-aware"]
+        assert runner.accounting().simulations == 2
         before = runner.accounting().snapshot()
-        for request in requests:
-            assert runner.run_request(request).cycles > 0
+        for request, result in zip(requests, results):
+            assert runner.run_request(request) is result
         after = runner.accounting().snapshot()
         assert after["simulations"] == before["simulations"]
         assert after["memo_hits"] == before["memo_hits"] + 2
 
     def test_prefetch_dedupes(self):
-        from repro.bench.frontier import RunRequest
         request = RunRequest.single("HG", "small", DispatchPolicy.HOST_ONLY,
                                     n_values=2000, **TINY)
-        assert runner.prefetch([request, request]) == 1
-        assert runner.prefetch([request]) == 0
+        first, again = runner.prefetch([request, request])
+        assert first is again  # a repeated request gets the same result
+        assert runner.accounting().simulations == 1
+        assert runner.accounting().memo_hits == 0
+        [memoized] = runner.prefetch([request])
+        assert memoized is first
+        assert runner.accounting().simulations == 1
+        assert runner.accounting().memo_hits == 1
 
     def test_accounting_tracks_simulated_work(self):
-        runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                          n_values=2000, **TINY)
+        run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, **TINY)
         acct = runner.accounting()
         assert acct.simulations == 1
         assert acct.instructions > 0
@@ -131,26 +141,21 @@ class TestEnvChangeInvalidation:
     def test_ops_change_differentiates_cache_key(self, monkeypatch):
         # HG small with n_values=2000 runs ~31 ops/thread, so both caps bind.
         monkeypatch.setenv("REPRO_BENCH_OPS", "5")
-        a = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=2000, config=tiny_config())
+        a = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, config=tiny_config())
         monkeypatch.setenv("REPRO_BENCH_OPS", "25")
-        b = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=2000, config=tiny_config())
+        b = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, config=tiny_config())
         assert a is not b
         assert b.instructions > a.instructions  # more ops actually ran
 
     def test_same_env_still_memoizes(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_OPS", "200")
-        a = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=2000, config=tiny_config())
-        b = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                              n_values=2000, config=tiny_config())
+        a = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, config=tiny_config())
+        b = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, config=tiny_config())
         assert a is b
 
     def test_explicit_ops_overrides_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_OPS", "5000")
-        result = runner.run_config("HG", "small", DispatchPolicy.HOST_ONLY,
-                                   n_values=2000, **TINY)
+        result = run_hg(DispatchPolicy.HOST_ONLY, n_values=2000, **TINY)
         assert result.cycles > 0
 
 
@@ -162,8 +167,7 @@ class TestRunnerTelemetry:
 
     def test_enable_telemetry_writes_bundles(self, tmp_path):
         runner.enable_telemetry(tmp_path)
-        runner.run_config("HG", "small", DispatchPolicy.LOCALITY_AWARE,
-                          n_values=2000, **TINY)
+        run_hg(DispatchPolicy.LOCALITY_AWARE, n_values=2000, **TINY)
         request = RunRequest.single(
             "HG", "small", DispatchPolicy.LOCALITY_AWARE, n_values=2000,
             **TINY).resolve(runner.current_settings())
@@ -179,8 +183,7 @@ class TestRunnerTelemetry:
         assert runner.get_jobs() == 1
         runner.enable_telemetry(tmp_path)
         for size in ("small", "large"):
-            runner.run_config("HG", size, DispatchPolicy.LOCALITY_AWARE,
-                              **TINY)
+            run_hg(DispatchPolicy.LOCALITY_AWARE, size, **TINY)
         assert runner.accounting().simulations == 2
         stems = {p.name.split(".")[0] for p in tmp_path.iterdir()}
         assert len(stems) == 2
@@ -189,6 +192,5 @@ class TestRunnerTelemetry:
     def test_disable_telemetry_stops_writing(self, tmp_path):
         runner.enable_telemetry(tmp_path)
         runner.disable_telemetry()
-        runner.run_config("HG", "small", DispatchPolicy.LOCALITY_AWARE,
-                          n_values=2000, **TINY)
+        run_hg(DispatchPolicy.LOCALITY_AWARE, n_values=2000, **TINY)
         assert list(tmp_path.iterdir()) == []

@@ -194,17 +194,17 @@ class TestRunnerIntegration:
         """The fig6 shape: N policies over one input pay one capture."""
         store = isolated_runner
         requests = [request_for(p) for p in POLICIES]
-        simulated = runner.prefetch(requests)
-        assert simulated == len(POLICIES)
+        simulations0 = runner.accounting().simulations
+        results = runner.prefetch(requests)
+        acct = runner.accounting()
+        assert acct.simulations - simulations0 == len(POLICIES)
         assert store.captures == 1
         assert store.memo_hits == len(POLICIES) - 1
-        acct = runner.accounting()
         assert acct.trace_captures >= 1
         assert acct.trace_hits >= len(POLICIES) - 1
-        # ... and the memoized results equal fresh direct runs.
-        for request in requests:
-            assert canon(runner.run_request(request)) == canon(
-                frontier.simulate(request))
+        # ... and the batch's results equal fresh direct runs.
+        for request, result in zip(requests, results):
+            assert canon(result) == canon(frontier.simulate(request))
 
     def test_run_batch_rejects_misaligned_traces(self):
         requests = [request_for(DispatchPolicy.HOST_ONLY)]
